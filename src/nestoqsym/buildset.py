@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .bitsets import bits, mask_of, nonempty_submasks
 from .errors import CapacityError, InputError, NotABuildingSetError, ParseError
-from .graphs import Graph, _components_within
+from .graphs import Graph, _components_within, json_int
 
 COPRODUCT_CAP = 12  # 2^n coproduct terms
 TAKEUCHI_CAP = 6  # chains grow like ordered set partitions
@@ -274,14 +274,14 @@ def parse_building_set(text: str, add_singletons: bool = True) -> BuildingSet:
         obj = json.loads(s)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", e.pos) from e
-    if not isinstance(obj, dict) or "n" not in obj or "sets" not in obj:
-        raise ParseError("building-set JSON needs 'n' and 'sets' keys", 0)
-    n = int(obj["n"])
+    if not (isinstance(obj, dict) and "n" in obj and isinstance(obj.get("sets"), list)):
+        raise ParseError("building-set JSON needs an 'n' key and a 'sets' list", 0)
+    n = json_int(obj["n"], "'n'", 0)
     masks = []
     for i, member in enumerate(obj["sets"]):
         if not isinstance(member, (list, tuple)) or not member:
             raise ParseError(f"set {i} must be a nonempty vertex list", i)
-        vs = [int(v) for v in member]
+        vs = [json_int(v, f"set {i}: vertex", i) for v in member]
         if any(not 1 <= v <= n for v in vs):
             raise ParseError(f"set {i}: vertex out of range 1..{n}", i)
         masks.append(mask_of(v - 1 for v in vs))

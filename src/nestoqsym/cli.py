@@ -98,6 +98,8 @@ def _parse_vertex_list(text: str, n: int) -> int:
         tok = tok.strip()
         if not tok:
             continue
+        if not tok.isdigit():
+            raise InputError(f"vertex {tok!r} is not a positive integer")
         v = int(tok)
         if not 1 <= v <= n:
             raise InputError(f"vertex {v} out of range 1..{n}")

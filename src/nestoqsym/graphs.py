@@ -249,7 +249,9 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> list:
     Deterministic: representatives are the numerically smallest edge codes,
     listed in increasing order.
     """
-    if not 1 <= n <= ENUMERATION_CAP:
+    if n < 1:
+        raise InputError(f"class enumeration needs n >= 1, got {n}")
+    if n > ENUMERATION_CAP:
         raise CapacityError(
             f"class enumeration capped at n <= {ENUMERATION_CAP}, got {n}"
         )
@@ -333,6 +335,15 @@ def from_graph6(s: str) -> Graph:
     return _graph_from_code(n, code)
 
 
+def json_int(value, what: str, position) -> int:
+    """A JSON count or vertex: strings, fractions, booleans and negatives fail."""
+    if type(value) is not int or value < 0:
+        raise ParseError(
+            f"{what} must be a non-negative integer, got {json.dumps(value)}", position
+        )
+    return value
+
+
 def parse_graph(text: str) -> Graph:
     """Accepts the JSON form {"n":4,"edges":[[1,2],...]} or a graph6 line."""
     s = text.strip()
@@ -341,14 +352,14 @@ def parse_graph(text: str) -> Graph:
             obj = json.loads(s)
         except json.JSONDecodeError as e:
             raise ParseError(f"invalid JSON: {e.msg}", e.pos) from e
-        if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
-            raise ParseError("graph JSON needs 'n' and 'edges' keys", 0)
-        n = int(obj["n"])
+        if not (isinstance(obj, dict) and "n" in obj and isinstance(obj.get("edges"), list)):
+            raise ParseError("graph JSON needs an 'n' key and an 'edges' list", 0)
+        n = json_int(obj["n"], "'n'", 0)
         edges = []
         for i, e in enumerate(obj["edges"]):
             if not (isinstance(e, (list, tuple)) and len(e) == 2):
                 raise ParseError(f"edge {i} is not a pair", i)
-            u, v = int(e[0]), int(e[1])
+            u, v = (json_int(x, f"edge {i}: vertex", i) for x in e)
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"edge {i}: vertex out of range 1..{n}", i)
             if u == v:

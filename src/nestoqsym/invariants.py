@@ -2,7 +2,8 @@
 
 The four routes to the same quasisymmetric function:
 
-  * F_splitting       -- counts splitting chains of the building set (the
+  * F_splitting       -- counts splitting chains of the building set by the
+                         flag condition (splitting_chains lists them, the
                          brute-force oracle),
   * F_btree_route     -- sums tree enumerators over the B-trees at vertices,
   * F_graph_colorings -- counts ordered colorings of the graph,
@@ -13,15 +14,12 @@ is multiplicative); splitting chains are enumerated by the verbatim flag
 condition, which agrees with the component product without a connectedness
 hypothesis.
 
-Everything is pure and exact (no floating point anywhere); the only shared
-state is the recurrence memo, whose inserts are idempotent, so concurrent
-evaluation cannot change results.
+Everything is pure and exact (no floating point anywhere).
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -43,7 +41,7 @@ from .buildset import (
 from .errors import CapacityError, InputError
 from .graphs import (
     Graph,
-    canonical_form,
+    _components_within,
     components as graph_components,
     connectivity,
     enumerate_graphs,
@@ -87,8 +85,6 @@ FAMILY_COUNT_CAP = 10
 THM72_CAP = 7
 KERNEL_CAP = 7
 HOPF_CHECK_CAP = 5
-
-_MEMO_CANON_CAP = 8  # canonicalizing beyond this costs more than it saves
 
 
 # ---------------------------------------------------------------------------
@@ -142,51 +138,52 @@ def splitting_chains(b: BuildingSet) -> list:
     return out
 
 
+def _flag_dp(n: int, admissible) -> dict:
+    """Ordered set partitions of [n] whose every block passes
+    admissible(done, block), counted by block-size sequence.
+
+    The count of the continuations depends on the covered mask alone, so it
+    is memoized on it: each (done, block) pair is tested once, 3^n tests.
+    """
+    full = (1 << n) - 1
+    memo = {full: {(): 1}}
+
+    def rest(done: int) -> dict:
+        hit = memo.get(done)
+        if hit is None:
+            hit = {}
+            for blk in nonempty_submasks(full & ~done):
+                if admissible(done, blk):
+                    k = blk.bit_count()
+                    for sizes, c in rest(done | blk).items():
+                        key = (k,) + sizes
+                        hit[key] = hit.get(key, 0) + c
+            memo[done] = hit
+        return hit
+
+    return rest(0)
+
+
+def _splitting_types(b: BuildingSet) -> dict:
+    pairs = _pair_index(b)
+    return _flag_dp(b.n, lambda done, blk: _block_ok(pairs, done, blk))
+
+
 def zeta(b: BuildingSet, alpha) -> int:
     """Number of splitting chains whose step sizes are alpha, in order."""
-    alpha = tuple(alpha)
+    alpha = qsym.composition(alpha)
     if sum(alpha) != b.n:
         raise InputError(f"composition weighs {sum(alpha)}, ground set has {b.n}")
     if b.n > ZETA_CAP:
         raise CapacityError(f"zeta enumeration capped at n <= {ZETA_CAP}")
-    pairs = _pair_index(b)
-    full = (1 << b.n) - 1
-
-    def rec(done: int, idx: int) -> int:
-        if idx == len(alpha):
-            return 1 if done == full else 0
-        want = alpha[idx]
-        rem = [v for v in range(b.n) if not done >> v & 1]
-        total = 0
-        for pick in combinations(rem, want):
-            blk = 0
-            for v in pick:
-                blk |= 1 << v
-            if _block_ok(pairs, done, blk):
-                total += rec(done | blk, idx + 1)
-        return total
-
-    return rec(0, 0)
+    return _splitting_types(b).get(alpha, 0)
 
 
 def F_splitting(b: BuildingSet) -> QSymElement:
-    """Monomial expansion by exhaustive splitting-chain enumeration."""
+    """Monomial expansion by splitting chains, counted by the flag condition."""
     if b.n > SPLITTING_CAP:
         raise CapacityError(f"splitting-chain route capped at n <= {SPLITTING_CAP}")
-    pairs = _pair_index(b)
-    full = (1 << b.n) - 1
-    acc = {}
-
-    def rec(done: int, sizes: tuple):
-        if done == full:
-            acc[sizes] = acc.get(sizes, 0) + 1
-            return
-        for blk in nonempty_submasks(full & ~done):
-            if _block_ok(pairs, done, blk):
-                rec(done | blk, sizes + (blk.bit_count(),))
-
-    rec(0, ())
-    return qsym.element("M", acc)
+    return qsym.element("M", _splitting_types(b))
 
 
 # ---------------------------------------------------------------------------
@@ -262,42 +259,33 @@ def F_graph_colorings(g: Graph) -> QSymElement:
     return qsym.element("M", acc)
 
 
-_RECURRENCE_CACHE: dict = {}
-
-
 def F_graph_recurrence(g: Graph) -> QSymElement:
-    """Vertex-deletion recurrence, memoized on the canonical form.
+    """Vertex-deletion recurrence, memoized on the surviving vertex set.
 
-    Connected graphs: sum over vertices of the shifted enumerator of the
-    deletion.  Disconnected graphs: product over components.
+    Connected graphs: the shifted sum over vertices of the enumerator of
+    the deletion.  Disconnected graphs: product over components.
     """
     if g.n > RECURRENCE_CAP:
         raise CapacityError(f"recurrence route capped at n <= {RECURRENCE_CAP}")
-    return _f_recurrence(g)
+    memo = {0: one("M")}
 
-
-def _f_recurrence(g: Graph) -> QSymElement:
-    if g.n == 0:
-        return one("M")
-    if g.n <= _MEMO_CANON_CAP:
-        key = canonical_form(g)
-    else:
-        key = ("raw", g.n, g.adj)
-    hit = _RECURRENCE_CACHE.get(key)
-    if hit is not None:
+    def rec(mask: int) -> QSymElement:
+        hit = memo.get(mask)
+        if hit is None:
+            comps = _components_within(g, mask)
+            if len(comps) > 1:
+                hit = one("M")
+                for c in comps:
+                    hit = mul(hit, rec(c))
+            else:
+                hit = zero("M")
+                for v in bits(mask):
+                    hit = hit + rec(mask & ~(1 << v))
+                hit = shift1(hit)
+            memo[mask] = hit
         return hit
-    comps = graph_components(g)
-    if len(comps) > 1:
-        out = one("M")
-        for c in comps:
-            out = mul(out, _f_recurrence(induced(g, bits(c))))
-    else:
-        out = zero("M")
-        for v in range(g.n):
-            rest = [u for u in range(g.n) if u != v]
-            out = out + shift1(_f_recurrence(induced(g, rest)))
-    _RECURRENCE_CACHE[key] = out
-    return out
+
+    return rec((1 << g.n) - 1)
 
 
 def F_graph(g: Graph) -> QSymElement:
@@ -367,60 +355,20 @@ def chromatic_symmetric(g: Graph) -> SymElement:
     mu_i, i.e. color slots of equal size count as distinguishable.  This is
     the unique convention under which every ordered-coloring coefficient is
     dominated by c_{sort(alpha)}; it also matches the literal monomial
-    coefficient of x_1^{mu_1} x_2^{mu_2} ... in the power series.
+    coefficient of x_1^{mu_1} x_2^{mu_2} ... in the power series.  So c_mu
+    is the ordered-coloring count of the composition mu itself.
     """
-    if g.n > COLORINGS_CAP:
-        raise CapacityError(f"chromatic enumeration capped at n <= {COLORINGS_CAP}")
-    full = (1 << g.n) - 1
-    unordered = Counter()
-
-    def rec(remaining: int, sizes: tuple):
-        if remaining == 0:
-            unordered[tuple(sorted(sizes, reverse=True))] += 1
-            return
-        low = remaining & -remaining
-        rest = remaining & ~low
-        for extra in _submasks_iter(rest):
-            blk = low | extra
-            if all(g.adj[v] & blk == 0 for v in bits(blk)):
-                rec(remaining & ~blk, sizes + (blk.bit_count(),))
-
-    rec(full, ())
-    acc = {}
-    for mu, count in unordered.items():
-        orderings = 1
-        for size in set(mu):
-            orderings *= factorial(mu.count(size))
-        acc[mu] = count * orderings
-    return _sym_element(acc)
-
-
-def _submasks_iter(mask: int):
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
+    by_type = ordered_colorings_by_type(g)
+    return _sym_element(
+        {mu: c for mu, c in by_type.items() if qsym.partition_of(mu) == mu}
+    )
 
 
 def ordered_colorings_by_type(g: Graph) -> dict:
     """Proper-coloring ordered set partitions counted by size sequence."""
     if g.n > COLORINGS_CAP:
         raise CapacityError(f"chromatic enumeration capped at n <= {COLORINGS_CAP}")
-    full = (1 << g.n) - 1
-    acc = Counter()
-
-    def rec(remaining: int, sizes: tuple):
-        if remaining == 0:
-            acc[sizes] += 1
-            return
-        for blk in nonempty_submasks(remaining):
-            if all(g.adj[v] & blk == 0 for v in bits(blk)):
-                rec(remaining & ~blk, sizes + (blk.bit_count(),))
-
-    rec(full, ())
-    return dict(acc)
+    return _flag_dp(g.n, lambda done, blk: all(g.adj[v] & blk == 0 for v in bits(blk)))
 
 
 # ---------------------------------------------------------------------------

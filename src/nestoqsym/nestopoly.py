@@ -241,12 +241,7 @@ def shape_of(tree: BTree) -> TreeShape:
     roots = tree.roots()
     if len(roots) != 1:
         raise InputError("shape_of expects a single-rooted tree")
-    ch = tree.children()
-
-    def code(v: int) -> str:
-        return "(" + "".join(sorted(code(c) for c in ch[v])) + ")"
-
-    return TreeShape(code(roots[0]))
+    return forest_shapes(tree)[0]
 
 
 def forest_shapes(tree: BTree) -> tuple:
@@ -302,7 +297,9 @@ def _partitions(n: int) -> tuple:
 @lru_cache(maxsize=None)
 def enumerate_tree_shapes(n: int) -> tuple:
     """All unlabeled rooted trees on n nodes, each exactly once, sorted."""
-    if not 1 <= n <= TREE_SHAPE_CAP:
+    if n < 1:
+        raise InputError(f"tree shapes need n >= 1, got {n}")
+    if n > TREE_SHAPE_CAP:
         raise CapacityError(f"tree shapes capped at n <= {TREE_SHAPE_CAP}, got {n}")
     if n == 1:
         return (TreeShape("()"),)

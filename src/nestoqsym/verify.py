@@ -23,6 +23,7 @@ from .invariants import (
     check_thm72,
     collision_search,
     family_F,
+    family_graph,
     family_vertex_counts,
     hopf_morphism_check,
     random_building_sets,
@@ -94,7 +95,7 @@ def criterion_3():
     for n in range(1, 8):
         closed = family_vertex_counts(n)
         for kind, expect in zip(kinds, closed):
-            g = _family_graph(kind, n)
+            g = family_graph(kind, n)
             via_chi = vertex_count(F_graph_recurrence(g), n)
             via_nested = len(maximal_nested_sets(from_graph(g)))
             via_recur = vertex_count(family_F(kind, n), n)
@@ -104,18 +105,6 @@ def criterion_3():
                     f"nested {via_nested}, recurrence {via_recur}"
                 )
     return True, "n=1..7, all four families, three routes each"
-
-
-def _family_graph(kind, n):
-    base = {
-        "permutohedron": "complete",
-        "associahedron": "path",
-        "cyclohedron": "cycle",
-        "stellohedron": "star",
-    }[kind]
-    if base == "cycle" and n < 3:
-        base = "path"
-    return family(base, n)
 
 
 def criterion_4():

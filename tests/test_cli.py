@@ -222,6 +222,26 @@ def test_exit_codes(capsys):
     assert code == 3 and "capacity" in err
     code, _, err = run(capsys, "trees", "--n", "12")
     assert code == 3
+    for argv in BAD_INPUTS:
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("input error: ") and err.count("\n") == 1, argv
+        assert "Traceback" not in out + err
+
+
+BAD_INPUTS = (
+    ("invariant", "--graph", '{"n":"x","edges":[]}'),
+    ("invariant", "--graph", '{"n":2,"edges":[[1,"a"]]}'),
+    ("invariant", "--graph", '{"n":3,"edges":[[1,2.5]]}'),
+    ("invariant", "--graph", '{"n":-1,"edges":[]}'),
+    ("invariant", "--graph", '{"n":2,"edges":5}'),
+    ("buildset", "--sets", '{"n":"x","sets":[[1]]}'),
+    ("buildset", "--sets", '{"n":2,"sets":[[1,"a"]]}'),
+    ("buildset", "--sets", '{"n":3,"sets":[[1,2.5]]}'),
+    ("buildset", "--sets", '{"n":2,"sets":[[1],[2]]}', "--restrict", "a"),
+    ("collide", "--n", "0"),
+    ("trees", "--n", "0"),
+)
 
 
 def test_argparse_rejects_conflicting_flags(capsys):

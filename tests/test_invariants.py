@@ -1,6 +1,7 @@
 """The enumerator routes, coefficient theorems, families, collisions, Hopf checks."""
 
 from itertools import product as iproduct
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,7 @@ from nestoqsym.invariants import (
     chromatic_symmetric,
     collision_search,
     family_F,
+    family_graph,
     family_recurrence_check,
     family_vertex_counts,
     hopf_morphism_check,
@@ -79,7 +81,8 @@ def test_zeta_examples():
 
 
 def test_splitting_chains_types_match_F():
-    for b in (K2B, K3B, L4B, discrete_building_set(3)):
+    graphical = [from_graph(g) for n in range(1, 6) for g in enumerate_graphs(n)]
+    for b in graphical + random_building_sets(40, max_n=6):
         acc = {}
         for chain in splitting_chains(b):
             t = chain.type()
@@ -121,6 +124,15 @@ def _count_ordered_set_partitions(n):
         return memo[k]
 
     return fub(n)
+
+
+def test_zeta_above_splitting_cap_matches_family_recurrence():
+    alphas = ((1,) * 9, (2,) + (1,) * 7, (1, 2) + (1,) * 6, (3, 3, 1, 1, 1), (9,))
+    for kind in ("pe", "as", "cy", "st"):
+        b = from_graph(family_graph(kind, 9))
+        F = family_F(kind, 9)
+        for alpha in alphas:
+            assert zeta(b, alpha) == F.coeff(alpha)
 
 
 def test_F_splitting_examples():
@@ -193,6 +205,13 @@ def test_four_routes_agree_on_families_through_n6():
             assert fs == F_btree_route(b) == F_graph_colorings(g) == F_graph_recurrence(g)
 
 
+def test_recurrence_above_old_memo_cutoff():
+    for kind in ("pe", "as", "cy", "st"):
+        assert F_graph_recurrence(family_graph(kind, 10)) == family_F(kind, 10)
+    assert vertex_count(F_graph_recurrence(family("cycle", 11)), 11) == comb(20, 10)
+    assert vertex_count(F_graph_recurrence(family("path", 11)), 11) == 58786  # Catalan
+
+
 def test_connected_terms_end_in_1():
     for n in range(1, 6):
         for g in enumerate_graphs(n, connected_only=True):
@@ -251,6 +270,24 @@ def test_chromatic_convention_matches_ordered_expansion():
             by_type = ordered_colorings_by_type(g)
             for alpha, count in by_type.items():
                 assert count == X[tuple(sorted(alpha, reverse=True))]
+
+
+def test_chromatic_matches_brute_force_colorings():
+    # c_mu is the coefficient of x_1^mu_1 x_2^mu_2 ...: proper colorings whose
+    # i-th color is used mu_i times, read off every map V -> [n]
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            counts = {}
+            for f in iproduct(range(n), repeat=n):
+                if any(f[u] == f[v] for u, v in g.edges()):
+                    continue
+                used = [f.count(c) for c in range(n)]
+                while used[-1] == 0:
+                    used.pop()
+                mu = tuple(used)
+                if mu == tuple(sorted(mu, reverse=True)) and 0 not in mu:
+                    counts[mu] = counts.get(mu, 0) + 1
+            assert chromatic_symmetric(g).as_dict() == counts
 
 
 def brute_ordered_colorings(g, colors):
