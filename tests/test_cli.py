@@ -181,6 +181,26 @@ def test_collide(capsys):
     assert payload["f_separates"] is True
 
 
+def test_collide_n6_pinned_groups(capsys):
+    code, out, _ = run(capsys, "collide", "--n", "6", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["classes"], payload["values"]) == (156, 153)
+    assert payload["collisions"] == [
+        ["Ezn?", "E^n?"], ["E^v_", "Ef~_"], ["E|N?", "E\\n?"]
+    ]
+    code, out, _ = run(capsys, "collide", "--n", "6", "--invariant", "X", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["classes"], payload["values"]) == (156, 146)
+    assert payload["collisions"] == [
+        ["E^~?", "E|v_"], ["E^Q?", "Ejq?"], ["EfY?", "ETr?"], ["Ez_?", "Eto?"],
+        ["ExQ?", "EtQ?"], ["E~N?", "E|n?"], ["EzY?", "Etr?"], ["E^n?", "Etv_"],
+        ["Ez]?", "Etn?"], ["E~n?", "E}v_"],
+    ]
+    assert payload["f_separates"] is True
+
+
 def test_collide_connected(capsys):
     code, out, _ = run(capsys, "collide", "--n", "4", "--connected", "--json")
     assert code == 0

@@ -1,5 +1,9 @@
 """Graphs: families, minors, invariants, canonical forms, serialization."""
 
+import hashlib
+import random
+from itertools import combinations, permutations
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -8,9 +12,14 @@ from conftest import graphs
 from nestoqsym.bitsets import mask_of
 from nestoqsym.errors import CapacityError, InputError, ParseError
 from nestoqsym.graphs import (
+    FAMILY_KINDS,
+    CanonicalForm,
+    _min_code,
+    _slot,
     canonical_form,
     components,
     contract,
+    edge_code,
     enumerate_graphs,
     family,
     from_graph6,
@@ -137,27 +146,83 @@ def test_canonical_form_is_invariant(g, rnd):
     assert canonical_form(g) == canonical_form(permuted(g, sigma))
 
 
+def _exhaustive_min_code(n, edges):
+    """Oracle: the smallest column-major edge code over all n! relabelings."""
+    best = 0 if not edges else None
+    for sigma in permutations(range(n)):
+        m = 0
+        for u, v in edges:
+            a, b = sigma[u], sigma[v]
+            m |= 1 << (_slot(a, b) if a < b else _slot(b, a))
+        if best is None or m < best:
+            best = m
+    return best
+
+
+def _all_graphs(n):
+    pairs = list(combinations(range(n), 2))
+    for code in range(1 << len(pairs)):
+        yield graph_from_edges(n, [p for k, p in enumerate(pairs) if code >> k & 1])
+
+
+def _assert_min_code_matches_oracle(g):
+    assert _min_code(g.n, g.adj) == _exhaustive_min_code(g.n, g.edges()), g
+
+
+def test_min_code_matches_exhaustive_oracle():
+    for n in range(6):
+        for g in _all_graphs(n):
+            _assert_min_code_matches_oracle(g)
+    rnd = random.Random(20140)
+    for n in (6, 7):
+        pairs = list(combinations(range(n), 2))
+        for _ in range(150):
+            p = rnd.random()
+            _assert_min_code_matches_oracle(
+                graph_from_edges(n, [e for e in pairs if rnd.random() < p])
+            )
+    for kind in FAMILY_KINDS:
+        for n in range(3 if kind == "cycle" else 1, 8):
+            _assert_min_code_matches_oracle(family(kind, n))
+    assert canonical_form(graph_from_edges(0, [])) == CanonicalForm(0, 0)
+    assert canonical_form(graph_from_edges(1, [])) == CanonicalForm(1, 0)
+
+
+# sha256 of the comma-joined decimal edge codes of enumerate_graphs(7), in
+# order, as the orbit-marking enumeration over all 5040 relabelings gave them
+ENUMERATION_7_SHA256 = "cb0450eee4c3f597f4eb71166861586c9206aa5166d274300f16003ec6288482"
+
+
 def test_enumerate_graphs_counts():
-    assert [len(enumerate_graphs(n)) for n in range(1, 6)] == [1, 2, 4, 11, 34]
-    assert len(enumerate_graphs(1, connected_only=True)) == 1
+    classes = [enumerate_graphs(n) for n in range(1, 8)]
+    assert [len(reps) for reps in classes] == [1, 2, 4, 11, 34, 156, 1044]
+    assert [len(enumerate_graphs(n, connected_only=True)) for n in range(1, 8)] == [
+        1, 1, 2, 6, 21, 112, 853
+    ]
+    codes = [edge_code(g) for g in classes[-1]]
+    assert codes == sorted(codes)
+    digest = hashlib.sha256(",".join(map(str, codes)).encode()).hexdigest()
+    assert digest == ENUMERATION_7_SHA256
     with pytest.raises(CapacityError):
         enumerate_graphs(8)
 
 
 def test_enumerate_graphs_agrees_with_canonical_dedup():
-    # independent route: dedupe all edge subsets by canonical form
+    # independent route: dedupe all edge subsets by the exhaustive oracle
     for n in range(1, 6):
-        nslots = n * (n - 1) // 2
-        seen = set()
-        for code in range(1 << nslots):
-            edges, k = [], 0
-            for j in range(n):
-                for i in range(j):
-                    if code >> k & 1:
-                        edges.append((i, j))
-                    k += 1
-            seen.add(canonical_form(graph_from_edges(n, edges)))
-        assert len(seen) == len(enumerate_graphs(n))
+        seen = {_exhaustive_min_code(n, g.edges()) for g in _all_graphs(n)}
+        assert sorted(seen) == [edge_code(g) for g in enumerate_graphs(n)]
+
+
+def test_enumerate_graphs_matches_networkx_atlas():
+    nx = pytest.importorskip("networkx")
+    atlas = {}
+    for h in nx.graph_atlas_g():
+        g = graph_from_edges(h.number_of_nodes(), list(h.edges()))
+        atlas.setdefault(g.n, []).append(canonical_form(g))
+    for n in range(1, 8):
+        forms = [canonical_form(g) for g in enumerate_graphs(n)]
+        assert sorted(atlas[n]) == forms
 
 
 def test_enumerate_graphs_yields_canonical_representatives():
