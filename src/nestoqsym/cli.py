@@ -35,12 +35,7 @@ from .invariants import (
     family_F,
     tree_matrix_kernel,
 )
-from .nestopoly import (
-    enumerate_tree_shapes,
-    maximal_nested_sets,
-    nested_sets_by_size,
-    vertex_coordinates,
-)
+from .nestopoly import _all_coordinates, enumerate_tree_shapes, nested_sets_by_size
 from .qsym import (
     antipode,
     from_fundamental,
@@ -188,7 +183,7 @@ def cmd_polytope(args) -> int:
             lines.append(" ".join(map(str, fv)))
             payload["nested_set_counts"] = list(fv)
         else:
-            coords = sorted(vertex_coordinates(b, fam) for fam in maximal_nested_sets(b))
+            coords = sorted(_all_coordinates(b))
             for x in coords:
                 lines.append(" ".join(map(str, x)))
             payload["coordinates"] = [list(x) for x in coords]

@@ -52,7 +52,7 @@ from .graphs import (
 )
 from .nestopoly import (
     TreeShape,
-    b_tree,
+    _vertex,
     child_codes,
     enumerate_tree_shapes,
     forest_shapes,
@@ -302,10 +302,11 @@ def F_fundamental(b: BuildingSet) -> QSymElement:
         raise CapacityError(f"fundamental route capped at n <= {FUNDAMENTAL_CAP}")
     if not is_connected(b):
         raise InputError("fundamental route requires a connected building set")
+    if b.n == 0:
+        return one("L")
     acc = {}
     for fam in maximal_nested_sets(b):
-        tree = b_tree(b, fam)
-        for word in linear_extensions(tree):
+        for word in linear_extensions(_vertex(b, fam)[0]):
             beta = descent_composition(word)
             acc[beta] = acc.get(beta, 0) + 1
     return qsym.element("L", acc)

@@ -6,6 +6,10 @@ under extension, so pruning is safe.  Disconnected building sets are
 handled directly: members of B_max are excluded from nested sets, and
 cross-component unions are never in B, so the complex is the join of the
 component complexes (faces of product polytopes multiply).
+
+Each vertex's B-tree and coordinates come from one cover map (`_vertex`).
+Only `b_tree` and `vertex_coordinates` validate a family (a caller's);
+loops over the walk's own maximal nested sets call `_vertex` directly.
 """
 
 from __future__ import annotations
@@ -53,6 +57,8 @@ def is_nested(b: BuildingSet, family) -> bool:
 
 def _walk_nested(b: BuildingSet, visit):
     """Call visit(family_tuple) once for every nested set of b."""
+    if b.n > NESTED_CAP:
+        raise CapacityError(f"nested-set enumeration capped at n <= {NESTED_CAP}")
     members = set(b.sets)
     maxima = set(maximal_members(b))
     cand = sorted(s for s in b.sets if s not in maxima)
@@ -78,8 +84,6 @@ def _walk_nested(b: BuildingSet, visit):
 
 def nested_sets(b: BuildingSet) -> list:
     """All nested sets as tuples of member masks, lexicographically ordered."""
-    if b.n > NESTED_CAP:
-        raise CapacityError(f"nested-set enumeration capped at n <= {NESTED_CAP}")
     out = []
     _walk_nested(b, out.append)
     out.sort()
@@ -92,8 +96,6 @@ def nested_sets_by_size(b: BuildingSet) -> tuple:
     For connected B the top cardinality is n-1 and its count is the vertex
     count of the nestohedron; the size-1 count is mu(B) - 1, the facets.
     """
-    if b.n > NESTED_CAP:
-        raise CapacityError(f"nested-set enumeration capped at n <= {NESTED_CAP}")
     counts = Counter()
     _walk_nested(b, lambda fam: counts.update([len(fam)]))
     top = max(counts)
@@ -102,8 +104,6 @@ def nested_sets_by_size(b: BuildingSet) -> tuple:
 
 def maximal_nested_sets(b: BuildingSet) -> list:
     """All maximal nested sets of a connected building set (size n-1 each)."""
-    if b.n > NESTED_CAP:
-        raise CapacityError(f"nested-set enumeration capped at n <= {NESTED_CAP}")
     if not is_connected(b):
         raise InputError("maximal nested sets require a connected building set")
     want = b.n - 1
@@ -131,42 +131,56 @@ class BTree:
         return ch
 
 
-def _poset_nodes(b: BuildingSet, family) -> list:
+def _checked_family(b: BuildingSet, family) -> list:
     if not is_connected(b):
         raise InputError("this computation requires a connected building set")
     fam = sorted(set(family))
     if len(fam) != b.n - 1 or not is_nested(b, fam):
         raise InputError("not a maximal nested set")
-    return fam + [b.full_mask()]
+    return fam
 
 
-def _node_labels(nodes) -> dict:
-    """I -> i_I, the unique vertex of I not covered by smaller members."""
-    label = {}
-    for I in nodes:
-        rest = 0
-        for J in nodes:
-            if J != I and J & I == J:
-                rest |= J
-        free = I & ~rest
-        if free.bit_count() != 1:
-            raise InputError("nested set does not induce a vertex bijection")
-        label[I] = free.bit_length() - 1
-    return label
+def _vertex(b: BuildingSet, family) -> tuple:
+    """(B-tree, member I at each label i_I) of a trusted maximal nested set.
+
+    Members containing I form a chain of growing masks, so the parent of I
+    is the first later member containing it; i_I is I minus its children.
+    """
+    nodes = sorted(family) + [b.full_mask()]
+    below = dict.fromkeys(nodes, 0)
+    cover = {}
+    for k, I in enumerate(nodes[:-1]):
+        cover[I] = next(J for J in nodes[k + 1 :] if J & I == I)
+        below[cover[I]] |= I
+    label = {I: (I & ~below[I]).bit_length() - 1 for I in nodes}
+    up = {label[I]: label[J] for I, J in cover.items()}
+    parent = tuple(up.get(v) for v in range(b.n))
+    return BTree(b.n, parent), tuple(sorted(nodes, key=label.get))
+
+
+def _mu_inside(b: BuildingSet, masks) -> dict:
+    """I -> mu(B|_I), the number of members inside I."""
+    return {I: sum(1 for s in b.sets if s & ~I == 0) for I in masks}
+
+
+def _coordinates(tree: BTree, member, mu_inside) -> tuple:
+    """x_{i_I} = mu(B|_I) - sum of mu(B|_J) over the children J of I."""
+    x = [mu_inside[I] for I in member]
+    for v, p in enumerate(tree.parent):
+        if p is not None:
+            x[p] -= mu_inside[member[v]]
+    return tuple(x)
+
+
+def _all_coordinates(b: BuildingSet) -> list:
+    """Coordinates of every vertex, in maximal_nested_sets order."""
+    mu_inside = _mu_inside(b, b.sets)
+    return [_coordinates(*_vertex(b, fam), mu_inside) for fam in maximal_nested_sets(b)]
 
 
 def b_tree(b: BuildingSet, family) -> BTree:
     """The B-tree of a maximal nested set: I -> i_I with containment covers."""
-    nodes = _poset_nodes(b, family)
-    label = _node_labels(nodes)
-    parent = [None] * b.n
-    for I in nodes:
-        if I == b.full_mask():
-            continue
-        covers = [J for J in nodes if J != I and I & J == I]
-        direct = min(covers, key=lambda J: J.bit_count())
-        parent[label[I]] = label[direct]
-    return BTree(b.n, tuple(parent))
+    return _vertex(b, _checked_family(b, family))[0]
 
 
 def vertex_coordinates(b: BuildingSet, family) -> tuple:
@@ -175,18 +189,8 @@ def vertex_coordinates(b: BuildingSet, family) -> tuple:
     x_{i_I} = mu(B|_I) - sum of mu(B|_J) over the children J of I; the
     coordinates sum to mu(B).
     """
-    nodes = _poset_nodes(b, family)
-    mu_inside = {I: sum(1 for s in b.sets if s & ~I == 0) for I in nodes}
-    label = _node_labels(nodes)
-    x = [0] * b.n
-    for I in nodes:
-        strict_below = [J for J in nodes if J != I and J & I == J]
-        child_sum = 0
-        for J in strict_below:
-            if not any(K != J and K != I and J & K == J and K & I == K for K in nodes):
-                child_sum += mu_inside[J]
-        x[label[I]] = mu_inside[I] - child_sum
-    return tuple(x)
+    tree, member = _vertex(b, _checked_family(b, family))
+    return _coordinates(tree, member, _mu_inside(b, member))
 
 
 def realization_failures(b: BuildingSet) -> list:
@@ -195,9 +199,9 @@ def realization_failures(b: BuildingSet) -> list:
         raise CapacityError(f"realization check capped at n <= {REALIZATION_CAP}")
     failures = []
     full = b.full_mask()
-    mu_inside = {s: sum(1 for t in b.sets if t & ~s == 0) for s in b.sets}
+    mu_inside = _mu_inside(b, b.sets)
     for fam in maximal_nested_sets(b):
-        x = vertex_coordinates(b, fam)
+        x = _coordinates(*_vertex(b, fam), mu_inside)
         if sum(x) != b.mu:
             failures.append({"nested_set": fam, "reason": "hyperplane", "x": x})
             continue
@@ -268,11 +272,9 @@ def child_codes(shape: TreeShape) -> list:
 
 def tree_multiset(b: BuildingSet) -> Counter:
     """Shapes of all B-trees with multiplicity; total equals the vertex count."""
-    if b.n > NESTED_CAP:
-        raise CapacityError(f"B-tree enumeration capped at n <= {NESTED_CAP}")
     out = Counter()
     for fam in maximal_nested_sets(b):
-        out[shape_of(b_tree(b, fam))] += 1
+        out[shape_of(_vertex(b, fam)[0])] += 1
     return out
 
 

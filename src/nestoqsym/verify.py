@@ -30,11 +30,11 @@ from .invariants import (
     tree_matrix_kernel,
 )
 from .nestopoly import (
+    _all_coordinates,
     check_realization,
     enumerate_tree_shapes,
     maximal_nested_sets,
     nested_sets_by_size,
-    vertex_coordinates,
 )
 from .qsym import (
     QSymElement,
@@ -274,7 +274,7 @@ def criterion_11():
             if not check_realization(b):
                 return False, f"realization failed for {kind} n={n}"
     k3 = from_graph(family("complete", 3))
-    coords = sorted(vertex_coordinates(k3, fam) for fam in maximal_nested_sets(k3))
+    coords = sorted(_all_coordinates(k3))
     from itertools import permutations as perms
 
     expect = sorted(set(perms((1, 2, 4))))

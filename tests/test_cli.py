@@ -1,5 +1,6 @@
 """End-to-end runs of every subcommand and flag combination."""
 
+import hashlib
 import json
 
 import pytest
@@ -128,6 +129,20 @@ def test_polytope_fvector_and_coords(capsys):
     code, out, _ = run(capsys, "polytope", "--family", "cy", "--n", "5", "--json")
     assert code == 0
     assert json.loads(out) == {"family": "cy", "n": 5, "vertices": 70}
+
+
+def test_polytope_coords_pinned_digests(capsys):
+    # sha256 of the sorted coordinate rows, one line per vertex
+    pinned = {
+        "as": (132, "e745563a5d6c0f4bb1da6698228fcb7c5ac76d9d0beb7c57483289c90c7f8af9"),
+        "cy": (252, "40319db6d08fd10d349061c16b4613d752814d0085e3fe10043c4dc97fb110e5"),
+        "st": (326, "efb48301d61e5ed335c16fa1748912798ecc01fb4ea9743653f667921ccc1b62"),
+    }
+    for kind, (vertices, digest) in pinned.items():
+        code, out, _ = run(capsys, "polytope", "--family", kind, "--n", "6", "--coords")
+        assert code == 0
+        assert len(out.splitlines()) == vertices
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_chromatic(capsys):

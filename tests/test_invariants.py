@@ -227,6 +227,7 @@ def test_F_fundamental_examples():
         "L", {(1, 1, 1, 1): 14, (2, 1, 1): 6, (1, 2, 1): 4}
     )
     assert F_fundamental(K2B) == element("L", {(1, 1): 2})
+    assert F_fundamental(BuildingSet(0, ())) == qsym.one("L")
     with pytest.raises(InputError):
         F_fundamental(discrete_building_set(2))
 

@@ -8,11 +8,13 @@ import hypothesis.strategies as st
 
 from conftest import graphs
 from nestoqsym.bitsets import mask_of
-from nestoqsym.buildset import building_set, from_graph
+from nestoqsym.buildset import building_set, from_graph, is_connected as bs_connected
 from nestoqsym.errors import CapacityError, InputError
-from nestoqsym.graphs import family, is_connected
+from nestoqsym.graphs import enumerate_graphs, family, is_connected
+from nestoqsym.invariants import random_building_sets
 from nestoqsym.nestopoly import (
     BTree,
+    _all_coordinates,
     TreeShape,
     b_tree,
     check_realization,
@@ -124,6 +126,7 @@ def test_maximal_nested_sets_have_size_n_minus_1(g):
         return
     for fam in maximal_nested_sets(b):
         assert len(fam) == b.n - 1
+        assert is_nested(b, fam)
 
 
 def test_b_tree_examples():
@@ -159,6 +162,58 @@ def test_vertex_coordinates_sum_to_mu(g):
     b = from_graph(g)
     for fam in maximal_nested_sets(b):
         assert sum(vertex_coordinates(b, fam)) == b.mu
+
+
+def rescan_vertex(b, fam):
+    """B-tree parents and coordinates by containment rescans over all nodes.
+
+    The test oracle for the one-pass builder: i_I is I minus every smaller
+    node inside it, the parent of I is its smallest strict superset, and a
+    child of I is a node below I with no node strictly between.
+    """
+    nodes = sorted(fam) + [b.full_mask()]
+    label = {}
+    for I in nodes:
+        rest = 0
+        for J in nodes:
+            if J != I and J & I == J:
+                rest |= J
+        free = I & ~rest
+        assert free.bit_count() == 1
+        label[I] = free.bit_length() - 1
+    parent = [None] * b.n
+    for I in nodes[:-1]:
+        covers = [J for J in nodes if J != I and I & J == I]
+        parent[label[I]] = label[min(covers, key=lambda J: J.bit_count())]
+    mu_inside = {I: sum(1 for s in b.sets if s & ~I == 0) for I in nodes}
+    x = [0] * b.n
+    for I in nodes:
+        child_sum = 0
+        for J in nodes:
+            if J != I and J & I == J and not any(
+                K != J and K != I and J & K == J and K & I == K for K in nodes
+            ):
+                child_sum += mu_inside[J]
+        x[label[I]] = mu_inside[I] - child_sum
+    return tuple(parent), tuple(x)
+
+
+def test_b_trees_and_coordinates_match_rescan_oracle():
+    # every connected graphical building set n <= 5, then random ones n <= 6
+    sample = [
+        from_graph(g)
+        for n in range(1, 6)
+        for g in enumerate_graphs(n, connected_only=True)
+    ]
+    sample += [b for b in random_building_sets(300, seed=7, max_n=6) if bs_connected(b)]
+    vertices = 0
+    for b in sample:
+        for fam, x in zip(maximal_nested_sets(b), _all_coordinates(b), strict=True):
+            parent, coords = rescan_vertex(b, fam)
+            assert b_tree(b, fam).parent == parent
+            assert vertex_coordinates(b, fam) == coords == x
+            vertices += 1
+    assert len(sample) == 246 and vertices == 13713
 
 
 def test_check_realization_examples():
