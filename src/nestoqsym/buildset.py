@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 from .bitsets import bits, mask_of, nonempty_submasks
 from .errors import CapacityError, InputError, NotABuildingSetError, ParseError
-from .graphs import Graph, _components_within, json_int
+from .graphs import Graph, _components_within, json_int, load_json
 
+GROUND_CAP = 32  # ground set size of a parsed building set, as for graphs
 COPRODUCT_CAP = 12  # 2^n coproduct terms
 TAKEUCHI_CAP = 6  # chains grow like ordered set partitions
 
@@ -134,7 +135,19 @@ def contraction(b: BuildingSet, I: int) -> BuildingSet:
 
 
 def maximal_members(b: BuildingSet) -> list:
-    return [s for s in b.sets if not any(t != s and t & s == s for t in b.sets)]
+    """Members inside no other member, in mask order.
+
+    They are pairwise disjoint (two that meet have their union in b), and
+    every other member lies in a strictly larger maximal one.  So taking
+    members by decreasing size and keeping each one that misses all those
+    kept so far keeps exactly the maximal ones.
+    """
+    kept, covered = [], 0
+    for s in sorted(b.sets, key=int.bit_count, reverse=True):
+        if not s & covered:
+            kept.append(s)
+            covered |= s
+    return sorted(kept)
 
 
 def is_connected(b: BuildingSet) -> bool:
@@ -270,13 +283,12 @@ class OrderedSetPartition:
 def parse_building_set(text: str, add_singletons: bool = True) -> BuildingSet:
     """JSON form {"n":4,"sets":[[1],[2],[1,2]]} with 1-based members."""
     s = text.strip()
-    try:
-        obj = json.loads(s)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e.msg}", e.pos) from e
+    obj = load_json(s)
     if not (isinstance(obj, dict) and "n" in obj and isinstance(obj.get("sets"), list)):
         raise ParseError("building-set JSON needs an 'n' key and a 'sets' list", 0)
     n = json_int(obj["n"], "'n'", 0)
+    if n > GROUND_CAP:  # before any member mask is built
+        raise CapacityError(f"ground set size {n} exceeds the cap {GROUND_CAP}")
     masks = []
     for i, member in enumerate(obj["sets"]):
         if not isinstance(member, (list, tuple)) or not member:

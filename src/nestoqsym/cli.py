@@ -50,6 +50,27 @@ from .verify import run_suite
 INLINE_KINDS = ("path", "cycle", "complete", "star")
 
 
+def _file_text(spec: str):
+    """The text of the file named by spec, or None when spec names no file."""
+    path = Path(spec)
+    try:
+        if not path.is_file():
+            return None
+    except OSError:  # e.g. a name too long for the OS: inline text
+        return None
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(f"cannot read {spec!r}: {e}") from e
+
+
+def _natural(text: str, what: str) -> int:
+    """A non-negative decimal integer typed on the command line."""
+    if not (text.isascii() and text.isdigit()) or len(text) > 9:
+        raise InputError(f"{what} {text!r} is not a non-negative integer below 10^9")
+    return int(text)
+
+
 def _load_graphs(spec: str) -> list:
     """Resolve --graph input: 'kind:n' shorthand, JSON literal, or a file.
 
@@ -59,17 +80,15 @@ def _load_graphs(spec: str) -> list:
     head = spec.split(":", 1)[0]
     if head in INLINE_KINDS:
         kind, _, num = spec.partition(":")
-        if not num.isdigit():
-            raise InputError(f"inline graph needs a numeric size, e.g. {kind}:4")
-        return [family(kind, int(num))]
+        return [family(kind, _natural(num, f"inline {kind} size"))]
     if spec.startswith("{"):
         return [parse_graph(spec)]
-    path = Path(spec)
-    if not path.exists():
+    text = _file_text(spec)
+    if text is None:
         raise InputError(
             f"graph input {spec!r} is neither kind:n, JSON, nor an existing file"
         )
-    text = path.read_text().strip()
+    text = text.strip()
     if text.startswith("{"):
         return [parse_graph(text)]
     return [parse_graph(line) for line in text.splitlines() if line.strip()]
@@ -79,12 +98,12 @@ def _load_building_set(spec: str, add_singletons: bool) -> BuildingSet:
     spec = spec.strip()
     if spec.startswith("{"):
         return parse_building_set(spec, add_singletons=add_singletons)
-    path = Path(spec)
-    if not path.exists():
+    text = _file_text(spec)
+    if text is None:
         raise InputError(
             f"building-set input {spec!r} is neither JSON nor an existing file"
         )
-    return parse_building_set(path.read_text(), add_singletons=add_singletons)
+    return parse_building_set(text, add_singletons=add_singletons)
 
 
 def _parse_vertex_list(text: str, n: int) -> int:
@@ -93,9 +112,7 @@ def _parse_vertex_list(text: str, n: int) -> int:
         tok = tok.strip()
         if not tok:
             continue
-        if not tok.isdigit():
-            raise InputError(f"vertex {tok!r} is not a positive integer")
-        v = int(tok)
+        v = _natural(tok, "vertex")
         if not 1 <= v <= n:
             raise InputError(f"vertex {v} out of range 1..{n}")
         verts.append(v - 1)
@@ -204,10 +221,8 @@ def cmd_chromatic(args) -> int:
 
 def cmd_antipode(args) -> int:
     if args.qsym is not None:
-        spec = args.qsym
-        path = Path(spec)
-        text = path.read_text() if path.exists() else spec
-        S = antipode(qsym.parse(text))  # stays in the element's basis
+        text = _file_text(args.qsym)
+        S = antipode(qsym.parse(args.qsym if text is None else text))  # keeps its basis
         if args.basis is not None and args.basis != S.basis:
             S = to_fundamental(S) if args.basis == "L" else from_fundamental(S)
         _emit(args, [render(S)], json.loads(to_json(S)))

@@ -365,6 +365,19 @@ def from_graph6(s: str) -> Graph:
     return _graph_from_code(n, code)
 
 
+def load_json(text: str):
+    """json.loads whose every failure is a ParseError: malformed text, nesting
+    too deep for the decoder, integers past the interpreter's digit limit."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON: {e.msg}", e.pos) from e
+    except ValueError as e:
+        raise ParseError("invalid JSON: an integer has too many digits", 0) from e
+    except RecursionError as e:
+        raise ParseError("invalid JSON: nested too deeply", 0) from e
+
+
 def json_int(value, what: str, position) -> int:
     """A JSON count or vertex: strings, fractions, booleans and negatives fail."""
     if type(value) is not int or value < 0:
@@ -378,10 +391,7 @@ def parse_graph(text: str) -> Graph:
     """Accepts the JSON form {"n":4,"edges":[[1,2],...]} or a graph6 line."""
     s = text.strip()
     if s.startswith("{"):
-        try:
-            obj = json.loads(s)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e.msg}", e.pos) from e
+        obj = load_json(s)
         if not (isinstance(obj, dict) and "n" in obj and isinstance(obj.get("edges"), list)):
             raise ParseError("graph JSON needs an 'n' key and an 'edges' list", 0)
         n = json_int(obj["n"], "'n'", 0)

@@ -20,13 +20,14 @@ Everything is pure and exact (no floating point anywhere).
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
 
 from . import qsym
-from .bitsets import bits, nonempty_submasks
+from .bitsets import bits, nonempty_submasks, submasks
 from .buildset import (
     BuildingSet,
     HopfElement,
@@ -62,6 +63,8 @@ from .nestopoly import (
 )
 from .qsym import (
     QSymElement,
+    _element,
+    _mul_d,
     antipode,
     compositions_of,
     descent_composition,
@@ -263,29 +266,32 @@ def F_graph_recurrence(g: Graph) -> QSymElement:
     """Vertex-deletion recurrence, memoized on the surviving vertex set.
 
     Connected graphs: the shifted sum over vertices of the enumerator of
-    the deletion.  Disconnected graphs: product over components.
+    the deletion.  Disconnected graphs: product over components.  The memo
+    holds plain {composition: coeff} dicts; the canonical element is built
+    once, for the whole graph.
     """
     if g.n > RECURRENCE_CAP:
         raise CapacityError(f"recurrence route capped at n <= {RECURRENCE_CAP}")
-    memo = {0: one("M")}
+    memo = {0: {(): 1}}
 
-    def rec(mask: int) -> QSymElement:
+    def rec(mask: int) -> dict:
         hit = memo.get(mask)
         if hit is None:
             comps = _components_within(g, mask)
             if len(comps) > 1:
-                hit = one("M")
-                for c in comps:
-                    hit = mul(hit, rec(c))
+                hit = rec(comps[0])
+                for c in comps[1:]:
+                    hit = _mul_d(hit.items(), rec(c).items())
             else:
-                hit = zero("M")
+                hit = {}
                 for v in bits(mask):
-                    hit = hit + rec(mask & ~(1 << v))
-                hit = shift1(hit)
+                    for a, c in rec(mask & ~(1 << v)).items():
+                        a += (1,)
+                        hit[a] = hit.get(a, 0) + c
             memo[mask] = hit
         return hit
 
-    return rec((1 << g.n) - 1)
+    return _element("M", rec((1 << g.n) - 1))
 
 
 def F_graph(g: Graph) -> QSymElement:
@@ -358,11 +364,45 @@ def chromatic_symmetric(g: Graph) -> SymElement:
     dominated by c_{sort(alpha)}; it also matches the literal monomial
     coefficient of x_1^{mu_1} x_2^{mu_2} ... in the power series.  So c_mu
     is the ordered-coloring count of the composition mu itself.
+
+    It is computed from the unordered partitions of the vertices into
+    independent sets, counted by their sorted block sizes: each block
+    takes the lowest vertex not yet covered, memoized on the covered mask.
+    Ordering the blocks into the color slots of mu gives prod_i m_i!
+    colorings per partition, m_i the number of parts of mu equal to i.
     """
-    by_type = ordered_colorings_by_type(g)
-    return _sym_element(
-        {mu: c for mu, c in by_type.items() if qsym.partition_of(mu) == mu}
-    )
+    if g.n > COLORINGS_CAP:
+        raise CapacityError(f"chromatic enumeration capped at n <= {COLORINGS_CAP}")
+    full = (1 << g.n) - 1
+    independent = [True] * (full + 1)
+    for s in range(1, full + 1):
+        low = s & -s
+        v = low.bit_length() - 1
+        independent[s] = independent[s ^ low] and not g.adj[v] & s
+    memo = {full: {(): 1}}
+
+    def rest(done: int) -> dict:
+        hit = memo.get(done)
+        if hit is None:
+            hit = {}
+            left = full & ~done
+            low = left & -left
+            for sub in submasks(left ^ low):
+                blk = sub | low
+                if independent[blk]:
+                    k = blk.bit_count()
+                    for sizes, c in rest(done | blk).items():
+                        key = tuple(sorted(sizes + (k,), reverse=True))
+                        hit[key] = hit.get(key, 0) + c
+            memo[done] = hit
+        return hit
+
+    counts = {}
+    for mu, c in rest(0).items():
+        for m in Counter(mu).values():
+            c *= factorial(m)
+        counts[mu] = c
+    return _sym_element(counts)
 
 
 def ordered_colorings_by_type(g: Graph) -> dict:

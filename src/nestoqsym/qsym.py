@@ -19,10 +19,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from .errors import InputError, ParseError
+from .errors import CapacityError, InputError, ParseError
+from .graphs import json_int, load_json
 
 # A composition is a tuple of ints >= 1; () is the unique composition of 0.
 Composition = tuple
+
+# A term of weight w and length l has 2^(w - l) refinements, which basis
+# changes list, and the antipode writes a permutation of w letters.
+REFINEMENT_CAP = 16  # w - l, so at most 65,536 refinements of one term
+WEIGHT_CAP = 4096  # w
 
 
 def composition(parts) -> Composition:
@@ -33,9 +39,19 @@ def composition(parts) -> Composition:
     return alpha
 
 
-def partition_of(alpha) -> Composition:
-    """s(alpha): the parts sorted weakly decreasing."""
-    return tuple(sorted(alpha, reverse=True))
+def _check_weight(w: int):
+    if w > WEIGHT_CAP:
+        raise CapacityError(f"composition weight capped at {WEIGHT_CAP}, got {w}")
+
+
+def _check_refinements(alpha):
+    w = sum(alpha)
+    _check_weight(w)
+    if w - len(alpha) > REFINEMENT_CAP:
+        raise CapacityError(
+            f"a term of weight {w} and length {len(alpha)} has 2^{w - len(alpha)} "
+            f"refinements, capped at 2^{REFINEMENT_CAP}"
+        )
 
 
 def term_key(alpha):
@@ -85,6 +101,7 @@ def compositions_of(n: int) -> tuple:
         raise InputError(f"negative weight {n}")
     if n == 0:
         return ((),)
+    _check_refinements((n,))
     res = []
     for first in range(1, n + 1):
         for rest in compositions_of(n - first):
@@ -95,6 +112,7 @@ def compositions_of(n: int) -> tuple:
 @lru_cache(maxsize=None)
 def refinements(alpha) -> tuple:
     """All beta with refines(beta, alpha), concatenating per-part refinements."""
+    _check_refinements(alpha)
     out = [()]
     for a in alpha:
         out = [b + c for b in out for c in compositions_of(a)]
@@ -223,16 +241,26 @@ def _quasi_shuffle(a, b) -> tuple:
     return tuple(acc.items())
 
 
+def _mul_d(F_terms, G_terms) -> dict:
+    """Quasi-shuffle product of two (composition, coeff) pair iterables.
+
+    Returns an unsorted dict, which may hold zero coefficients; callers that
+    multiply repeatedly keep dicts and build one element at the end.
+    """
+    acc = {}
+    for a, ca in F_terms:
+        for b, cb in G_terms:
+            c = ca * cb
+            for g, m in _quasi_shuffle(a, b):
+                acc[g] = acc.get(g, 0) + c * m
+    return acc
+
+
 def mul(F: QSymElement, G: QSymElement) -> QSymElement:
     """Product in the M basis (quasi-shuffle on basis elements)."""
     if F.basis != "M" or G.basis != "M":
         raise InputError("mul requires both operands in the M basis")
-    acc = {}
-    for a, ca in F.terms:
-        for b, cb in G.terms:
-            for g, m in _quasi_shuffle(a, b):
-                acc[g] = acc.get(g, 0) + ca * cb * m
-    return _element("M", acc)
+    return _element("M", _mul_d(F.terms, G.terms))
 
 
 def shift1(F: QSymElement) -> QSymElement:
@@ -345,6 +373,7 @@ def descent_permutation(alpha) -> tuple:
     run boundary and nowhere else.
     """
     n = sum(alpha)
+    _check_weight(n)
     word, hi = [], n
     for a in alpha:
         word.extend(range(hi - a + 1, hi + 1))
@@ -457,11 +486,11 @@ def parse(text: str) -> QSymElement:
             basis = letter
         elif letter != basis:
             raise ParseError(f"mixed bases {basis} and {letter}", pos)
-        c = int(coeff) if coeff is not None else 1
+        c = _int(coeff, m.start(2)) if coeff is not None else 1
         if sign == "-":
             c = -c
-        inner = inner.strip()
-        alpha = composition(int(p) for p in inner.split(",")) if inner else ()
+        parts = inner.split(",") if inner.strip() else ()
+        alpha = composition(_int(p, m.start(4)) for p in parts)
         acc[alpha] = acc.get(alpha, 0) + c
         pos = m.end()
         first = False
@@ -470,17 +499,25 @@ def parse(text: str) -> QSymElement:
     return _element(basis, acc)
 
 
-def _from_json(s: str) -> QSymElement:
+def _int(digits: str, pos: int) -> int:
+    """A coefficient or part matched by _TERM_RE: digits and spaces."""
     try:
-        obj = json.loads(s)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e.msg}", e.pos) from e
-    if not isinstance(obj, dict) or "basis" not in obj or "terms" not in obj:
-        raise ParseError("JSON element needs 'basis' and 'terms' keys", 0)
+        return int(digits)
+    except ValueError:  # no digits, inner spaces, or past the digit limit
+        raise ParseError(f"expected a number, got {digits[:20]!r}", pos) from None
+
+
+def _from_json(s: str) -> QSymElement:
+    obj = load_json(s)
+    if not (isinstance(obj, dict) and "basis" in obj and isinstance(obj.get("terms"), list)):
+        raise ParseError("JSON element needs a 'basis' key and a 'terms' list", 0)
     acc = {}
     for i, t in enumerate(obj["terms"]):
-        if not isinstance(t, dict) or "comp" not in t or "coeff" not in t:
-            raise ParseError(f"term {i} needs 'comp' and 'coeff'", i)
-        alpha = composition(t["comp"])
-        acc[alpha] = acc.get(alpha, 0) + int(t["coeff"])
+        if not (isinstance(t, dict) and isinstance(t.get("comp"), list) and "coeff" in t):
+            raise ParseError(f"term {i} needs a 'comp' list and a 'coeff'", i)
+        alpha = composition(json_int(p, f"term {i}: part", i) for p in t["comp"])
+        c = t["coeff"]
+        if type(c) is not int:
+            raise ParseError(f"term {i}: 'coeff' must be an integer, got {json.dumps(c)}", i)
+        acc[alpha] = acc.get(alpha, 0) + c
     return _element(obj["basis"], acc)

@@ -18,6 +18,7 @@ from nestoqsym.buildset import (
     from_graph,
     hopf_word,
     is_connected,
+    maximal_members,
     parse_building_set,
     product,
     restriction,
@@ -26,7 +27,8 @@ from nestoqsym.buildset import (
     validate,
 )
 from nestoqsym.errors import InputError, NotABuildingSetError, ParseError
-from nestoqsym.graphs import contract, family, graph_from_edges, induced
+from nestoqsym.graphs import contract, enumerate_graphs, family, graph_from_edges, induced
+from nestoqsym.invariants import random_building_sets
 
 
 def bs(n, *vertex_sets):
@@ -93,6 +95,19 @@ def test_components_examples():
         ((1,), BuildingSet(1, (1,))),
         ((2,), BuildingSet(1, (1,))),
     ]
+
+
+def quadratic_maximal_members(b):
+    """The definition: members inside no other member, in mask order."""
+    return [s for s in b.sets if not any(t != s and t & s == s for t in b.sets)]
+
+
+def test_maximal_members_matches_definition():
+    cases = random_building_sets(300, seed=7, max_n=7)
+    cases += [from_graph(g) for n in range(1, 6) for g in enumerate_graphs(n)]
+    assert len(cases) == 352
+    for b in cases + [BuildingSet(0, ())]:
+        assert maximal_members(b) == quadratic_maximal_members(b)
 
 
 def test_product_examples():

@@ -216,6 +216,24 @@ def test_collide_n6_pinned_groups(capsys):
     assert payload["f_separates"] is True
 
 
+def test_collide_n7_pinned_digests(capsys):
+    # sha256 of the --json stdout, and the README counts: 853 classes, F 810
+    # values in 41 groups, X 759 values in 82 groups
+    pinned = {
+        "F": (810, 41, "d7e81df35b2dff2053170ac97967dfa2fbc6b5c17e6205dec168d54e77569542"),
+        "X": (759, 82, "b26c51152558ea39f079664b7af880f76727307f690a15cd8817140e9383ea6a"),
+    }
+    for inv, (values, groups, digest) in pinned.items():
+        code, out, _ = run(
+            capsys, "collide", "--n", "7", "--connected", "--invariant", inv, "--json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["classes"] == 853
+        assert (payload["values"], len(payload["collisions"])) == (values, groups)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_collide_connected(capsys):
     code, out, _ = run(capsys, "collide", "--n", "4", "--connected", "--json")
     assert code == 0
@@ -264,6 +282,8 @@ def test_exit_codes(capsys):
     assert code == 3 and "capacity" in err
     code, _, err = run(capsys, "trees", "--n", "12")
     assert code == 3
+    code, out, err = run(capsys, "antipode", "--qsym", "M[99999999999999999999999]")
+    assert code == 3 and err.startswith("capacity error: ") and err.count("\n") == 1
     for argv in BAD_INPUTS:
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
@@ -283,6 +303,61 @@ BAD_INPUTS = (
     ("buildset", "--sets", '{"n":2,"sets":[[1],[2]]}', "--restrict", "a"),
     ("collide", "--n", "0"),
     ("trees", "--n", "0"),
+    ("antipode", "--qsym", "M[,2]"),
+    ("antipode", "--qsym", "M[1,,2]"),
+    ("antipode", "--qsym", '{"basis":"M","terms":[{"comp":["a"],"coeff":1}]}'),
+    ("antipode", "--qsym", '{"basis":"M","terms":[{"comp":[1],"coeff":"x"}]}'),
+    ("antipode", "--qsym", '{"basis":"M","terms":5}'),
+    ("antipode", "--qsym", '{"basis":"M","terms":[{"comp":5,"coeff":1}]}'),
+    ("antipode", "--qsym", '{"basis":"M","terms":[{"comp":[1.5],"coeff":1}]}'),
+)
+
+
+def test_malformed_inputs_exit_cleanly(capsys, tmp_path):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe\x00")
+    argvs = [("antipode", "--qsym", q) for q in MALFORMED_QSYM + (str(binary),)]
+    for spec in MALFORMED_GRAPHS + (str(binary),):
+        argvs += [("invariant", "--graph", spec), ("chromatic", "--graph", spec)]
+    for spec in MALFORMED_SETS + (str(binary),):
+        argvs += [("buildset", "--sets", spec, "--validate"), ("fvector", "--sets", spec)]
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 2, 3), argv
+        assert "Traceback" not in out + err, argv
+        if code:
+            assert err.count("\n") == 1, argv
+
+
+DEEP = "[" * 5000 + "]" * 5000
+LONG = "9" * 5000
+
+MALFORMED_QSYM = (
+    "", " ", "0", "M[", "M[1]]", "M[1 2]", "3*", "*M[1]", "+", "M[1] M[2]",
+    "M[1] + L[1]", "M[0]", "M[-1]", "L[99999999999999999999999]", "M[20]", "L[5000]",
+    LONG + "*M[1]", "M[" + LONG + "]", "x" * 5000, ".", "/",
+    "{", "{}", "[]", '{"basis":"M"}', '{"basis":"M","terms":[5]}',
+    '{"basis":"M","terms":[{"comp":[1],"coeff":1.5}]}',
+    '{"basis":"M","terms":[{"comp":[0],"coeff":1}]}',
+    '{"basis":"Q","terms":[]}', '{"basis":["M"],"terms":[]}',
+    '{"basis":"M","terms":' + DEEP + "}",
+    '{"basis":"M","terms":[{"comp":[1],"coeff":' + LONG + "}]}",
+)
+
+MALFORMED_GRAPHS = (
+    "path:", "path:-1", "path:0", "path:\u00b2", "path:" + LONG, "path:99999999999",
+    "path:999999999", "cycle:2", "complete:40", "kite:4",
+    "{", "{}", '{"n":2}', '{"n":2,"edges":[[1,2,3]]}', '{"n":2,"edges":[[1,1]]}',
+    '{"n":2,"edges":[[0,1]]}', '{"n":99999999999,"edges":[[1,99999999999]]}',
+    '{"n":1e3,"edges":[]}', '{"n":true,"edges":[]}', '{"n":' + LONG + ',"edges":[]}',
+    '{"n":2,"edges":' + DEEP + "}", "A", "~", "~~", "B?", "A_x", "@", "x" * 5000, ".", "/",
+)
+
+MALFORMED_SETS = (
+    "{", "{}", '{"n":2}', '{"n":2,"sets":5}', '{"n":2,"sets":[[]]}', '{"n":2,"sets":[[3]]}',
+    '{"n":2,"sets":[["1"]]}', '{"n":99999999999,"sets":[]}',
+    '{"n":99999999999,"sets":[[99999999999]]}', '{"n":3,"sets":[[1,2],[2,3]]}',
+    '{"n":-1,"sets":[]}', '{"n":2,"sets":' + DEEP + "}", "x" * 5000, ".", "/",
 )
 
 

@@ -1,5 +1,6 @@
 """The enumerator routes, coefficient theorems, families, collisions, Hopf checks."""
 
+import random
 from itertools import product as iproduct
 from math import comb
 
@@ -205,6 +206,11 @@ def test_four_routes_agree_on_families_through_n6():
             assert fs == F_btree_route(b) == F_graph_colorings(g) == F_graph_recurrence(g)
 
 
+def test_recurrence_matches_colorings_at_n7():
+    for g in _random_graphs(30, 7, seed=30):
+        assert F_graph_recurrence(g) == F_graph_colorings(g)
+
+
 def test_recurrence_above_old_memo_cutoff():
     for kind in ("pe", "as", "cy", "st"):
         assert F_graph_recurrence(family_graph(kind, 10)) == family_F(kind, 10)
@@ -261,6 +267,30 @@ def test_chromatic_examples():
     assert X.as_dict() == {(1, 1, 1): 6}
     X = chromatic_symmetric(graph_from_edges(2, []))
     assert X.as_dict() == {(2,): 1, (1, 1): 2}
+
+
+def _random_graphs(count, n, seed):
+    """G(n, p) with p drawn uniformly per graph."""
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    out = []
+    for _ in range(count):
+        p = rng.random()
+        out.append(graph_from_edges(n, [e for e in pairs if rng.random() < p]))
+    return out
+
+
+def test_chromatic_matches_ordered_walk():
+    # the partition DP against the partition entries of the ordered walk
+    cases = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    cases += _random_graphs(40, 7, seed=7) + _random_graphs(40, 8, seed=8)
+    for g in cases:
+        by_type = ordered_colorings_by_type(g)
+        walk = {mu: c for mu, c in by_type.items() if list(mu) == sorted(mu, reverse=True)}
+        assert chromatic_symmetric(g).as_dict() == walk
+    assert chromatic_symmetric(graph_from_edges(0, [])).as_dict() == {(): 1}
+    with pytest.raises(CapacityError, match="chromatic enumeration capped at n <= 8"):
+        chromatic_symmetric(family("path", 9))
 
 
 def test_chromatic_convention_matches_ordered_expansion():
