@@ -16,12 +16,8 @@ import json
 from dataclasses import dataclass
 
 from .bitsets import bits, mask_of, nonempty_submasks
-from .errors import CapacityError, InputError, NotABuildingSetError, ParseError
+from .errors import InputError, NotABuildingSetError, ParseError, check_limit
 from .graphs import Graph, _components_within, json_int, load_json
-
-GROUND_CAP = 32  # ground set size of a parsed building set, as for graphs
-COPRODUCT_CAP = 12  # 2^n coproduct terms
-TAKEUCHI_CAP = 6  # chains grow like ordered set partitions
 
 
 @dataclass(frozen=True)
@@ -100,8 +96,7 @@ def is_discrete(b: BuildingSet) -> bool:
 
 def from_graph(g: Graph) -> BuildingSet:
     """The graphical building set: supports of connected induced subgraphs."""
-    if g.n > 16:
-        raise CapacityError(f"graphical building set capped at n <= 16, got {g.n}")
+    check_limit("graphical", g.n)
     out = []
     for mask in range(1, 1 << g.n):
         if len(_components_within(g, mask)) == 1:
@@ -169,10 +164,7 @@ def product(b1: BuildingSet, b2: BuildingSet) -> BuildingSet:
 
 def coproduct(b: BuildingSet) -> list:
     """All (I, B restricted to I, B/I) in increasing subset-mask order."""
-    if b.n > COPRODUCT_CAP:
-        raise CapacityError(
-            f"coproduct has 2^n terms, capped at n <= {COPRODUCT_CAP}, got {b.n}"
-        )
+    check_limit("coproduct", b.n)
     return [
         (I, restriction(b, I), contraction(b, I)) for I in range(1 << b.n)
     ]
@@ -229,11 +221,7 @@ def takeuchi_antipode(b: BuildingSet) -> HopfElement:
     S(B) = sum over chains 0 = I_0 < I_1 < ... < I_k = [n] of (-1)^k times
     the product word of (B restricted to I_j) / I_{j-1}.
     """
-    if b.n > TAKEUCHI_CAP:
-        raise CapacityError(
-            f"antipode chain count grows like ordered set partitions; "
-            f"capped at n <= {TAKEUCHI_CAP}, got {b.n}"
-        )
+    check_limit("takeuchi", b.n)
     if b.n == 0:
         return hopf_monomial(BuildingSet(0, ()))
     full = b.full_mask()
@@ -287,8 +275,7 @@ def parse_building_set(text: str, add_singletons: bool = True) -> BuildingSet:
     if not (isinstance(obj, dict) and "n" in obj and isinstance(obj.get("sets"), list)):
         raise ParseError("building-set JSON needs an 'n' key and a 'sets' list", 0)
     n = json_int(obj["n"], "'n'", 0)
-    if n > GROUND_CAP:  # before any member mask is built
-        raise CapacityError(f"ground set size {n} exceeds the cap {GROUND_CAP}")
+    check_limit("ground", n)  # before any member mask is built
     masks = []
     for i, member in enumerate(obj["sets"]):
         if not isinstance(member, (list, tuple)) or not member:

@@ -142,14 +142,14 @@ def cmd_invariant(args) -> int:
         lines, results = [], {}
         if len(graphs) > 1:
             lines.append(f"# graph {serialize_graph(g)}")
-        for name in routes:
-            F = ROUTES[name](g)
+        values = {name: ROUTES[name](g) for name in routes}
+        for name, F in values.items():
             shown = to_fundamental(F) if args.basis == "L" else F
             results[name] = json.loads(to_json(shown))
             lines.append(f"{name}: {render(shown)}")
         payload = {"graph": json.loads(serialize_graph(g)), "routes": results}
         if args.chi is not None:
-            chi = principal_specialization(ROUTES[routes[0]](g), args.chi)
+            chi = principal_specialization(values[routes[0]], args.chi)
             lines.append(f"chi({args.chi}) = {chi}")
             payload["chi"] = {"m": args.chi, "value": chi}
         _emit(args, lines, payload)

@@ -1,4 +1,12 @@
-"""Shared exception types; the CLI maps these onto exit codes."""
+"""Shared exception types and the one table of size limits.
+
+The CLI maps the exceptions onto exit codes.  Every route is a sum over an
+exponentially large structure, so each runs only up to a limit on its size;
+LIMITS holds every such limit with what it caps and why it sits there, and
+check_limit is the one place that raises CapacityError.
+"""
+
+from typing import NamedTuple
 
 
 class InputError(ValueError):
@@ -20,4 +28,59 @@ class NotABuildingSetError(InputError):
 
 
 class CapacityError(RuntimeError):
-    """A documented size cap was exceeded; names the limiting parameter."""
+    """A limit of LIMITS was exceeded; names the limit, the value and why."""
+
+
+class Limit(NamedTuple):
+    limit: int
+    what: str  # what is capped
+    why: str  # the growth law behind the limit
+    size: str = "n"  # the capped quantity
+
+
+LIMITS = {
+    # graphs
+    "ground": Limit(32, "ground set", "vertex sets are bit masks"),
+    "independence": Limit(16, "independence enumeration", "2^n vertex subsets"),
+    "canonical": Limit(10, "canonical form", "matchings cost ~16x more per two vertices"),
+    "enumeration": Limit(7, "class enumeration", "12,346 classes at n = 8"),
+    "graph6": Limit(62, "graph6 writer", "the size is one character"),
+    # building sets
+    "graphical": Limit(16, "graphical building set", "2^n connectivity tests"),
+    "coproduct": Limit(12, "coproduct", "2^n coproduct terms"),
+    "takeuchi": Limit(6, "Takeuchi antipode", "one chain per ordered set partition"),
+    # quasisymmetric functions
+    "weight": Limit(4096, "composition weight", "the L-basis antipode writes w letters", "w"),
+    "refinements": Limit(16, "refinements of a term", "2^(w - l) per term", "w - l"),
+    "coarsenings": Limit(16, "coarsenings of a term", "2^(l - 1) per term", "l - 1"),
+    # nested sets and trees
+    "nested": Limit(8, "nested-set enumeration", "one visit per nested set, 545,835 on K8"),
+    "realization": Limit(7, "realization check", "n! (2^n - 2) facet tests on K_n"),
+    "tree shapes": Limit(9, "tree shapes", "rooted trees grow about 2.96^n"),
+    "extensions": Limit(9, "linear extensions", "up to n! orderings"),
+    # routes and checks
+    "zeta": Limit(9, "zeta enumeration", "3^n block tests"),
+    "splitting": Limit(8, "splitting-chain route", "3^n block tests"),
+    "splitting chains": Limit(8, "splitting chains", "as many as ordered set partitions"),
+    "tree enumerators": Limit(12, "tree enumerators", "2^(n - 1) terms per enumerator"),
+    "colorings": Limit(8, "ordered-coloring route", "one walk step per ordered coloring"),
+    "chromatic": Limit(8, "chromatic enumeration", "3^n block tests"),
+    "recurrence": Limit(11, "recurrence route", "2^n vertex masks in the memo"),
+    "fundamental": Limit(7, "fundamental route", "one word per B-tree linear extension"),
+    "thm72": Limit(7, "coefficient checks", "C(n, q) separator sets per q"),
+    "family": Limit(10, "family recurrences", "2^(n - 1) terms per enumerator"),
+    "family check": Limit(9, "family recurrence checks", "runs the recurrence route too"),
+    "kernel": Limit(7, "kernel computation", "tree shapes times 2^(n - 1) compositions"),
+    "hopf": Limit(5, "Hopf checks", "Takeuchi antipode and coproduct of b"),
+    "collide": Limit(6, "collision search", "one invariant per class, 1,044 at n = 7"),
+    "collide connected": Limit(7, "connected collision search", "11,117 classes at n = 8"),
+}
+
+
+def check_limit(name: str, value: int):
+    """Raise CapacityError when value exceeds the limit of LIMITS[name]."""
+    row = LIMITS[name]
+    if value > row.limit:
+        raise CapacityError(
+            f"{row.what} capped at {row.size} <= {row.limit}, got {value} ({row.why})"
+        )

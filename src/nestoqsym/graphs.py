@@ -5,8 +5,7 @@ CLI) is 1-based.  A canonical form is the smallest column-major edge code
 (graph6 bit order) over all relabelings, found by a search that places one
 vertex per position from the top down and keeps only the partial labelings
 whose columns so far are smallest.  Classes are enumerated by adding one
-edge at a time to the representatives with one edge fewer.  Canonical forms
-are capped at n <= 10 and whole-class enumeration at n <= 7.
+edge at a time to the representatives with one edge fewer.
 """
 
 from __future__ import annotations
@@ -16,11 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .bitsets import bits, mask_of
-from .errors import CapacityError, InputError, ParseError
-
-GRAPH_CAP = 32  # single computations
-ENUMERATION_CAP = 7  # one representative per isomorphism class
-CANONICAL_CAP = 10  # perfect matchings cost ~16x more per two vertices
+from .errors import InputError, ParseError, check_limit
 
 
 @dataclass(frozen=True)
@@ -45,8 +40,9 @@ class Graph:
 
 def graph_from_edges(n: int, edges) -> Graph:
     """Build a graph from 0-based edge pairs, rejecting loops and bad ranges."""
-    if n < 0 or n > GRAPH_CAP:
-        raise CapacityError(f"vertex count {n} exceeds the cap {GRAPH_CAP}")
+    if n < 0:
+        raise InputError(f"vertex count must be >= 0, got {n}")
+    check_limit("ground", n)
     adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -175,8 +171,7 @@ def connectivity(g: Graph) -> int:
 
 def independence_fvector(g: Graph) -> tuple:
     """(f_-1, f_0, ...): independent sets counted by cardinality, f_-1 = 1."""
-    if g.n > 16:
-        raise CapacityError(f"independence enumeration capped at n <= 16, got {g.n}")
+    check_limit("independence", g.n)
     counts = [0] * (g.n + 1)
     for mask in range(1 << g.n):
         if all(g.adj[v] & mask == 0 for v in bits(mask)):
@@ -264,10 +259,7 @@ def _min_code(n: int, adj) -> int:
 
 def canonical_form(g: Graph) -> CanonicalForm:
     """Minimal edge encoding over all relabelings, found by `_min_code`."""
-    if g.n > CANONICAL_CAP:
-        raise CapacityError(
-            f"canonical form is capped at n <= {CANONICAL_CAP}, got {g.n}"
-        )
+    check_limit("canonical", g.n)
     return CanonicalForm(g.n, _min_code(g.n, g.adj))
 
 
@@ -289,10 +281,7 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> list:
     """
     if n < 1:
         raise InputError(f"class enumeration needs n >= 1, got {n}")
-    if n > ENUMERATION_CAP:
-        raise CapacityError(
-            f"class enumeration capped at n <= {ENUMERATION_CAP}, got {n}"
-        )
+    check_limit("enumeration", n)
     slots = [(i, j) for j in range(n) for i in range(j)]
     level, reps = [0], [0]
     for _ in slots:
@@ -317,8 +306,7 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> list:
 # serialization: JSON edge lists (1-based) and graph6
 
 def to_graph6(g: Graph) -> str:
-    if g.n > 62:
-        raise CapacityError("graph6 writer supports n <= 62")
+    check_limit("graph6", g.n)
     nslots = g.n * (g.n - 1) // 2
     code = edge_code(g)
     chars = [chr(g.n + 63)]
@@ -342,8 +330,7 @@ def from_graph6(s: str) -> Graph:
     if not 63 <= c0 <= 125:
         raise ParseError(f"invalid graph6 size character {s[0]!r}", 0)
     n = c0 - 63
-    if n > GRAPH_CAP:
-        raise CapacityError(f"graph6 vertex count {n} exceeds the cap {GRAPH_CAP}")
+    check_limit("ground", n)
     nslots = n * (n - 1) // 2
     need = (nslots + 5) // 6
     if len(s) - 1 != need:

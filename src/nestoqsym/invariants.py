@@ -39,7 +39,7 @@ from .buildset import (
     product,
     takeuchi_antipode,
 )
-from .errors import CapacityError, InputError
+from .errors import LIMITS, InputError, check_limit
 from .graphs import (
     Graph,
     _components_within,
@@ -77,18 +77,6 @@ from .qsym import (
     zero,
 )
 
-ZETA_CAP = 9
-SPLITTING_CAP = 8
-COLORINGS_CAP = 8
-RECURRENCE_CAP = 11
-FUNDAMENTAL_CAP = 7
-TREE_PARTITION_CAP = 12
-FAMILY_RECURRENCE_CAP = 9
-FAMILY_COUNT_CAP = 10
-THM72_CAP = 7
-KERNEL_CAP = 7
-HOPF_CHECK_CAP = 5
-
 
 # ---------------------------------------------------------------------------
 # splitting chains
@@ -123,8 +111,7 @@ def _block_ok(pair_index, done: int, block: int) -> bool:
 
 def splitting_chains(b: BuildingSet) -> list:
     """Every splitting chain, as the ordered set partition of its steps."""
-    if b.n > SPLITTING_CAP:
-        raise CapacityError(f"splitting chains capped at n <= {SPLITTING_CAP}")
+    check_limit("splitting chains", b.n)
     pairs = _pair_index(b)
     full = (1 << b.n) - 1
     out = []
@@ -177,15 +164,13 @@ def zeta(b: BuildingSet, alpha) -> int:
     alpha = qsym.composition(alpha)
     if sum(alpha) != b.n:
         raise InputError(f"composition weighs {sum(alpha)}, ground set has {b.n}")
-    if b.n > ZETA_CAP:
-        raise CapacityError(f"zeta enumeration capped at n <= {ZETA_CAP}")
+    check_limit("zeta", b.n)
     return _splitting_types(b).get(alpha, 0)
 
 
 def F_splitting(b: BuildingSet) -> QSymElement:
     """Monomial expansion by splitting chains, counted by the flag condition."""
-    if b.n > SPLITTING_CAP:
-        raise CapacityError(f"splitting-chain route capped at n <= {SPLITTING_CAP}")
+    check_limit("splitting", b.n)
     return qsym.element("M", _splitting_types(b))
 
 
@@ -205,10 +190,7 @@ def F_tree(tree) -> QSymElement:
     if isinstance(tree, TreeShape):
         shapes = (tree,)
     else:
-        if tree.n > TREE_PARTITION_CAP:
-            raise CapacityError(
-                f"tree enumerators capped at n <= {TREE_PARTITION_CAP}"
-            )
+        check_limit("tree enumerators", tree.n)
         shapes = forest_shapes(tree)
     out = one("M")
     for sh in shapes:
@@ -237,8 +219,7 @@ def F_btree_route(b: BuildingSet) -> QSymElement:
 def F_graph_colorings(g: Graph) -> QSymElement:
     """Enumerator of ordered colorings: each color class is discrete after
     contracting all smaller color classes."""
-    if g.n > COLORINGS_CAP:
-        raise CapacityError(f"ordered-coloring route capped at n <= {COLORINGS_CAP}")
+    check_limit("colorings", g.n)
     full = (1 << g.n) - 1
     acc = {}
 
@@ -270,8 +251,7 @@ def F_graph_recurrence(g: Graph) -> QSymElement:
     holds plain {composition: coeff} dicts; the canonical element is built
     once, for the whole graph.
     """
-    if g.n > RECURRENCE_CAP:
-        raise CapacityError(f"recurrence route capped at n <= {RECURRENCE_CAP}")
+    check_limit("recurrence", g.n)
     memo = {0: {(): 1}}
 
     def rec(mask: int) -> dict:
@@ -304,8 +284,7 @@ def F_graph(g: Graph) -> QSymElement:
 
 def F_fundamental(b: BuildingSet) -> QSymElement:
     """Positive fundamental expansion from linear extensions of B-trees."""
-    if b.n > FUNDAMENTAL_CAP:
-        raise CapacityError(f"fundamental route capped at n <= {FUNDAMENTAL_CAP}")
+    check_limit("fundamental", b.n)
     if not is_connected(b):
         raise InputError("fundamental route requires a connected building set")
     if b.n == 0:
@@ -371,8 +350,7 @@ def chromatic_symmetric(g: Graph) -> SymElement:
     Ordering the blocks into the color slots of mu gives prod_i m_i!
     colorings per partition, m_i the number of parts of mu equal to i.
     """
-    if g.n > COLORINGS_CAP:
-        raise CapacityError(f"chromatic enumeration capped at n <= {COLORINGS_CAP}")
+    check_limit("chromatic", g.n)
     full = (1 << g.n) - 1
     independent = [True] * (full + 1)
     for s in range(1, full + 1):
@@ -407,8 +385,7 @@ def chromatic_symmetric(g: Graph) -> SymElement:
 
 def ordered_colorings_by_type(g: Graph) -> dict:
     """Proper-coloring ordered set partitions counted by size sequence."""
-    if g.n > COLORINGS_CAP:
-        raise CapacityError(f"chromatic enumeration capped at n <= {COLORINGS_CAP}")
+    check_limit("chromatic", g.n)
     return _flag_dp(g.n, lambda done, blk: all(g.adj[v] & blk == 0 for v in bits(blk)))
 
 
@@ -428,8 +405,7 @@ def check_thm72(g: Graph) -> dict:
     (d) monotonicity under refinement,
     (e) domination by the chromatic coefficients.
     """
-    if g.n > THM72_CAP:
-        raise CapacityError(f"coefficient checks capped at n <= {THM72_CAP}")
+    check_limit("thm72", g.n)
     n = g.n
     F = F_graph_colorings(g)
     zd = F.as_dict()
@@ -540,8 +516,7 @@ def family_F(kind: str, n: int) -> QSymElement:
     kind = _family_kind(kind)
     if n < 0:
         raise InputError("family index must be >= 0")
-    if n > FAMILY_COUNT_CAP:
-        raise CapacityError(f"family recurrences capped at n <= {FAMILY_COUNT_CAP}")
+    check_limit("family", n)
     if n == 0:
         return one("M")
     if kind == "permutohedron":
@@ -575,17 +550,15 @@ def family_graph(kind: str, n: int) -> Graph:
 
 def family_recurrence_check(kind: str, n: int) -> bool:
     """Recurrence value == vertex-deletion route on the defining graph."""
-    if n > FAMILY_RECURRENCE_CAP:
-        raise CapacityError(
-            f"family recurrence checks capped at n <= {FAMILY_RECURRENCE_CAP}"
-        )
+    check_limit("family check", n)
     return family_F(kind, n) == F_graph_recurrence(family_graph(kind, n))
 
 
 def family_vertex_counts(n: int) -> tuple:
     """(p_n, a_n, c_n, s_n) closed forms; the chi(-1) route must agree."""
-    if not 1 <= n <= FAMILY_COUNT_CAP:
-        raise CapacityError(f"family counts capped at n <= {FAMILY_COUNT_CAP}")
+    if n < 1:
+        raise InputError(f"family counts need n >= 1, got {n}")
+    check_limit("family", n)
     p = factorial(n)
     a = comb(2 * n, n) // (n + 1)
     c = comb(2 * n - 2, n - 1)
@@ -614,9 +587,8 @@ def tree_matrix_kernel(n: int) -> tuple:
     written in the monomial basis; the kernel rows are primitive integer
     dependence relations among them (empty when independent).
     """
-    if not 1 <= n <= KERNEL_CAP:
-        raise CapacityError(f"kernel computation capped at n <= {KERNEL_CAP}")
-    shapes = enumerate_tree_shapes(n)
+    check_limit("kernel", n)
+    shapes = enumerate_tree_shapes(n)  # refuses n < 1
     cols = {alpha: i for i, alpha in enumerate(compositions_of(n))}
     rows = []
     for sh in shapes:
@@ -685,10 +657,7 @@ def collision_search(n: int, invariant: str = "F", connected_only: bool = False)
     """Group isomorphism classes by invariant value and report collisions."""
     if invariant not in ("F", "X"):
         raise InputError(f"invariant must be F or X, got {invariant!r}")
-    if n > 7 or (n == 7 and not connected_only):
-        raise CapacityError(
-            "collision search capped at n <= 6 (n = 7 connected-only)"
-        )
+    check_limit("collide connected" if connected_only else "collide", n)
     graphs = enumerate_graphs(n, connected_only)
     groups: dict = {}
     for g in graphs:
@@ -739,12 +708,12 @@ def hopf_morphism_check(b: BuildingSet, probe: BuildingSet | None = None) -> dic
     """Check that the enumerator intertwines product, coproduct and antipode.
 
     The product check multiplies by a probe building set (b itself when the
-    result stays within the splitting-route cap, else the K_2 building set).
+    result stays within the splitting-route limit, else the K_2 building set).
     """
-    if b.n > HOPF_CHECK_CAP:
-        raise CapacityError(f"Hopf checks capped at n <= {HOPF_CHECK_CAP}")
+    check_limit("hopf", b.n)
     if probe is None:
-        probe = b if 2 * b.n <= SPLITTING_CAP - 2 else from_graph(family("complete", 2))
+        small = 2 * b.n <= LIMITS["splitting"].limit - 2
+        probe = b if small else from_graph(family("complete", 2))
     Fb = F_splitting(b)
     product_ok = F_splitting(product(b, probe)) == mul(Fb, F_splitting(probe))
     lhs = qsym.coproduct(Fb)

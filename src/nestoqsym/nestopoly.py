@@ -20,12 +20,7 @@ from functools import lru_cache
 
 from .bitsets import bits
 from .buildset import BuildingSet, is_connected, maximal_members
-from .errors import CapacityError, InputError
-
-NESTED_CAP = 8
-TREE_SHAPE_CAP = 9
-EXTENSION_CAP = 9
-REALIZATION_CAP = 7
+from .errors import InputError, check_limit
 
 
 def is_nested(b: BuildingSet, family) -> bool:
@@ -57,8 +52,7 @@ def is_nested(b: BuildingSet, family) -> bool:
 
 def _walk_nested(b: BuildingSet, visit):
     """Call visit(family_tuple) once for every nested set of b."""
-    if b.n > NESTED_CAP:
-        raise CapacityError(f"nested-set enumeration capped at n <= {NESTED_CAP}")
+    check_limit("nested", b.n)
     members = set(b.sets)
     maxima = set(maximal_members(b))
     cand = sorted(s for s in b.sets if s not in maxima)
@@ -195,8 +189,7 @@ def vertex_coordinates(b: BuildingSet, family) -> tuple:
 
 def realization_failures(b: BuildingSet) -> list:
     """Vertices violating a facet inequality or the predicted tight set."""
-    if b.n > REALIZATION_CAP:
-        raise CapacityError(f"realization check capped at n <= {REALIZATION_CAP}")
+    check_limit("realization", b.n)
     failures = []
     full = b.full_mask()
     mu_inside = _mu_inside(b, b.sets)
@@ -301,8 +294,7 @@ def enumerate_tree_shapes(n: int) -> tuple:
     """All unlabeled rooted trees on n nodes, each exactly once, sorted."""
     if n < 1:
         raise InputError(f"tree shapes need n >= 1, got {n}")
-    if n > TREE_SHAPE_CAP:
-        raise CapacityError(f"tree shapes capped at n <= {TREE_SHAPE_CAP}, got {n}")
+    check_limit("tree shapes", n)
     if n == 1:
         return (TreeShape("()"),)
     from itertools import combinations_with_replacement, product as iproduct
@@ -341,8 +333,7 @@ def _descending_labels(tree: BTree) -> list:
 
 def extension_listings(tree: BTree) -> list:
     """All orderings of the vertices placing every child before its parent."""
-    if tree.n > EXTENSION_CAP:
-        raise CapacityError(f"linear extensions capped at n <= {EXTENSION_CAP}")
+    check_limit("extensions", tree.n)
     ch = tree.children()
     pending = [len(c) for c in ch]
     out = []

@@ -19,16 +19,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from .errors import CapacityError, InputError, ParseError
+from .errors import InputError, ParseError, check_limit
 from .graphs import json_int, load_json
 
 # A composition is a tuple of ints >= 1; () is the unique composition of 0.
 Composition = tuple
-
-# A term of weight w and length l has 2^(w - l) refinements, which basis
-# changes list, and the antipode writes a permutation of w letters.
-REFINEMENT_CAP = 16  # w - l, so at most 65,536 refinements of one term
-WEIGHT_CAP = 4096  # w
 
 
 def composition(parts) -> Composition:
@@ -39,19 +34,10 @@ def composition(parts) -> Composition:
     return alpha
 
 
-def _check_weight(w: int):
-    if w > WEIGHT_CAP:
-        raise CapacityError(f"composition weight capped at {WEIGHT_CAP}, got {w}")
-
-
 def _check_refinements(alpha):
     w = sum(alpha)
-    _check_weight(w)
-    if w - len(alpha) > REFINEMENT_CAP:
-        raise CapacityError(
-            f"a term of weight {w} and length {len(alpha)} has 2^{w - len(alpha)} "
-            f"refinements, capped at 2^{REFINEMENT_CAP}"
-        )
+    check_limit("weight", w)
+    check_limit("refinements", w - len(alpha))
 
 
 def term_key(alpha):
@@ -75,23 +61,15 @@ def refines(beta, alpha) -> bool:
 
 
 def coarsenings(alpha) -> set:
-    """All beta obtained by merging adjacent parts of alpha (2^(k-1) many)."""
+    """All beta obtained by merging adjacent parts of alpha (2^(l-1) of length l)."""
     alpha = tuple(alpha)
     if not alpha:
         return {()}
-    k = len(alpha)
-    out = set()
-    for cuts in range(1 << (k - 1)):
-        parts, acc = [], alpha[0]
-        for j in range(1, k):
-            if cuts >> (j - 1) & 1:
-                parts.append(acc)
-                acc = alpha[j]
-            else:
-                acc += alpha[j]
-        parts.append(acc)
-        out.add(tuple(parts))
-    return out
+    check_limit("coarsenings", len(alpha) - 1)
+    out = [alpha[:1]]
+    for a in alpha[1:]:  # a new part, or merged into the last one
+        out = [c + (a,) for c in out] + [c[:-1] + (c[-1] + a,) for c in out]
+    return set(out)
 
 
 @lru_cache(maxsize=None)
@@ -373,7 +351,7 @@ def descent_permutation(alpha) -> tuple:
     run boundary and nowhere else.
     """
     n = sum(alpha)
-    _check_weight(n)
+    check_limit("weight", n)
     word, hi = [], n
     for a in alpha:
         word.extend(range(hi - a + 1, hi + 1))
@@ -382,19 +360,26 @@ def descent_permutation(alpha) -> tuple:
 
 
 def antipode(F: QSymElement) -> QSymElement:
-    """Hopf antipode; S(L_des(pi)) = (-1)^n L_des(opposite of pi).
+    """Hopf antipode, in the caller's basis.
 
-    The opposite permutation is the word of pi read right to left; its
-    descent composition depends only on des(pi) (the descent set gets
-    complemented and reflected), so the choice of pi is immaterial.  This is
-    the unique map satisfying the antipode axiom for the deconcatenation
-    coproduct; the value-complement variant pi(i) -> n+1-pi(i) only
-    complements the descent set and is not a Hopf antipode.  Returns the
-    result in the caller's basis.
+    S(M_alpha) = (-1)^l(alpha) times the sum of M_beta over the coarsenings
+    beta of alpha reversed (Malvenuto-Reutenauer, Ehrenborg), and
+    S(L_des(pi)) = (-1)^n L_des(opposite of pi).  The opposite permutation
+    is the word of pi read right to left; its descent composition depends
+    only on des(pi) (the descent set gets complemented and reflected), so
+    the choice of pi is immaterial.  This is the unique map satisfying the
+    antipode axiom for the deconcatenation coproduct; the value-complement
+    variant pi(i) -> n+1-pi(i) only complements the descent set and is not
+    a Hopf antipode.
     """
-    if F.basis == "M":
-        return from_fundamental(antipode(to_fundamental(F)))
     acc = {}
+    if F.basis == "M":
+        for alpha, c in F.terms:
+            check_limit("weight", sum(alpha))  # the same weight bound as L
+            s = -c if len(alpha) % 2 else c
+            for beta in coarsenings(alpha[::-1]):
+                acc[beta] = acc.get(beta, 0) + s
+        return _element("M", acc)
     for alpha, c in F.terms:
         n = sum(alpha)
         pi = descent_permutation(alpha)

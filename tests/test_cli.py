@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from nestoqsym import verify
+from nestoqsym import cli, verify
 from nestoqsym.cli import main
 
 
@@ -37,6 +37,24 @@ def test_invariant_basis_and_chi(capsys):
     assert code == 0
     assert "4*L[1,2,1] + 6*L[2,1,1] + 14*L[1,1,1,1]" in out
     assert "chi(-1) = 14" in out
+
+
+def test_invariant_computes_each_route_once(capsys, monkeypatch, tmp_path):
+    f = tmp_path / "graphs.g6"
+    f.write_text("A_\nBw\n")  # K2 and the triangle
+    calls = []
+    for name, route in list(cli.ROUTES.items()):
+        def counted(g, name=name, route=route):
+            calls.append(name)
+            return route(g)
+        monkeypatch.setitem(cli.ROUTES, name, counted)
+    code, out, _ = run(capsys, "invariant", "--graph", str(f), "--chi", "2")
+    assert code == 0 and out.count("chi(2) = ") == 2
+    assert calls == ["recurrence", "recurrence"]
+    calls.clear()
+    code, out, _ = run(capsys, "invariant", "--graph", str(f), "--route", "all", "--chi", "2")
+    assert code == 0 and out.count("chi(2) = ") == 2
+    assert sorted(calls) == sorted(list(cli.ROUTES) * 2)
 
 
 def test_invariant_json_payload(capsys):

@@ -285,6 +285,19 @@ def test_antipode_matches_monomial_formula():
     assert to_fundamental(image) == element("L", {(4,): 14, (3, 1): 6, (2, 2): 4})
 
 
+def test_antipode_matches_fundamental_round_trip():
+    # the code's M-basis antipode is the coarsening formula above; the
+    # L-basis round trip is the independent oracle for it
+    count = 0
+    for n in range(0, 10):
+        for alpha in compositions_of(n):
+            F = monomial(alpha, 3)
+            assert antipode(F) == from_fundamental(antipode(to_fundamental(F)))
+            count += 1
+    assert count == 512
+    assert antipode(EX54) == from_fundamental(antipode(to_fundamental(EX54)))
+
+
 def descent_complement(F):
     """psi(L_des(pi)) = (-1)^n L_des(n+1-pi) on an L-basis element: the
     descent set is complemented but not reversed."""
