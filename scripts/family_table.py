@@ -12,6 +12,7 @@ Usage:
 import argparse
 
 from nestoqsym.buildset import from_graph
+from nestoqsym.graphs import FAMILIES
 from nestoqsym.invariants import (
     family_F,
     family_graph,
@@ -28,8 +29,8 @@ def main():
     ap.add_argument("--check-recurrences", action="store_true")
     args = ap.parse_args()
 
-    kinds = ("permutohedron", "associahedron", "cyclohedron", "stellohedron")
-    print(f"{'n':>3} {'pe':>8} {'as':>8} {'cy':>8} {'st':>8}")
+    kinds = tuple(f.polytope for f in FAMILIES)
+    print(f"{'n':>3} " + " ".join(f"{f.alias:>8}" for f in FAMILIES))
     for n in range(1, args.max_n + 1):
         counts = family_vertex_counts(n)
         print(f"{n:>3} " + " ".join(f"{c:>8}" for c in counts))

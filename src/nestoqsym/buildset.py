@@ -16,8 +16,9 @@ import json
 from dataclasses import dataclass
 
 from .bitsets import bits, mask_of, nonempty_submasks
-from .errors import InputError, NotABuildingSetError, ParseError, check_limit
+from .errors import InputError, NotABuildingSetError, ParseError, check_int, check_limit
 from .graphs import Graph, _components_within, json_int, load_json
+from .qsym import Combination
 
 
 @dataclass(frozen=True)
@@ -53,12 +54,12 @@ def validate(sets, n: int, add_singletons: bool = True) -> BuildingSet:
     Raises NotABuildingSetError naming the offending pair when union closure
     fails, or the missing singleton in strict mode.
     """
-    if n < 0:
+    if check_int(n, "ground set size") < 0:
         raise InputError(f"ground set size must be >= 0, got {n}")
     full = (1 << n) - 1
     masks = set()
     for s in sets:
-        m = int(s)
+        m = check_int(s, "building set member mask")
         if m == 0:
             raise InputError("building set members must be nonempty")
         if m & ~full:
@@ -183,36 +184,16 @@ def hopf_word(factors) -> tuple:
 
 
 @dataclass(frozen=True)
-class HopfElement:
+class HopfElement(Combination):
     """Formal integer combination of product words of building sets."""
 
     terms: tuple  # ((word, coeff), ...) sorted by word keys
 
-    def as_dict(self):
-        return dict(self.terms)
-
-    def __add__(self, other):
-        acc = self.as_dict()
-        for w, c in other.terms:
-            acc[w] = acc.get(w, 0) + c
-        return _hopf_element(acc)
-
-    def scale(self, c: int):
-        return _hopf_element({w: c * v for w, v in self.terms})
-
-
-def _hopf_element(d: dict) -> HopfElement:
-    items = tuple(
-        sorted(
-            ((w, c) for w, c in d.items() if c),
-            key=lambda t: tuple(_bs_key(f) for f in t[0]),
-        )
-    )
-    return HopfElement(items)
+    sort_key = staticmethod(lambda word: tuple(map(_bs_key, word)))
 
 
 def hopf_monomial(b: BuildingSet, coeff: int = 1) -> HopfElement:
-    return _hopf_element({hopf_word([b]): coeff})
+    return HopfElement.of({hopf_word([b]): coeff})
 
 
 def takeuchi_antipode(b: BuildingSet) -> HopfElement:
@@ -237,7 +218,7 @@ def takeuchi_antipode(b: BuildingSet) -> HopfElement:
             walk(done | step, factors + (_minor(b, done | step, done),), k + 1)
 
     walk(0, (), 0)
-    return _hopf_element(acc)
+    return HopfElement.of(acc)
 
 
 # ---------------------------------------------------------------------------

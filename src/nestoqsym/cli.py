@@ -24,7 +24,7 @@ from .buildset import (
     serialize_building_set,
 )
 from .errors import CapacityError, InputError
-from .graphs import family, parse_graph, serialize_graph
+from .graphs import FAMILIES, FAMILY_KINDS, family, parse_graph, serialize_graph
 from .invariants import (
     F_btree_route,
     F_graph_colorings,
@@ -46,8 +46,6 @@ from .qsym import (
     vertex_count,
 )
 from .verify import run_suite
-
-INLINE_KINDS = ("path", "cycle", "complete", "star")
 
 
 def _file_text(spec: str):
@@ -78,7 +76,7 @@ def _load_graphs(spec: str) -> list:
     """
     spec = spec.strip()
     head = spec.split(":", 1)[0]
-    if head in INLINE_KINDS:
+    if head in FAMILY_KINDS:
         kind, _, num = spec.partition(":")
         return [family(kind, _natural(num, f"inline {kind} size"))]
     if spec.startswith("{"):
@@ -349,8 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_json(sp)
     sp.set_defaults(fn=cmd_buildset)
 
-    sp = sub.add_parser("polytope", help="classical families: pe, as, cy, st")
-    sp.add_argument("--family", required=True, choices=("pe", "as", "cy", "st"))
+    aliases = tuple(f.alias for f in FAMILIES)
+    sp = sub.add_parser("polytope", help="classical families: " + ", ".join(aliases))
+    sp.add_argument("--family", required=True, choices=aliases)
     sp.add_argument("--n", required=True, type=int)
     mode = sp.add_mutually_exclusive_group()
     mode.add_argument("--vertices", action="store_true", help="vertex count (default)")

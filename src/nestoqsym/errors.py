@@ -3,7 +3,8 @@
 The CLI maps the exceptions onto exit codes.  Every route is a sum over an
 exponentially large structure, so each runs only up to a limit on its size;
 LIMITS holds every such limit with what it caps and why it sits there, and
-check_limit is the one place that raises CapacityError.
+check_limit is the one place that raises CapacityError.  check_int refuses
+the non-integers (floats, bools, strings) a public constructor is handed.
 """
 
 from typing import NamedTuple
@@ -29,6 +30,13 @@ class NotABuildingSetError(InputError):
 
 class CapacityError(RuntimeError):
     """A limit of LIMITS was exceeded; names the limit, the value and why."""
+
+
+def check_int(value, what: str) -> int:
+    """value itself if it is an int; anything else, bools too, is an InputError."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 class Limit(NamedTuple):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .bitsets import bits, mask_of
 from .errors import InputError, ParseError, check_limit
@@ -54,7 +55,20 @@ def graph_from_edges(n: int, edges) -> Graph:
     return Graph(n, tuple(adj))
 
 
-FAMILY_KINDS = ("complete", "path", "cycle", "star")
+class Family(NamedTuple):
+    alias: str  # the short name, as in `polytope --family`
+    polytope: str
+    graph: str  # the family kind of the graph whose nestohedron it is
+
+
+# The four classical families of graph-associahedra, in one table.
+FAMILIES = (
+    Family("pe", "permutohedron", "complete"),
+    Family("as", "associahedron", "path"),
+    Family("cy", "cyclohedron", "cycle"),
+    Family("st", "stellohedron", "star"),
+)
+FAMILY_KINDS = tuple(f.graph for f in FAMILIES)
 
 
 def family(kind: str, n: int) -> Graph:

@@ -41,6 +41,7 @@ from .buildset import (
 )
 from .errors import LIMITS, InputError, check_limit
 from .graphs import (
+    FAMILIES,
     Graph,
     _components_within,
     components as graph_components,
@@ -306,16 +307,12 @@ def F_star(b: BuildingSet) -> QSymElement:
 # chromatic symmetric function
 
 @dataclass(frozen=True)
-class SymElement:
+class SymElement(qsym.Combination):
     """Integer combination of monomial symmetric functions m_mu."""
 
     terms: tuple  # ((partition, coeff), ...) canonical order
 
-    def as_dict(self):
-        return dict(self.terms)
-
-    def coeff(self, mu) -> int:
-        return self.as_dict().get(tuple(mu), 0)
+    sort_key = staticmethod(qsym.term_key)
 
     def __str__(self):
         if not self.terms:
@@ -325,13 +322,6 @@ class SymElement:
             body = f"m[{','.join(map(str, mu))}]"
             chunks.append(body if c == 1 else f"{c}*{body}")
         return " + ".join(chunks)
-
-
-def _sym_element(d: dict) -> SymElement:
-    items = tuple(
-        sorted(((mu, c) for mu, c in d.items() if c), key=lambda t: qsym.term_key(t[0]))
-    )
-    return SymElement(items)
 
 
 def chromatic_symmetric(g: Graph) -> SymElement:
@@ -380,7 +370,7 @@ def chromatic_symmetric(g: Graph) -> SymElement:
         for m in Counter(mu).values():
             c *= factorial(m)
         counts[mu] = c
-    return _sym_element(counts)
+    return SymElement.of(counts)
 
 
 def ordered_colorings_by_type(g: Graph) -> dict:
@@ -495,25 +485,20 @@ def _prod(xs) -> int:
 # ---------------------------------------------------------------------------
 # the four classical families
 
-FAMILY_ALIASES = {
-    "pe": "permutohedron",
-    "as": "associahedron",
-    "cy": "cyclohedron",
-    "st": "stellohedron",
-}
+_FAMILY_NAMES = {name: f for f in FAMILIES for name in (f.alias, f.polytope)}
 
 
-def _family_kind(kind: str) -> str:
-    kind = FAMILY_ALIASES.get(kind, kind)
-    if kind not in ("permutohedron", "associahedron", "cyclohedron", "stellohedron"):
+def _family(kind: str):
+    """The row of graphs.FAMILIES named by its alias or its polytope."""
+    if kind not in _FAMILY_NAMES:
         raise InputError(f"unknown polytope family {kind!r}")
-    return kind
+    return _FAMILY_NAMES[kind]
 
 
 @lru_cache(maxsize=None)
 def family_F(kind: str, n: int) -> QSymElement:
     """Enumerator of the n-vertex member of a classical family, by recurrence."""
-    kind = _family_kind(kind)
+    kind = _family(kind).polytope
     if n < 0:
         raise InputError("family index must be >= 0")
     check_limit("family", n)
@@ -536,13 +521,7 @@ def family_F(kind: str, n: int) -> QSymElement:
 
 
 def family_graph(kind: str, n: int) -> Graph:
-    kind = _family_kind(kind)
-    graph_kind = {
-        "permutohedron": "complete",
-        "associahedron": "path",
-        "cyclohedron": "cycle",
-        "stellohedron": "star",
-    }[kind]
+    graph_kind = _family(kind).graph
     if graph_kind == "cycle" and n < 3:
         graph_kind = "path"  # C_1, C_2 degenerate to the path cases
     return family(graph_kind, n)
@@ -566,10 +545,7 @@ def family_vertex_counts(n: int) -> tuple:
     for k in range(2, n + 1):
         s = (k - 1) * s + 1
     closed = (p, a, c, s)
-    via_chi = tuple(
-        vertex_count(family_F(kind, n), n)
-        for kind in ("permutohedron", "associahedron", "cyclohedron", "stellohedron")
-    )
+    via_chi = tuple(vertex_count(family_F(f.polytope, n), n) for f in FAMILIES)
     if closed != via_chi:
         raise InputError(
             f"closed forms {closed} disagree with the chi(-1) route {via_chi}"
@@ -704,16 +680,15 @@ def F_of_hopf(h: HopfElement) -> QSymElement:
     return out
 
 
-def hopf_morphism_check(b: BuildingSet, probe: BuildingSet | None = None) -> dict:
+def hopf_morphism_check(b: BuildingSet) -> dict:
     """Check that the enumerator intertwines product, coproduct and antipode.
 
-    The product check multiplies by a probe building set (b itself when the
-    result stays within the splitting-route limit, else the K_2 building set).
+    The product check multiplies b by a probe building set: b itself when
+    2n <= the splitting limit - 2, else the K_2 building set.
     """
     check_limit("hopf", b.n)
-    if probe is None:
-        small = 2 * b.n <= LIMITS["splitting"].limit - 2
-        probe = b if small else from_graph(family("complete", 2))
+    small = 2 * b.n <= LIMITS["splitting"].limit - 2
+    probe = b if small else from_graph(family("complete", 2))
     Fb = F_splitting(b)
     product_ok = F_splitting(product(b, probe)) == mul(Fb, F_splitting(probe))
     lhs = qsym.coproduct(Fb)

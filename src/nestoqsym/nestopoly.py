@@ -39,15 +39,31 @@ def is_nested(b: BuildingSet, family) -> bool:
         for t in fam[i + 1 :]:
             if s & t and (s | t) != s and (s | t) != t:
                 return False
-    # unions of >= 2 pairwise disjoint members must avoid B
-    disjoint_unions = []
+    unions = []
     for s in fam:
-        for u in disjoint_unions:
-            if u & s == 0 and (u | s) in members:
-                return False
-        disjoint_unions.extend([u | s for u in disjoint_unions if u & s == 0])
-        disjoint_unions.append(s)
+        unions = _admit(members, unions, s)
+        if unions is None:
+            return False
     return True
+
+
+def _admit(members: set, unions: list, s: int):
+    """The (N2) step: add member s to a nested family, or return None.
+
+    Members arrive in increasing mask order, so s contains or misses each
+    top-level member so far (those inside no other), and unions lists the
+    unions of nonempty sets of top-level members.  A union of disjoint
+    members that lies in B forces a union of two or more children of one
+    node into B (lift a member whose parent is lowest to that parent; the
+    union grows and stays in B).  The children of s were tested against
+    each other while they were top level, so s is tested only against the
+    unions of the top-level members it misses.
+    """
+    free = [u for u in unions if not u & s]
+    joined = [u | s for u in free]
+    if not members.isdisjoint(joined):
+        return None
+    return free + joined + [s]
 
 
 def _walk_nested(b: BuildingSet, visit):
@@ -57,15 +73,12 @@ def _walk_nested(b: BuildingSet, visit):
     maxima = set(maximal_members(b))
     cand = sorted(s for s in b.sets if s not in maxima)
 
-    def rec(avail, family, disjoint_unions):
+    def rec(avail, family, unions):
         visit(family)
         for idx, s in enumerate(avail):
-            if any(u & s == 0 and (u | s) in members for u in disjoint_unions):
+            new_unions = _admit(members, unions, s)
+            if new_unions is None:
                 continue
-            new_unions = disjoint_unions + [
-                u | s for u in disjoint_unions if u & s == 0
-            ]
-            new_unions.append(s)
             new_avail = [
                 t
                 for t in avail[idx + 1 :]

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import factorial
 
-from .errors import InputError, ParseError, check_limit
+from .errors import InputError, ParseError, check_int, check_limit
 from .graphs import json_int, load_json
 
 # A composition is a tuple of ints >= 1; () is the unique composition of 0.
@@ -28,7 +28,7 @@ Composition = tuple
 
 def composition(parts) -> Composition:
     """Validate an iterable of parts as a composition."""
-    alpha = tuple(int(a) for a in parts)
+    alpha = tuple(check_int(a, "composition part") for a in parts)
     if any(a < 1 for a in alpha):
         raise InputError(f"composition parts must be positive, got {alpha}")
     return alpha
@@ -97,43 +97,77 @@ def refinements(alpha) -> tuple:
     return tuple(out)
 
 
+class Combination:
+    """A finite integer combination of keys, in one canonical form.
+
+    QSym elements, coproduct tensors, symmetric functions and words of
+    building sets are all frozen dataclasses on this base.  Their ``terms``
+    field is a tuple of (key, coeff) pairs ordered by the subclass's
+    ``sort_key``, with no zero coefficient, so equality, hashing and
+    rendering are byte-stable.  Any other field (a QSymElement's basis)
+    passes through every operation unchanged.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, d: dict, **fields):
+        """The combination of a {key: coeff} dict, in canonical form."""
+        return cls(terms=cls._canonical(d), **fields)
+
+    @classmethod
+    def _canonical(cls, d: dict) -> tuple:
+        """The nonzero terms of d, sorted by one sort_key call per term."""
+        keys = sorted((k for k, c in d.items() if c), key=cls.sort_key)
+        return tuple([(k, d[k]) for k in keys])
+
+    def as_dict(self) -> dict:
+        return dict(self.terms)
+
+    def coeff(self, key) -> int:
+        key = tuple(key)
+        return next((c for k, c in self.terms if k == key), 0)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        acc = dict(self.terms)
+        for k, c in other.terms:
+            acc[k] = acc.get(k, 0) + c
+        return replace(self, terms=self._canonical(acc))
+
+    def scale(self, c: int):
+        """c times the combination; the terms keep their order."""
+        terms = tuple([(k, c * v) for k, v in self.terms]) if c else ()
+        return replace(self, terms=terms)
+
+
 @dataclass(frozen=True)
-class QSymElement:
+class QSymElement(Combination):
     """Immutable linear combination of M_alpha or L_alpha basis functions.
 
-    ``terms`` is a tuple of (composition, coefficient) pairs in canonical
-    term order with no zero coefficients, so equality and rendering are
-    byte-stable.  Inhomogeneous combinations are allowed.
+    ``terms`` pairs compositions with coefficients in canonical term order;
+    inhomogeneous combinations are allowed.
     """
 
     basis: str
     terms: tuple
 
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
-    def coeff(self, alpha) -> int:
-        alpha = tuple(alpha)
-        for a, c in self.terms:
-            if a == alpha:
-                return c
-        return 0
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    sort_key = staticmethod(term_key)
 
     def degrees(self) -> set:
         return {sum(a) for a, _ in self.terms}
 
     def __add__(self, other):
-        self._check_same_basis(other)
-        acc = self.as_dict()
-        for a, c in other.terms:
-            acc[a] = acc.get(a, 0) + c
-        return _element(self.basis, acc)
+        if self.basis != other.basis:
+            raise InputError(
+                f"basis mismatch: {self.basis} vs {other.basis}; convert first"
+            )
+        return super().__add__(other)
 
     def __neg__(self):
-        return QSymElement(self.basis, tuple((a, -c) for a, c in self.terms))
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
@@ -145,17 +179,6 @@ class QSymElement:
 
     __rmul__ = __mul__
 
-    def scale(self, c: int):
-        if c == 0:
-            return QSymElement(self.basis, ())
-        return QSymElement(self.basis, tuple((a, c * v) for a, v in self.terms))
-
-    def _check_same_basis(self, other):
-        if self.basis != other.basis:
-            raise InputError(
-                f"basis mismatch: {self.basis} vs {other.basis}; convert first"
-            )
-
     def __str__(self):
         return render(self)
 
@@ -163,10 +186,7 @@ class QSymElement:
 def _element(basis: str, d: dict) -> QSymElement:
     if basis not in ("M", "L"):
         raise InputError(f"unknown basis tag {basis!r}")
-    items = tuple(
-        sorted(((a, c) for a, c in d.items() if c), key=lambda t: term_key(t[0]))
-    )
-    return QSymElement(basis, items)
+    return QSymElement.of(d, basis=basis)
 
 
 def element(basis: str, terms) -> QSymElement:
@@ -175,7 +195,7 @@ def element(basis: str, terms) -> QSymElement:
     acc = {}
     for parts, c in items:
         alpha = composition(parts)
-        acc[alpha] = acc.get(alpha, 0) + int(c)
+        acc[alpha] = acc.get(alpha, 0) + check_int(c, "coefficient")
     return _element(basis, acc)
 
 
@@ -188,11 +208,11 @@ def one(basis: str = "M") -> QSymElement:
 
 
 def monomial(alpha, coeff: int = 1) -> QSymElement:
-    return _element("M", {composition(alpha): coeff})
+    return element("M", [(alpha, coeff)])
 
 
 def fundamental(alpha, coeff: int = 1) -> QSymElement:
-    return _element("L", {composition(alpha): coeff})
+    return element("L", [(alpha, coeff)])
 
 
 @lru_cache(maxsize=None)
@@ -249,32 +269,12 @@ def shift1(F: QSymElement) -> QSymElement:
 
 
 @dataclass(frozen=True)
-class QSymTensor:
+class QSymTensor(Combination):
     """Two-slot tensor of monomial quasisymmetric functions, exact coefficients."""
 
     terms: tuple  # (((alpha, beta), coeff), ...), left slot major
 
-    def as_dict(self):
-        return dict(self.terms)
-
-    def __add__(self, other):
-        acc = self.as_dict()
-        for k, c in other.terms:
-            acc[k] = acc.get(k, 0) + c
-        return _tensor(acc)
-
-    def scale(self, c: int):
-        return _tensor({k: c * v for k, v in self.terms})
-
-
-def _tensor(d: dict) -> QSymTensor:
-    items = tuple(
-        sorted(
-            ((k, c) for k, c in d.items() if c),
-            key=lambda t: (term_key(t[0][0]), term_key(t[0][1])),
-        )
-    )
-    return QSymTensor(items)
+    sort_key = staticmethod(lambda k: (term_key(k[0]), term_key(k[1])))
 
 
 def coproduct(F: QSymElement) -> QSymTensor:
@@ -286,7 +286,7 @@ def coproduct(F: QSymElement) -> QSymTensor:
         for i in range(len(a) + 1):
             k = (a[:i], a[i:])
             acc[k] = acc.get(k, 0) + c
-    return _tensor(acc)
+    return QSymTensor.of(acc)
 
 
 def tensor_product(F: QSymElement, G: QSymElement) -> QSymTensor:
@@ -298,7 +298,7 @@ def tensor_product(F: QSymElement, G: QSymElement) -> QSymTensor:
         for b, cb in G.terms:
             k = (a, b)
             acc[k] = acc.get(k, 0) + ca * cb
-    return _tensor(acc)
+    return QSymTensor.of(acc)
 
 
 def to_fundamental(F: QSymElement) -> QSymElement:

@@ -14,7 +14,7 @@ import time
 
 from . import qsym
 from .buildset import building_set, from_graph
-from .graphs import enumerate_graphs, family, graph_from_edges, induced
+from .graphs import FAMILIES, FAMILY_KINDS, enumerate_graphs, family, graph_from_edges, induced
 from .invariants import (
     F_btree_route,
     F_graph_colorings,
@@ -88,10 +88,9 @@ def criterion_2():
 
 def criterion_3():
     """Family vertex counts for n = 1..7 agree three ways with closed forms."""
-    kinds = ("permutohedron", "associahedron", "cyclohedron", "stellohedron")
     for n in range(1, 8):
         closed = family_vertex_counts(n)
-        for kind, expect in zip(kinds, closed):
+        for kind, expect in zip((f.polytope for f in FAMILIES), closed):
             g = family_graph(kind, n)
             via_chi = vertex_count(F_graph_recurrence(g), n)
             via_nested = len(maximal_nested_sets(from_graph(g)))
@@ -266,7 +265,7 @@ def _petersen_samples():
 
 def criterion_11():
     """Vertex coordinates satisfy the defining hyperplane and facet system."""
-    for kind in ("complete", "path", "cycle", "star"):
+    for kind in FAMILY_KINDS:
         for n in range(1, 6):
             if kind == "cycle" and n < 3:
                 continue
@@ -298,7 +297,7 @@ CRITERIA = (
 )
 
 
-def run_suite(numbers=None, out=print) -> bool:
+def run_suite(numbers=None) -> bool:
     """Run the verification criteria; one PASS/FAIL line each."""
     all_ok = True
     for num, name, fn, _budget in CRITERIA:
@@ -311,5 +310,5 @@ def run_suite(numbers=None, out=print) -> bool:
             ok, detail = False, f"exception: {e!r}"
         dt = time.perf_counter() - t0
         all_ok &= ok
-        out(f"{'PASS' if ok else 'FAIL'}  {num:2d}  {name} [{dt:.2f}s] -- {detail}")
+        print(f"{'PASS' if ok else 'FAIL'}  {num:2d}  {name} [{dt:.2f}s] -- {detail}")
     return all_ok

@@ -1,0 +1,63 @@
+"""The canonical form of an integer combination is defined in one place.
+
+QSym elements, coproduct tensors, symmetric functions and words of building
+sets share qsym.Combination: only it may define as_dict or scale, or sort
+the terms of a dict.  A second copy of any of them is a second definition
+of what "canonical" and "equal" mean.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "nestoqsym"
+
+
+def _is_sort(call: ast.Call) -> bool:
+    f = call.func
+    return (isinstance(f, ast.Name) and f.id == "sorted") or (
+        isinstance(f, ast.Attribute) and f.attr == "sort"
+    )
+
+
+def _sorts_terms(call: ast.Call) -> bool:
+    """A sort that filters a dict's items (dropping zeros), or that orders
+    pairs by a lambda reading their first item."""
+    for arg in call.args:
+        if isinstance(arg, (ast.GeneratorExp, ast.ListComp)) and any(
+            gen.ifs and ".items()" in ast.unparse(gen.iter) for gen in arg.generators
+        ):
+            return True
+    return any(
+        kw.arg == "key"
+        and isinstance(kw.value, ast.Lambda)
+        and "[0]" in ast.unparse(kw.value.body)
+        for kw in call.keywords
+    )
+
+
+def _sites() -> list:
+    """(module, enclosing class, what) for each such definition or sort."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+
+        def visit(node, owner):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    visit(child, child.name)
+                    continue
+                if isinstance(child, ast.FunctionDef) and child.name in ("as_dict", "scale"):
+                    out.append((path.name, owner, f"def {child.name}"))
+                if isinstance(child, ast.Call) and _is_sort(child) and _sorts_terms(child):
+                    out.append((path.name, owner, "term sort"))
+                visit(child, owner)
+
+        visit(ast.parse(path.read_text()), "<module>")
+    return sorted(out)
+
+
+def test_one_canonical_form():
+    assert _sites() == [
+        ("qsym.py", "Combination", "def as_dict"),
+        ("qsym.py", "Combination", "def scale"),
+        ("qsym.py", "Combination", "term sort"),
+    ]

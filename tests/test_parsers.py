@@ -2,16 +2,18 @@
 
 Every input either parses or raises InputError (ParseError is one) or
 CapacityError, which the command line turns into exit 2 or 3 with a one-line
-message; any other exception would reach the user as a traceback.
+message; any other exception would reach the user as a traceback.  The
+public constructors behind them refuse non-integers the same way.
 """
 
 import json
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from nestoqsym import qsym
-from nestoqsym.buildset import parse_building_set
+from nestoqsym.buildset import building_set, parse_building_set
 from nestoqsym.errors import CapacityError, InputError
 from nestoqsym.graphs import parse_graph
 
@@ -44,3 +46,23 @@ def test_parsers_return_or_refuse(text):
             parse(text)
         except (InputError, CapacityError):
             pass
+
+
+@pytest.mark.parametrize("bad", [1.5, 3.0, True, "3"], ids=["float", "whole float", "bool", "str"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: qsym.composition([x, 2]),
+        lambda x: qsym.element("M", {(1,): x}),
+        lambda x: qsym.monomial((1,), x),
+        lambda x: qsym.fundamental((x,)),
+        lambda x: building_set(2, [x]),
+        lambda x: building_set(x, []),
+    ],
+    ids=["composition part", "element coeff", "monomial coeff", "fundamental part",
+         "building-set member", "ground set size"],
+)
+def test_constructors_refuse_non_integers(build, bad):
+    # an int-like value is refused, not truncated or stored as it is
+    with pytest.raises(InputError, match="must be an integer"):
+        build(bad)
