@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bitsets import bits, mask_of, nonempty_submasks
 from .errors import InputError, NotABuildingSetError, ParseError, check_int, check_limit
@@ -23,7 +24,8 @@ from .qsym import Combination
 
 @dataclass(frozen=True)
 class BuildingSet:
-    """n plus the sorted tuple of member masks."""
+    """n plus the sorted tuple of member masks (equality, hashing and repr
+    use these two fields alone; the cached properties derive from them)."""
 
     n: int
     sets: tuple
@@ -32,6 +34,20 @@ class BuildingSet:
     def mu(self) -> int:
         """Number of members."""
         return len(self.sets)
+
+    @cached_property
+    def member_set(self) -> frozenset:
+        return frozenset(self.sets)
+
+    @cached_property
+    def maxima(self) -> frozenset:
+        """The maximal members (see maximal_members)."""
+        return frozenset(maximal_members(self))
+
+    @cached_property
+    def by_size(self) -> tuple:
+        """Members by decreasing size."""
+        return tuple(sorted(self.sets, key=int.bit_count, reverse=True))
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -130,26 +146,35 @@ def contraction(b: BuildingSet, I: int) -> BuildingSet:
     return _minor(b, b.full_mask(), I)
 
 
-def maximal_members(b: BuildingSet) -> list:
-    """Members inside no other member, in mask order.
+def _components_in(b: BuildingSet, mask: int) -> list:
+    """Components of b restricted to mask: the members inside mask and
+    inside no other such member, largest first.
 
-    They are pairwise disjoint (two that meet have their union in b), and
-    every other member lies in a strictly larger maximal one.  So taking
-    members by decreasing size and keeping each one that misses all those
-    kept so far keeps exactly the maximal ones.
+    They are pairwise disjoint (two that meet have their union in b, and
+    inside mask), and every other member inside mask lies in a strictly
+    larger one of them.  So taking the members inside mask by decreasing
+    size and keeping each one that misses all those kept so far keeps
+    exactly them; the singletons make them cover mask.
     """
     kept, covered = [], 0
-    for s in sorted(b.sets, key=int.bit_count, reverse=True):
-        if not s & covered:
+    for s in b.by_size:
+        if not s & ~mask and not s & covered:
             kept.append(s)
             covered |= s
-    return sorted(kept)
+            if covered == mask:
+                break
+    return kept
+
+
+def maximal_members(b: BuildingSet) -> list:
+    """Members inside no other member, in mask order: the components of b."""
+    return sorted(_components_in(b, b.full_mask()))
 
 
 def is_connected(b: BuildingSet) -> bool:
     if b.n == 0:
         return True
-    return b.full_mask() in b.sets
+    return b.full_mask() in b.member_set
 
 
 def components(b: BuildingSet) -> list:

@@ -9,6 +9,11 @@ The four routes to the same quasisymmetric function:
   * F_graph_colorings -- counts ordered colorings of the graph,
   * F_graph_recurrence -- vertex-deletion recurrence with a shift.
 
+The recurrence (`_recurrence`) needs only the components of each restriction,
+so it serves building sets too: F_of_hopf runs it on every factor of a word
+of building sets, with the components of the building set in place of those
+of the graph.
+
 Disconnected inputs reduce to component products everywhere (the enumerator
 is multiplicative); splitting chains are enumerated by the verbatim flag
 condition, which agrees with the component product without a connectedness
@@ -22,7 +27,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from math import comb, factorial
 
@@ -32,6 +37,7 @@ from .buildset import (
     BuildingSet,
     HopfElement,
     OrderedSetPartition,
+    _components_in,
     components,
     coproduct,
     from_graph,
@@ -244,21 +250,19 @@ def F_graph_colorings(g: Graph) -> QSymElement:
     return qsym.element("M", acc)
 
 
-def F_graph_recurrence(g: Graph) -> QSymElement:
-    """Vertex-deletion recurrence, memoized on the surviving vertex set.
+def _recurrence(n: int, components) -> dict:
+    """F by vertex deletion, as a {composition: coeff} dict, memoized on the
+    surviving vertex set; components(mask) lists the components there.
 
-    Connected graphs: the shifted sum over vertices of the enumerator of
-    the deletion.  Disconnected graphs: product over components.  The memo
-    holds plain {composition: coeff} dicts; the canonical element is built
-    once, for the whole graph.
+    Connected: the shifted sum over vertices of the enumerator of the
+    deletion.  Disconnected: the product over components.
     """
-    check_limit("recurrence", g.n)
     memo = {0: {(): 1}}
 
     def rec(mask: int) -> dict:
         hit = memo.get(mask)
         if hit is None:
-            comps = _components_within(g, mask)
+            comps = components(mask)
             if len(comps) > 1:
                 hit = rec(comps[0])
                 for c in comps[1:]:
@@ -272,7 +276,13 @@ def F_graph_recurrence(g: Graph) -> QSymElement:
             memo[mask] = hit
         return hit
 
-    return _element("M", rec((1 << g.n) - 1))
+    return rec((1 << n) - 1)
+
+
+def F_graph_recurrence(g: Graph) -> QSymElement:
+    """Vertex-deletion recurrence over the components of induced subgraphs."""
+    check_limit("recurrence", g.n)
+    return _element("M", _recurrence(g.n, partial(_components_within, g)))
 
 
 def F_graph(g: Graph) -> QSymElement:
@@ -670,21 +680,33 @@ def collision_search(n: int, invariant: str = "F", connected_only: bool = False)
 # Hopf morphism checks
 
 def F_of_hopf(h: HopfElement) -> QSymElement:
-    """Extend the enumerator linearly over words, multiplicatively over factors."""
-    out = zero("M")
+    """Extend the enumerator linearly over words, multiplicatively over factors.
+
+    Each distinct factor runs the recurrence once, over the components of
+    the building set.
+    """
+    by_factor = {}
+    acc = {}
     for word, c in h.terms:
-        prod = one("M")
+        prod = {(): c}
         for factor in word:
-            prod = mul(prod, F_splitting(factor))
-        out = out + prod.scale(c)
-    return out
+            if factor not in by_factor:
+                check_limit("recurrence", factor.n)
+                F = _recurrence(factor.n, partial(_components_in, factor))
+                by_factor[factor] = F.items()
+            prod = _mul_d(prod.items(), by_factor[factor])
+        for a, x in prod.items():
+            acc[a] = acc.get(a, 0) + x
+    return _element("M", acc)
 
 
 def hopf_morphism_check(b: BuildingSet) -> dict:
     """Check that the enumerator intertwines product, coproduct and antipode.
 
     The product check multiplies b by a probe building set: b itself when
-    2n <= the splitting limit - 2, else the K_2 building set.
+    2n <= the splitting limit - 2, else the K_2 building set.  The antipode
+    check sets F_of_hopf of the Takeuchi antipode (the recurrence, per
+    factor) against the qsym antipode of F_splitting(b).
     """
     check_limit("hopf", b.n)
     small = 2 * b.n <= LIMITS["splitting"].limit - 2

@@ -7,9 +7,12 @@ handled directly: members of B_max are excluded from nested sets, and
 cross-component unions are never in B, so the complex is the join of the
 component complexes (faces of product polytopes multiply).
 
+The vertices (maximal nested sets) come from the root-vertex decomposition
+instead, which visits no other nested set; see `maximal_nested_sets`.
+
 Each vertex's B-tree and coordinates come from one cover map (`_vertex`).
 Only `b_tree` and `vertex_coordinates` validate a family (a caller's);
-loops over the walk's own maximal nested sets call `_vertex` directly.
+loops over maximal_nested_sets call `_vertex` directly.
 """
 
 from __future__ import annotations
@@ -19,19 +22,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bitsets import bits
-from .buildset import BuildingSet, is_connected, maximal_members
+from .buildset import BuildingSet, _components_in, is_connected, maximal_members
 from .errors import InputError, check_limit
 
 
 def is_nested(b: BuildingSet, family) -> bool:
     """(N1) pairwise nested-or-disjoint and (N2) no disjoint union lies in B."""
     fam = sorted(set(family))
-    members = set(b.sets)
-    maxima = set(maximal_members(b))
+    members = b.member_set
     for s in fam:
         if s not in members:
             raise InputError(f"family member {bin(s)} is not in the building set")
-        if s in maxima:
+        if s in b.maxima:
             raise InputError(
                 "nested sets exclude the maximal members of the building set"
             )
@@ -47,7 +49,7 @@ def is_nested(b: BuildingSet, family) -> bool:
     return True
 
 
-def _admit(members: set, unions: list, s: int):
+def _admit(members: frozenset, unions: list, s: int):
     """The (N2) step: add member s to a nested family, or return None.
 
     Members arrive in increasing mask order, so s contains or misses each
@@ -69,9 +71,8 @@ def _admit(members: set, unions: list, s: int):
 def _walk_nested(b: BuildingSet, visit):
     """Call visit(family_tuple) once for every nested set of b."""
     check_limit("nested", b.n)
-    members = set(b.sets)
-    maxima = set(maximal_members(b))
-    cand = sorted(s for s in b.sets if s not in maxima)
+    members = b.member_set
+    cand = sorted(s for s in b.sets if s not in b.maxima)
 
     def rec(avail, family, unions):
         visit(family)
@@ -110,14 +111,34 @@ def nested_sets_by_size(b: BuildingSet) -> tuple:
 
 
 def maximal_nested_sets(b: BuildingSet) -> list:
-    """All maximal nested sets of a connected building set (size n-1 each)."""
-    if not is_connected(b):
+    """All maximal nested sets of a connected building set (size n-1 each),
+    as sorted tuples, in increasing order; [()] for the empty set.
+
+    By the root-vertex decomposition: the maximal nested sets of B|S
+    without S itself, for a member S, are the unions over v in S of the
+    products over the components C of B|(S - v) of {C} plus those of B|C.
+    They are memoized on S for one call.
+    """
+    roots = maximal_members(b)
+    if len(roots) > 1:
         raise InputError("maximal nested sets require a connected building set")
-    want = b.n - 1
-    out = []
-    _walk_nested(b, lambda fam: out.append(fam) if len(fam) == want else None)
-    out.sort()
-    return out
+    check_limit("nested", b.n)
+    memo = {}
+
+    def below(S: int) -> list:
+        hit = memo.get(S)
+        if hit is None:
+            hit = []
+            for v in bits(S):
+                fams = [()]
+                for C in _components_in(b, S & ~(1 << v)):
+                    fams = [f + (C,) + g for f in fams for g in below(C)]
+                hit += fams
+            memo[S] = hit
+        return hit
+
+    fams = below(roots[0]) if roots else [()]
+    return sorted(tuple(sorted(f)) for f in fams)
 
 
 @dataclass(frozen=True)
@@ -153,7 +174,7 @@ def _vertex(b: BuildingSet, family) -> tuple:
     Members containing I form a chain of growing masks, so the parent of I
     is the first later member containing it; i_I is I minus its children.
     """
-    nodes = sorted(family) + [b.full_mask()]
+    nodes = sorted(family) + [b.full_mask()] if b.n else []
     below = dict.fromkeys(nodes, 0)
     cover = {}
     for k, I in enumerate(nodes[:-1]):
@@ -277,8 +298,13 @@ def child_codes(shape: TreeShape) -> list:
 
 
 def tree_multiset(b: BuildingSet) -> Counter:
-    """Shapes of all B-trees with multiplicity; total equals the vertex count."""
+    """Shapes of all B-trees with multiplicity; total equals the vertex count.
+
+    Empty for n = 0: the one vertex has the empty B-tree, which has no shape.
+    """
     out = Counter()
+    if b.n == 0:
+        return out
     for fam in maximal_nested_sets(b):
         out[shape_of(_vertex(b, fam)[0])] += 1
     return out

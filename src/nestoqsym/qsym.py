@@ -156,9 +156,6 @@ class QSymElement(Combination):
 
     sort_key = staticmethod(term_key)
 
-    def degrees(self) -> set:
-        return {sum(a) for a, _ in self.terms}
-
     def __add__(self, other):
         if self.basis != other.basis:
             raise InputError(

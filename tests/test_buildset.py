@@ -110,6 +110,16 @@ def test_maximal_members_matches_definition():
         assert maximal_members(b) == quadratic_maximal_members(b)
 
 
+def test_cached_properties_leave_identity_alone():
+    b = from_graph(family("path", 4))
+    fresh = BuildingSet(b.n, b.sets)
+    assert b.member_set == frozenset(b.sets)
+    assert b.maxima == frozenset(maximal_members(b)) == {0b1111}
+    assert [s.bit_count() for s in b.by_size] == sorted(map(int.bit_count, b.sets), reverse=True)
+    assert b == fresh and hash(b) == hash(fresh) and repr(b) == repr(fresh)
+    assert repr(b) == f"BuildingSet(n=4, sets={b.sets!r})"
+
+
 def test_product_examples():
     point = BuildingSet(1, (1,))
     assert product(point, point) == discrete_building_set(2)

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import graphs
-from nestoqsym import qsym
+from nestoqsym import invariants, qsym
 from nestoqsym.bitsets import bits, mask_of
 from nestoqsym.buildset import (
     BuildingSet,
     building_set,
     discrete_building_set,
     from_graph,
+    hopf_monomial,
     takeuchi_antipode,
 )
 from nestoqsym.errors import CapacityError, InputError
@@ -475,6 +476,42 @@ def test_takeuchi_antipode_image_is_qsym_antipode():
     s = takeuchi_antipode(K2B)
     assert F_of_hopf(s) == element("M", {(2,): 2, (1, 1): 2})
     assert F_of_hopf(s) == antipode(F_splitting(K2B))
+
+
+def splitting_product(h):
+    """F of a sum of words through F_splitting of every factor (the oracle)."""
+    out = qsym.zero("M")
+    for word, c in h.terms:
+        prod = one("M")
+        for factor in word:
+            prod = mul(prod, F_splitting(factor))
+        out = out + prod.scale(c)
+    return out
+
+
+def test_F_of_hopf_matches_splitting_product_on_criterion_8_sample():
+    sample = [from_graph(g) for n in range(1, 5) for g in enumerate_graphs(n)]
+    sample += random_building_sets(20)
+    assert len(sample) == 38
+    for b in sample:
+        s = takeuchi_antipode(b)
+        assert F_of_hopf(s) == splitting_product(s), b
+
+
+def test_building_set_recurrence_matches_splitting():
+    for b in random_building_sets(300, seed=7, max_n=7) + [BuildingSet(0, ())]:
+        assert F_of_hopf(hopf_monomial(b)) == F_splitting(b), b
+
+
+def test_F_of_hopf_never_runs_the_splitting_route(monkeypatch):
+    b = from_graph(family("path", 4))
+    expected = antipode(F_splitting(b))
+
+    def refuse(*args):
+        raise AssertionError("F_of_hopf ran the splitting route")
+
+    monkeypatch.setattr(invariants, "F_splitting", refuse)
+    assert F_of_hopf(takeuchi_antipode(b)) == expected
 
 
 def test_hopf_morphism_on_random_building_sets():

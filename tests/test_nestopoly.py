@@ -1,5 +1,6 @@
 """Nested sets, B-trees, tree shapes, coordinates, linear extensions."""
 
+from collections import Counter
 from itertools import combinations, permutations, product as iproduct
 
 import pytest
@@ -7,11 +8,17 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from conftest import graphs
+from nestoqsym import nestopoly
 from nestoqsym.bitsets import mask_of
-from nestoqsym.buildset import building_set, from_graph, is_connected as bs_connected
+from nestoqsym.buildset import (
+    BuildingSet,
+    building_set,
+    from_graph,
+    is_connected as bs_connected,
+)
 from nestoqsym.errors import CapacityError, InputError
 from nestoqsym.graphs import enumerate_graphs, family, is_connected
-from nestoqsym.invariants import random_building_sets
+from nestoqsym.invariants import F_btree_route, random_building_sets
 from nestoqsym.nestopoly import (
     BTree,
     _all_coordinates,
@@ -32,6 +39,7 @@ from nestoqsym.nestopoly import (
     tree_multiset,
     vertex_coordinates,
 )
+from nestoqsym.qsym import vertex_count
 
 
 def m(*verts):
@@ -135,6 +143,43 @@ def test_maximal_nested_sets_examples():
         maximal_nested_sets(bs(2, [1], [2]))  # disconnected
     with pytest.raises(CapacityError):
         maximal_nested_sets(from_graph(family("path", 9)))
+
+
+def walked_maximal_nested_sets(b):
+    """The oracle: every nested set walked, those of size n - 1 kept."""
+    out = []
+    nestopoly._walk_nested(b, lambda fam: out.append(fam) if len(fam) == b.n - 1 else None)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("kind", ["cycle", "complete", "path", "star"])
+def test_decomposition_matches_walk_on_families_at_n8(kind):
+    b = from_graph(family(kind, 8))
+    assert maximal_nested_sets(b) == walked_maximal_nested_sets(b)
+
+
+def test_decomposition_matches_walk_on_random_sets():
+    sample = [b for b in random_building_sets(200, seed=7, max_n=6) if bs_connected(b)]
+    assert len(sample) == 138
+    for b in sample:
+        assert maximal_nested_sets(b) == walked_maximal_nested_sets(b), b
+
+
+def test_maximal_nested_sets_never_walk(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("maximal_nested_sets walked every nested set")
+
+    monkeypatch.setattr(nestopoly, "_walk_nested", refuse)
+    assert len(maximal_nested_sets(from_graph(family("cycle", 6)))) == 252
+
+
+def test_empty_building_set_has_one_vertex():
+    empty = BuildingSet(0, ())
+    assert maximal_nested_sets(empty) == nested_sets(empty) == [()]
+    assert vertex_count(F_btree_route(empty), 0) == 1
+    assert tree_multiset(empty) == Counter()
+    assert _all_coordinates(empty) == [()]
+    assert check_realization(empty)
 
 
 @given(graphs(max_n=5))
