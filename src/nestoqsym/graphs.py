@@ -134,18 +134,21 @@ def contract(g: Graph, I) -> Graph:
 
 
 def _components_within(g: Graph, mask: int) -> list:
-    """Connected components of the induced subgraph on mask, as masks."""
+    """Connected components of the induced subgraph on mask, as masks,
+    ordered by lowest vertex; a breadth-first search expands each vertex once.
+    """
+    adj = g.adj
     comps, left = [], mask
     while left:
-        seed = left & -left
-        comp = seed
-        while True:
-            grow = comp
-            for v in bits(comp):
-                grow |= g.adj[v] & mask
-            if grow == comp:
-                break
-            comp = grow
+        comp = frontier = left & -left
+        while frontier:
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                grow |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grow & left & ~comp
+            comp |= frontier
         comps.append(comp)
         left &= ~comp
     return comps

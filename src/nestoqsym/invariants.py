@@ -12,7 +12,10 @@ The four routes to the same quasisymmetric function:
 The recurrence (`_recurrence`) needs only the components of each restriction,
 so it serves building sets too: F_of_hopf runs it on every factor of a word
 of building sets, with the components of the building set in place of those
-of the graph.
+of the graph.  Its memo lists coefficients by composition code (the
+partial-sum set as a bit mask, qsym.code_table), so the shift is a prefix
+of zeros and the connected sum adds lists; X keys its memo on the block-size
+counts packed into one integer.
 
 Disconnected inputs reduce to component products everywhere (the enumerator
 is multiplicative); splitting chains are enumerated by the verbatim flag
@@ -25,7 +28,6 @@ Everything is pure and exact (no floating point anywhere).
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
@@ -73,6 +75,7 @@ from .qsym import (
     _element,
     _mul_d,
     antipode,
+    code_table,
     compositions_of,
     descent_composition,
     mul,
@@ -250,33 +253,56 @@ def F_graph_colorings(g: Graph) -> QSymElement:
     return qsym.element("M", acc)
 
 
+def _terms(mask: int, coeffs: list) -> list:
+    """(composition, coeff) pairs of a coefficient list indexed by code."""
+    by_code = code_table(mask.bit_count())[0]
+    return [(by_code[i], c) for i, c in enumerate(coeffs) if c]
+
+
 def _recurrence(n: int, components) -> dict:
     """F by vertex deletion, as a {composition: coeff} dict, memoized on the
     surviving vertex set; components(mask) lists the components there.
 
-    Connected: the shifted sum over vertices of the enumerator of the
-    deletion.  Disconnected: the product over components.
+    The memo holds, for a mask of w vertices, the coefficients of F listed
+    by composition code (qsym.code_table).  Connected: the sum over
+    vertices of the deletions, shifted; appending a part 1 sets code bit
+    w - 2, so the shift puts 2^(w - 2) zeros in front.  Disconnected: the
+    quasi-shuffle product of the components.
     """
-    memo = {0: {(): 1}}
+    memo = {0: [1]}
+    factors = {}  # component mask -> its (composition, coeff) pairs
 
-    def rec(mask: int) -> dict:
+    def factor(comp: int) -> list:
+        hit = factors.get(comp)
+        if hit is None:
+            hit = factors[comp] = _terms(comp, rec(comp))
+        return hit
+
+    def rec(mask: int) -> list:
         hit = memo.get(mask)
         if hit is None:
             comps = components(mask)
             if len(comps) > 1:
-                hit = rec(comps[0])
+                prod = factor(comps[0])
                 for c in comps[1:]:
-                    hit = _mul_d(hit.items(), rec(c).items())
+                    prod = _mul_d(prod, factor(c)).items()
+                code_of = code_table(mask.bit_count())[1]
+                hit = [0] * len(code_of)
+                for a, c in prod:
+                    hit[code_of[a]] = c
             else:
-                hit = {}
-                for v in bits(mask):
-                    for a, c in rec(mask & ~(1 << v)).items():
-                        a += (1,)
-                        hit[a] = hit.get(a, 0) + c
+                deletions, left = [], mask
+                while left:
+                    low = left & -left
+                    deletions.append(memo.get(mask ^ low) or rec(mask ^ low))
+                    left ^= low
+                hit = [0] * len(deletions[0]) if len(deletions) > 1 else []
+                hit += map(sum, zip(*deletions))
             memo[mask] = hit
         return hit
 
-    return rec((1 << n) - 1)
+    full = (1 << n) - 1
+    return dict(_terms(full, rec(full)))
 
 
 def F_graph_recurrence(g: Graph) -> QSymElement:
@@ -345,19 +371,23 @@ def chromatic_symmetric(g: Graph) -> SymElement:
     is the ordered-coloring count of the composition mu itself.
 
     It is computed from the unordered partitions of the vertices into
-    independent sets, counted by their sorted block sizes: each block
-    takes the lowest vertex not yet covered, memoized on the covered mask.
-    Ordering the blocks into the color slots of mu gives prod_i m_i!
-    colorings per partition, m_i the number of parts of mu equal to i.
+    independent sets, counted by their block sizes: each block takes the
+    lowest vertex not yet covered, memoized on the covered mask.  The block
+    sizes are kept as one integer, sum_k m_k (n + 1)^(k - 1) with m_k the
+    number of blocks of size k, so adding a block adds a constant.  Ordering
+    the blocks into the color slots of mu gives prod_k m_k! colorings per
+    partition.
     """
     check_limit("chromatic", g.n)
-    full = (1 << g.n) - 1
+    n = g.n
+    full = (1 << n) - 1
     independent = [True] * (full + 1)
     for s in range(1, full + 1):
         low = s & -s
         v = low.bit_length() - 1
         independent[s] = independent[s ^ low] and not g.adj[v] & s
-    memo = {full: {(): 1}}
+    step = [(n + 1) ** (k - 1) for k in range(n + 1)]  # one block of size k
+    memo = {full: {0: 1}}
 
     def rest(done: int) -> dict:
         hit = memo.get(done)
@@ -368,18 +398,21 @@ def chromatic_symmetric(g: Graph) -> SymElement:
             for sub in submasks(left ^ low):
                 blk = sub | low
                 if independent[blk]:
-                    k = blk.bit_count()
-                    for sizes, c in rest(done | blk).items():
-                        key = tuple(sorted(sizes + (k,), reverse=True))
+                    inc = step[blk.bit_count()]
+                    for key, c in rest(done | blk).items():
+                        key += inc
                         hit[key] = hit.get(key, 0) + c
             memo[done] = hit
         return hit
 
     counts = {}
-    for mu, c in rest(0).items():
-        for m in Counter(mu).values():
+    for key, c in rest(0).items():
+        parts = []
+        for k in range(1, n + 1):
+            key, m = divmod(key, n + 1)
+            parts += [k] * m
             c *= factorial(m)
-        counts[mu] = c
+        counts[tuple(reversed(parts))] = c
     return SymElement.of(counts)
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import factorial
 
+from .bitsets import bits
 from .errors import InputError, ParseError, check_int, check_limit
 from .graphs import json_int, load_json
 
@@ -85,6 +86,29 @@ def compositions_of(n: int) -> tuple:
         for rest in compositions_of(n - first):
             res.append((first,) + rest)
     return tuple(sorted(res, key=term_key))
+
+
+@lru_cache(maxsize=None)
+def code_table(w: int) -> tuple:
+    """(compositions of w indexed by code, {composition: code}).
+
+    The code of a composition of w is its set of partial sums below w, as a
+    bit mask over [w - 1]: bit s - 1 is set iff the first parts sum to s.
+    Appending a part 1 to a composition of w sets bit w - 1, so the codes
+    of (alpha, 1) fill the top half of the table at weight w + 1.
+    """
+    if w == 0:
+        return ((),), {(): 0}
+    _check_refinements((w,))
+    by_code = []
+    for code in range(1 << (w - 1)):
+        parts, last = [], 0
+        for s in bits(code):
+            parts.append(s + 1 - last)
+            last = s + 1
+        parts.append(w - last)
+        by_code.append(tuple(parts))
+    return tuple(by_code), {alpha: code for code, alpha in enumerate(by_code)}
 
 
 @lru_cache(maxsize=None)

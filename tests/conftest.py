@@ -41,3 +41,21 @@ def graphs(draw, max_n=6):
                 edges.append((i, j))
             k += 1
     return graph_from_edges(n, edges)
+
+
+def naive_components(g, mask):
+    """Components of g on mask by a vertex-at-a-time search, lowest first."""
+    comps, seen = [], set()
+    for s in range(g.n):
+        if not mask >> s & 1 or s in seen:
+            continue
+        comp, stack = {s}, [s]
+        while stack:
+            u = stack.pop()
+            for v in range(g.n):
+                if mask >> v & 1 and g.has_edge(u, v) and v not in comp:
+                    comp.add(v)
+                    stack.append(v)
+        seen |= comp
+        comps.append(sum(1 << v for v in comp))
+    return comps

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,23 @@ def test_invariant_all_routes(capsys):
     assert len(lines) == 4
     expansions = {line.split(": ", 1)[1] for line in lines}
     assert expansions == {"4*M[1,2,1] + 6*M[2,1,1] + 24*M[1,1,1,1]"}
+
+
+def test_module_entry_point_matches_main(capsys):
+    argv = ["invariant", "--graph", "path:4", "--route", "all"]
+    code, out, _ = run(capsys, *argv)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "nestoqsym", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, code) == (0, 0), proc.stderr
+    assert proc.stdout == out
 
 
 def test_invariant_is_byte_stable(capsys):

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from conftest import graphs
+from conftest import graphs, naive_components
 from nestoqsym.bitsets import mask_of
 from nestoqsym.errors import CapacityError, InputError, ParseError
 from nestoqsym.graphs import (
     FAMILY_KINDS,
     CanonicalForm,
+    _components_within,
     _min_code,
     _slot,
     canonical_form,
@@ -303,3 +304,9 @@ def test_components_and_connectivity():
     assert not is_connected(g)
     assert is_connected(family("cycle", 5))
     assert is_connected(graph_from_edges(1, []))
+
+
+def test_components_within_matches_naive_search_on_every_mask():
+    for g in enumerate_graphs(6):
+        for mask in range(1 << g.n):
+            assert _components_within(g, mask) == naive_components(g, mask), (g, mask)

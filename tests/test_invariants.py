@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 
-from conftest import graphs
+from conftest import graphs, naive_components
 from nestoqsym import invariants, qsym
 from nestoqsym.bitsets import bits, mask_of
 from nestoqsym.buildset import (
@@ -50,6 +50,7 @@ from nestoqsym.invariants import (
 )
 from nestoqsym.nestopoly import BTree, enumerate_tree_shapes
 from nestoqsym.qsym import (
+    _mul_d,
     antipode,
     element,
     from_fundamental,
@@ -212,6 +213,51 @@ def test_recurrence_matches_colorings_at_n7():
         assert F_graph_recurrence(g) == F_graph_colorings(g)
 
 
+def dict_recurrence(n, components):
+    """The deletion recurrence on {composition: coeff} dicts, as it stood
+    before its memo moved onto lists indexed by composition code."""
+    memo = {0: {(): 1}}
+
+    def rec(mask):
+        hit = memo.get(mask)
+        if hit is None:
+            comps = components(mask)
+            if len(comps) > 1:
+                hit = rec(comps[0])
+                for c in comps[1:]:
+                    hit = _mul_d(hit.items(), rec(c).items())
+            else:
+                hit = {}
+                for v in bits(mask):
+                    for a, c in rec(mask & ~(1 << v)).items():
+                        a += (1,)
+                        hit[a] = hit.get(a, 0) + c
+            memo[mask] = hit
+        return hit
+
+    return rec((1 << n) - 1)
+
+
+def _matches_dict_recurrence(g):
+    oracle = dict_recurrence(g.n, lambda mask: naive_components(g, mask))
+    return F_graph_recurrence(g).as_dict() == oracle
+
+
+def test_recurrence_matches_dict_recurrence_on_every_class_at_n7():
+    classes = enumerate_graphs(7)
+    assert len(classes) == 1044
+    for g in classes:
+        assert _matches_dict_recurrence(g), g
+
+
+def test_recurrence_matches_dict_recurrence_on_families_and_edgeless():
+    for kind in ("path", "cycle", "star", "complete"):
+        for n in range(3 if kind == "cycle" else 1, 12):  # C_n needs n >= 3
+            assert _matches_dict_recurrence(family(kind, n)), (kind, n)
+    for n in range(0, 5):
+        assert _matches_dict_recurrence(graph_from_edges(n, [])), n
+
+
 def test_recurrence_above_old_memo_cutoff():
     for kind in ("pe", "as", "cy", "st"):
         assert F_graph_recurrence(family_graph(kind, 10)) == family_F(kind, 10)
@@ -285,6 +331,8 @@ def test_chromatic_matches_ordered_walk():
     # the partition DP against the partition entries of the ordered walk
     cases = [g for n in range(1, 7) for g in enumerate_graphs(n)]
     cases += _random_graphs(40, 7, seed=7) + _random_graphs(40, 8, seed=8)
+    cases += [family(kind, 8) for kind in ("path", "cycle", "star", "complete")]
+    cases.append(graph_from_edges(8, []))
     for g in cases:
         by_type = ordered_colorings_by_type(g)
         walk = {mu: c for mu, c in by_type.items() if list(mu) == sorted(mu, reverse=True)}

@@ -10,6 +10,7 @@ from nestoqsym.qsym import (
     antipode,
     binomial,
     coarsenings,
+    code_table,
     compositions_of,
     coproduct,
     descent_composition,
@@ -91,6 +92,21 @@ def test_refinements_inverse_of_coarsening():
             for beta in refinements(alpha):
                 assert refines(beta, alpha)
             assert len(set(refinements(alpha))) == len(refinements(alpha))
+
+
+def test_code_table_lists_each_composition_once():
+    for w in range(0, 11):
+        by_code, code_of = code_table(w)
+        assert sorted(by_code) == sorted(compositions_of(w))
+        assert all(code_of[alpha] == code for code, alpha in enumerate(by_code))
+
+
+def test_code_of_appending_a_one_sets_the_top_bit():
+    assert code_table(1)[1] == {(1,): 0}
+    for w in range(1, 10):
+        code_of, longer = code_table(w)[1], code_table(w + 1)[1]
+        for alpha, code in code_of.items():
+            assert longer[alpha + (1,)] == code | 1 << (w - 1)
 
 
 # ---------------------------------------------------------------------------
