@@ -51,7 +51,7 @@ LIMITS = {
     "ground": Limit(32, "ground set", "vertex sets are bit masks"),
     "independence": Limit(16, "independence enumeration", "2^n vertex subsets"),
     "canonical": Limit(10, "canonical form", "matchings cost ~16x more per two vertices"),
-    "enumeration": Limit(7, "class enumeration", "12,346 classes at n = 8"),
+    "enumeration": Limit(8, "class enumeration", "274,668 classes at n = 9"),
     "graph6": Limit(62, "graph6 writer", "the size is one character"),
     # building sets
     "graphical": Limit(16, "graphical building set", "2^n connectivity tests"),
@@ -80,7 +80,7 @@ LIMITS = {
     "family check": Limit(9, "family recurrence checks", "runs the recurrence route too"),
     "kernel": Limit(7, "kernel computation", "tree shapes times 2^(n - 1) compositions"),
     "hopf": Limit(5, "Hopf checks", "Takeuchi antipode and coproduct of b"),
-    "collide": Limit(6, "collision search", "one invariant per class, 1,044 at n = 7"),
+    "collide": Limit(7, "collision search", "12,346 classes at n = 8"),
     "collide connected": Limit(7, "connected collision search", "11,117 classes at n = 8"),
 }
 

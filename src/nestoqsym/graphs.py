@@ -4,8 +4,10 @@ Vertices are 0-based internally; all I/O (JSON edge lists, error messages,
 CLI) is 1-based.  A canonical form is the smallest column-major edge code
 (graph6 bit order) over all relabelings, found by a search that places one
 vertex per position from the top down and keeps only the partial labelings
-whose columns so far are smallest.  Classes are enumerated by adding one
-edge at a time to the representatives with one edge fewer.
+whose columns so far are smallest.  Classes are enumerated by orderly
+generation (Read, "Every one a winner", Ann. Discrete Math. 2, 1978), run
+on complements: a depth-first search from K_n deletes edges and keeps a
+child only if its code is minimal, which the search tests with an early exit.
 """
 
 from __future__ import annotations
@@ -231,8 +233,9 @@ class CanonicalForm:
     code: int
 
 
-def _min_code(n: int, adj) -> int:
-    """Smallest edge code over all relabelings, position n-1 filled first.
+def _min_code(n: int, adj, beat: int = 0) -> int:
+    """Smallest edge code over all relabelings, position n-1 filled first;
+    -1 as soon as that minimum is known to lie below the code beat.
 
     The high columns of the code decide the low ones: a state is an ordered
     partition of the unplaced vertices into cells, each owning a contiguous
@@ -241,12 +244,15 @@ def _min_code(n: int, adj) -> int:
     on the lowest positions of every cell, so its column depends only on
     its neighbor count per cell.  Candidates with the smallest column go on,
     each cell split into neighbors below non-neighbors; equal partitions
-    lead to equal completions, so states are kept as a set.
+    lead to equal completions, so states are kept as a set.  While the
+    columns placed equal beat's, a candidate column below beat's at p
+    proves the minimum smaller than beat; beat = 0 never exits.
     """
     code = 0
     states = {((1 << n) - 1,)}
     for p in range(n - 1, 0, -1):
         best, nxt = 1 << p, set()  # above every p-bit column
+        goal = beat >> p * (p - 1) // 2 & (1 << p) - 1
         for cells in states:
             top = cells[-1]
             for v in bits(top):
@@ -257,6 +263,8 @@ def _min_code(n: int, adj) -> int:
                 for c in rest:
                     col |= ((1 << (nb & c).bit_count()) - 1) << off
                     off += c.bit_count()
+                if col < goal:
+                    return -1
                 if col > best:
                     continue
                 if col < best:
@@ -290,33 +298,36 @@ def permuted(g: Graph, sigma) -> Graph:
 
 
 def enumerate_graphs(n: int, connected_only: bool = False) -> list:
-    """One representative per isomorphism class, by edge augmentation.
+    """One representative per isomorphism class, by orderly edge deletion.
 
-    The classes with m + 1 edges are the minimal codes of the classes with
-    m edges plus one absent edge.  Deterministic: representatives are the
-    numerically smallest edge codes, listed in increasing order.
+    Read's rule on complements: adding the edge at the lowest empty slot z
+    of a minimal code gives a minimal code, so every class but K_n has one
+    parent.  From K_n, a depth-first search removes each edge below z and
+    keeps the child iff `_min_code` cannot beat its code.  Deleting edges
+    never reconnects a graph, so connected_only drops a disconnected child
+    with its subtree.  Representatives are the numerically smallest edge
+    codes, listed in increasing order.
     """
     if n < 1:
         raise InputError(f"class enumeration needs n >= 1, got {n}")
     check_limit("enumeration", n)
     slots = [(i, j) for j in range(n) for i in range(j)]
-    level, reps = [0], [0]
-    for _ in slots:
-        grown = set()
-        for code in level:
-            adj = _graph_from_code(n, code).adj
-            for s, (i, j) in enumerate(slots):
-                if not code >> s & 1:
-                    a = list(adj)
-                    a[i] |= 1 << j
-                    a[j] |= 1 << i
-                    grown.add(_min_code(n, a))
-        level = grown
-        reps.extend(level)
-    graphs = [_graph_from_code(n, code) for code in sorted(reps)]
-    if connected_only:
-        graphs = [g for g in graphs if is_connected(g)]
-    return graphs
+    reps, stack = {}, [((1 << len(slots)) - 1, len(slots), family("complete", n))]
+    while stack:
+        code, z, g = stack.pop()
+        reps[code] = g
+        for s in range(z):  # every slot below z holds an edge
+            i, j = slots[s]
+            a = list(g.adj)
+            a[i] ^= 1 << j
+            a[j] ^= 1 << i
+            child = Graph(n, tuple(a))
+            if connected_only and not is_connected(child):
+                continue
+            c = code ^ 1 << s
+            if _min_code(n, a, c) == c:
+                stack.append((c, s, child))
+    return [reps[code] for code in sorted(reps)]
 
 
 # ---------------------------------------------------------------------------

@@ -256,20 +256,24 @@ def test_collide_n6_pinned_groups(capsys):
 
 
 def test_collide_n7_pinned_digests(capsys):
-    # sha256 of the --json stdout, and the README counts: 853 classes, F 810
-    # values in 41 groups, X 759 values in 82 groups
+    # sha256 of the --json stdout, and the README counts: 853 connected
+    # classes, F 810 values in 41 groups, X 759 values in 82 groups; 1,044
+    # classes in all, F 998 values in 44 groups, X 939 values in 93 groups
     pinned = {
-        "F": (810, 41, "d7e81df35b2dff2053170ac97967dfa2fbc6b5c17e6205dec168d54e77569542"),
-        "X": (759, 82, "b26c51152558ea39f079664b7af880f76727307f690a15cd8817140e9383ea6a"),
+        ("F", "--connected"): (853, 810, 41, "d7e81df35b2dff2053170ac97967dfa2fbc6b5c17e6205dec168d54e77569542"),
+        ("X", "--connected"): (853, 759, 82, "b26c51152558ea39f079664b7af880f76727307f690a15cd8817140e9383ea6a"),
+        ("F",): (1044, 998, 44, "11e30d1849dcb021fd9bee96c010cb786661c03c5a3a3d6ca0007fb40b882ddb"),
+        ("X",): (1044, 939, 93, "f586a3a806d26fd5bcbd7a9474b93fbea888916d044e279be9a7d2164fab060b"),
     }
-    for inv, (values, groups, digest) in pinned.items():
+    for (inv, *flags), (classes, values, groups, digest) in pinned.items():
         code, out, _ = run(
-            capsys, "collide", "--n", "7", "--connected", "--invariant", inv, "--json"
+            capsys, "collide", "--n", "7", *flags, "--invariant", inv, "--json"
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["classes"] == 853
+        assert payload["classes"] == classes
         assert (payload["values"], len(payload["collisions"])) == (values, groups)
+        assert payload["f_separates"] is (None if inv == "F" else False)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

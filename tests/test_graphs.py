@@ -15,6 +15,7 @@ from nestoqsym.graphs import (
     FAMILY_KINDS,
     CanonicalForm,
     _components_within,
+    _graph_from_code,
     _min_code,
     _slot,
     canonical_form,
@@ -167,7 +168,12 @@ def _all_graphs(n):
 
 
 def _assert_min_code_matches_oracle(g):
-    assert _min_code(g.n, g.adj) == _exhaustive_min_code(g.n, g.edges()), g
+    best = _exhaustive_min_code(g.n, g.edges())
+    assert _min_code(g.n, g.adj) == best, g
+    # the early exit: asked to beat the graph's own code, the search gives
+    # that code back iff it is minimal, and -1 otherwise
+    own = edge_code(g)
+    assert _min_code(g.n, g.adj, own) == (own if own == best else -1), g
 
 
 def test_min_code_matches_exhaustive_oracle():
@@ -189,23 +195,59 @@ def test_min_code_matches_exhaustive_oracle():
     assert canonical_form(graph_from_edges(1, [])) == CanonicalForm(1, 0)
 
 
-# sha256 of the comma-joined decimal edge codes of enumerate_graphs(7), in
-# order, as the orbit-marking enumeration over all 5040 relabelings gave them
+# sha256 of the comma-joined decimal edge codes of enumerate_graphs(n), in
+# order: n = 7 as the orbit-marking enumeration over all 5040 relabelings
+# gave them, n = 8 as the level-by-level augmentation below gave them
 ENUMERATION_7_SHA256 = "cb0450eee4c3f597f4eb71166861586c9206aa5166d274300f16003ec6288482"
+ENUMERATION_8_SHA256 = "fd9bc0ba447767cbcad7b315e31b56ad5b4d64c1bf07eec287675d4ce2b877b3"
 
 
 def test_enumerate_graphs_counts():
-    classes = [enumerate_graphs(n) for n in range(1, 8)]
-    assert [len(reps) for reps in classes] == [1, 2, 4, 11, 34, 156, 1044]
-    assert [len(enumerate_graphs(n, connected_only=True)) for n in range(1, 8)] == [
-        1, 1, 2, 6, 21, 112, 853
-    ]
-    codes = [edge_code(g) for g in classes[-1]]
-    assert codes == sorted(codes)
-    digest = hashlib.sha256(",".join(map(str, codes)).encode()).hexdigest()
-    assert digest == ENUMERATION_7_SHA256
+    # OEIS A000088 and A001349
+    classes = [enumerate_graphs(n) for n in range(1, 9)]
+    assert [len(reps) for reps in classes] == [1, 2, 4, 11, 34, 156, 1044, 12346]
+    connected = [enumerate_graphs(n, connected_only=True) for n in range(1, 9)]
+    assert [len(reps) for reps in connected] == [1, 1, 2, 6, 21, 112, 853, 11117]
+    for reps, conn in zip(classes, connected):
+        assert conn == [g for g in reps if is_connected(g)]
+    for reps, pinned in ((classes[6], ENUMERATION_7_SHA256), (classes[7], ENUMERATION_8_SHA256)):
+        codes = [edge_code(g) for g in reps]
+        assert codes == sorted(codes)
+        assert hashlib.sha256(",".join(map(str, codes)).encode()).hexdigest() == pinned
     with pytest.raises(CapacityError):
-        enumerate_graphs(8)
+        enumerate_graphs(9)
+
+
+def augmented_codes(n, connected_only=False):
+    """Oracle: the level-by-level augmentation that orderly deletion replaced.
+
+    The classes with m + 1 edges are the minimal codes of the classes with
+    m edges plus one absent edge, deduplicated in a set.
+    """
+    slots = [(i, j) for j in range(n) for i in range(j)]
+    level, reps = [0], [0]
+    for _ in slots:
+        grown = set()
+        for code in level:
+            adj = _graph_from_code(n, code).adj
+            for s, (i, j) in enumerate(slots):
+                if not code >> s & 1:
+                    a = list(adj)
+                    a[i] |= 1 << j
+                    a[j] |= 1 << i
+                    grown.add(_min_code(n, a))
+        level = grown
+        reps.extend(level)
+    if connected_only:
+        reps = [c for c in reps if is_connected(_graph_from_code(n, c))]
+    return sorted(reps)
+
+
+def test_enumerate_graphs_matches_augmentation_oracle():
+    for n in range(1, 7):
+        for connected_only in (False, True):
+            codes = [edge_code(g) for g in enumerate_graphs(n, connected_only)]
+            assert codes == augmented_codes(n, connected_only), (n, connected_only)
 
 
 def test_enumerate_graphs_agrees_with_canonical_dedup():

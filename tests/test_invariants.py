@@ -495,7 +495,7 @@ def test_collision_search_small():
     r = collision_search(2, "F")
     assert r.class_count == 2 and r.value_count == 2 and not r.collisions
     with pytest.raises(CapacityError):
-        collision_search(7, "F")
+        collision_search(8, "F")
     with pytest.raises(InputError):
         collision_search(3, "Y")
 

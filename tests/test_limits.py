@@ -134,7 +134,7 @@ CAPACITY_ARGV = [
     ("polytope", "--family", "pe", "--n", "9", "--coords"),
     ("polytope", "--family", "as", "--n", "9", "--fvector"),
     ("polytope", "--family", "st", "--n", "11"),
-    ("collide", "--n", "7"),
+    ("collide", "--n", "8"),
     ("collide", "--n", "8", "--connected"),
     ("trees", "--n", "8", "--kernel"),
     ("trees", "--n", "10"),
