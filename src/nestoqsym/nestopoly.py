@@ -1,14 +1,14 @@
 """Nested sets, B-trees, tree shapes and vertex coordinates of nestohedra.
 
-Nested sets are enumerated by depth-first extension in increasing member
-order with incremental (N1)/(N2) pruning; both violations are monotone
-under extension, so pruning is safe.  Disconnected building sets are
-handled directly: members of B_max are excluded from nested sets, and
+The faces of the nestohedron P_B are the nested sets of B and its vertices
+the maximal ones; both come from one root-block decomposition (Postnikov,
+"Permutohedra, associahedra, and beyond", 2009, section 7).  A nested set
+of a connected B|S that leaves S out has top-level members covering S - R
+for a nonempty root block R, and those members are exactly the components
+of B|(S - R); see `_nested`.  Disconnected building sets are handled
+directly: members of B_max are excluded from nested sets, and
 cross-component unions are never in B, so the complex is the join of the
 component complexes (faces of product polytopes multiply).
-
-The vertices (maximal nested sets) come from the root-vertex decomposition
-instead, which visits no other nested set; see `maximal_nested_sets`.
 
 Each vertex's B-tree and coordinates come from one cover map (`_vertex`).
 Only `b_tree` and `vertex_coordinates` validate a family (a caller's);
@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bitsets import bits
+from .bitsets import bits, nonempty_submasks
 from .buildset import BuildingSet, _components_in, is_connected, maximal_members
 from .errors import InputError, check_limit
 
@@ -41,61 +41,63 @@ def is_nested(b: BuildingSet, family) -> bool:
         for t in fam[i + 1 :]:
             if s & t and (s | t) != s and (s | t) != t:
                 return False
+    # (N2): members arrive in increasing mask order, so s contains or misses
+    # each top-level member so far (those inside no other), and unions lists
+    # the unions of nonempty sets of top-level members.  A union of disjoint
+    # members that lies in B forces a union of two or more children of one
+    # node into B (lift a member whose parent is lowest to that parent; the
+    # union grows and stays in B).  The children of s were tested against
+    # each other while they were top level, so s is tested only against the
+    # unions of the top-level members it misses.
     unions = []
     for s in fam:
-        unions = _admit(members, unions, s)
-        if unions is None:
+        free = [u for u in unions if not u & s]
+        joined = [u | s for u in free]
+        if not members.isdisjoint(joined):
             return False
+        unions = free + joined + [s]
     return True
 
 
-def _admit(members: frozenset, unions: list, s: int):
-    """The (N2) step: add member s to a nested family, or return None.
+def _nested(b: BuildingSet, blocks) -> list:
+    """Nested sets of b as unsorted tuples, with root blocks from blocks(S).
 
-    Members arrive in increasing mask order, so s contains or misses each
-    top-level member so far (those inside no other), and unions lists the
-    unions of nonempty sets of top-level members.  A union of disjoint
-    members that lies in B forces a union of two or more children of one
-    node into B (lift a member whose parent is lowest to that parent; the
-    union grows and stays in B).  The children of s were tested against
-    each other while they were top level, so s is tested only against the
-    unions of the top-level members it misses.
+    The nested sets of a connected B|S that leave S out are, summed over
+    nonempty root blocks R inside S, the products over the components C of
+    B|(S - R) of {C} plus the nested sets of B|C.  R is nonempty, since
+    otherwise the top-level members would split S into a disjoint union
+    lying in B; and the top-level members are exactly those components,
+    since a member inside their union that meets two of them would put
+    their union in B.  R is the part of S no top-level member covers, so
+    each nested set arises once.  Every nonempty R gives all nested sets,
+    one-vertex blocks the maximal ones.  The lists are memoized on S for
+    one call; b's nested sets are the products over its maximal members.
     """
-    free = [u for u in unions if not u & s]
-    joined = [u | s for u in free]
-    if not members.isdisjoint(joined):
-        return None
-    return free + joined + [s]
-
-
-def _walk_nested(b: BuildingSet, visit):
-    """Call visit(family_tuple) once for every nested set of b."""
     check_limit("nested", b.n)
-    members = b.member_set
-    cand = sorted(s for s in b.sets if s not in b.maxima)
+    memo = {}
 
-    def rec(avail, family, unions):
-        visit(family)
-        for idx, s in enumerate(avail):
-            new_unions = _admit(members, unions, s)
-            if new_unions is None:
-                continue
-            new_avail = [
-                t
-                for t in avail[idx + 1 :]
-                if t & s == 0 or (t | s) == s or (t | s) == t
-            ]
-            rec(new_avail, family + (s,), new_unions)
+    def below(S: int) -> list:
+        hit = memo.get(S)
+        if hit is None:
+            hit = []
+            for R in blocks(S):
+                fams = [()]
+                for C in _components_in(b, S & ~R):
+                    fams = [f + (C,) + g for f in fams for g in below(C)]
+                hit += fams
+            memo[S] = hit
+        return hit
 
-    rec(cand, (), [])
+    fams = [()]
+    for M in maximal_members(b):
+        fams = [f + g for f in fams for g in below(M)]
+    memo.clear()  # below's closure is a cycle, so the memo would outlive the call
+    return fams
 
 
 def nested_sets(b: BuildingSet) -> list:
-    """All nested sets as tuples of member masks, lexicographically ordered."""
-    out = []
-    _walk_nested(b, out.append)
-    out.sort()
-    return out
+    """All nested sets as sorted tuples of member masks, in increasing order."""
+    return sorted(tuple(sorted(f)) for f in _nested(b, nonempty_submasks))
 
 
 def nested_sets_by_size(b: BuildingSet) -> tuple:
@@ -104,40 +106,19 @@ def nested_sets_by_size(b: BuildingSet) -> tuple:
     For connected B the top cardinality is n-1 and its count is the vertex
     count of the nestohedron; the size-1 count is mu(B) - 1, the facets.
     """
-    counts = Counter()
-    _walk_nested(b, lambda fam: counts.update([len(fam)]))
-    top = max(counts)
-    return tuple(counts.get(k, 0) for k in range(top + 1))
+    counts = Counter(map(len, _nested(b, nonempty_submasks)))
+    return tuple(counts[k] for k in range(max(counts) + 1))
 
 
 def maximal_nested_sets(b: BuildingSet) -> list:
     """All maximal nested sets of a connected building set (size n-1 each),
     as sorted tuples, in increasing order; [()] for the empty set.
 
-    By the root-vertex decomposition: the maximal nested sets of B|S
-    without S itself, for a member S, are the unions over v in S of the
-    products over the components C of B|(S - v) of {C} plus those of B|C.
-    They are memoized on S for one call.
+    These are the nested sets whose root blocks are all single vertices.
     """
-    roots = maximal_members(b)
-    if len(roots) > 1:
+    if len(b.maxima) > 1:
         raise InputError("maximal nested sets require a connected building set")
-    check_limit("nested", b.n)
-    memo = {}
-
-    def below(S: int) -> list:
-        hit = memo.get(S)
-        if hit is None:
-            hit = []
-            for v in bits(S):
-                fams = [()]
-                for C in _components_in(b, S & ~(1 << v)):
-                    fams = [f + (C,) + g for f in fams for g in below(C)]
-                hit += fams
-            memo[S] = hit
-        return hit
-
-    fams = below(roots[0]) if roots else [()]
+    fams = _nested(b, lambda S: (1 << v for v in bits(S)))
     return sorted(tuple(sorted(f)) for f in fams)
 
 
@@ -163,7 +144,7 @@ def _checked_family(b: BuildingSet, family) -> list:
     if not is_connected(b):
         raise InputError("this computation requires a connected building set")
     fam = sorted(set(family))
-    if len(fam) != b.n - 1 or not is_nested(b, fam):
+    if len(fam) != max(b.n - 1, 0) or not is_nested(b, fam):
         raise InputError("not a maximal nested set")
     return fam
 

@@ -1,5 +1,8 @@
+import signal
+
 import hypothesis
 import hypothesis.strategies as st
+import pytest
 
 from nestoqsym import qsym
 from nestoqsym.graphs import graph_from_edges
@@ -8,6 +11,30 @@ hypothesis.settings.register_profile(
     "suite", max_examples=40, deadline=None, derandomize=True
 )
 hypothesis.settings.load_profile("suite")
+
+# Every test call runs under a SIGALRM limit far above the slowest test
+# (about 5 s), so a test that hangs fails instead of blocking the run.
+TEST_SECONDS = 60
+
+
+class TimeLimitExceeded(BaseException):
+    """Not an Exception, so hypothesis lets it through instead of catching
+    it and re-running the test, alarm spent, to shrink the example."""
+
+
+def _time_up(signum, frame):
+    raise TimeLimitExceeded(f"test ran past its {TEST_SECONDS} s limit")
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    previous = signal.signal(signal.SIGALRM, _time_up)
+    signal.setitimer(signal.ITIMER_REAL, TEST_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 compositions = st.lists(st.integers(1, 4), min_size=0, max_size=4).map(tuple)

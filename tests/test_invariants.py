@@ -439,6 +439,40 @@ def test_thm72_passes_on_small_classes():
             assert check_thm72(g)["passed"]
 
 
+def rebuilt_separator_cases(g):
+    """Part (c) the literal way: every q-set's graph minus S is rebuilt with
+    `induced` and split into components once per (q, k)."""
+    from itertools import combinations
+    from math import factorial, prod
+
+    from nestoqsym.graphs import components, connectivity, induced
+
+    n, cases = g.n, []
+    for q in range(1, connectivity(g) + 1):
+        for k in range(2, n - q + 1):
+            scale = factorial(n - q - k) * factorial(q)
+            transversal = literal = 0
+            for S in combinations(range(n), q):
+                keep = [v for v in range(n) if v not in S]
+                sizes = [c.bit_count() for c in components(induced(g, keep))]
+                transversal += scale * sum(prod(p) for p in combinations(sizes, k))
+                if len(sizes) == k:
+                    literal += scale * prod(sizes)
+            cases.append((q, k, transversal, literal))
+    return cases
+
+
+def test_thm72_separator_counts_match_rebuilt_graphs():
+    total = 0
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            cases = check_thm72(g)["c"]["cases"]
+            got = [(c["q"], c["k"], c["transversal"], c["literal"]) for c in cases]
+            assert got == rebuilt_separator_cases(g), g
+            total += len(got)
+    assert total == 103
+
+
 # ---------------------------------------------------------------------------
 # families
 

@@ -8,7 +8,6 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from conftest import graphs
-from nestoqsym import nestopoly
 from nestoqsym.bitsets import mask_of
 from nestoqsym.buildset import (
     BuildingSet,
@@ -138,6 +137,7 @@ def test_nested_sets_enumeration_is_complete():
 def test_maximal_nested_sets_examples():
     assert len(maximal_nested_sets(from_graph(family("path", 3)))) == 5
     assert len(maximal_nested_sets(from_graph(family("complete", 4)))) == 24
+    assert len(maximal_nested_sets(from_graph(family("cycle", 6)))) == 252
     assert maximal_nested_sets(SEGMENT) == [(m(1),), (m(2),)]
     with pytest.raises(InputError):
         maximal_nested_sets(bs(2, [1], [2]))  # disconnected
@@ -145,11 +145,49 @@ def test_maximal_nested_sets_examples():
         maximal_nested_sets(from_graph(family("path", 9)))
 
 
+def walked_nested_sets(b, size=None):
+    """The oracle: every nested set (of the given size), sorted, by
+    depth-first extension.
+
+    Members are added in increasing mask order with incremental (N1)/(N2)
+    pruning; both violations are monotone under extension, so pruning is
+    safe.  unions lists the unions of nonempty sets of top-level members,
+    and a new member s is tested only against those it misses.
+    """
+    members = b.member_set
+    out = []
+
+    def rec(avail, family, unions):
+        if size in (None, len(family)):
+            out.append(family)
+        for idx, s in enumerate(avail):
+            free = [u for u in unions if not u & s]
+            joined = [u | s for u in free]
+            if not members.isdisjoint(joined):
+                continue
+            rest = [t for t in avail[idx + 1 :] if t & s == 0 or t | s in (s, t)]
+            rec(rest, family + (s,), free + joined + [s])
+
+    rec(sorted(s for s in b.sets if s not in b.maxima), (), [])
+    return sorted(out)
+
+
 def walked_maximal_nested_sets(b):
     """The oracle: every nested set walked, those of size n - 1 kept."""
-    out = []
-    nestopoly._walk_nested(b, lambda fam: out.append(fam) if len(fam) == b.n - 1 else None)
-    return sorted(out)
+    return walked_nested_sets(b, max(b.n - 1, 0))
+
+
+def assert_matches_walk(b):
+    walked = walked_nested_sets(b)
+    assert nested_sets(b) == walked, b
+    sizes = Counter(map(len, walked))
+    assert nested_sets_by_size(b) == tuple(sizes[k] for k in range(max(sizes) + 1)), b
+    if bs_connected(b):
+        top = max(b.n - 1, 0)
+        assert maximal_nested_sets(b) == [f for f in walked if len(f) == top], b
+    else:
+        with pytest.raises(InputError):
+            maximal_nested_sets(b)
 
 
 @pytest.mark.parametrize("kind", ["cycle", "complete", "path", "star"])
@@ -158,19 +196,19 @@ def test_decomposition_matches_walk_on_families_at_n8(kind):
     assert maximal_nested_sets(b) == walked_maximal_nested_sets(b)
 
 
+def test_decomposition_matches_walk_on_graphical_sets():
+    # every graph with n <= 5, connected or not, and the empty set
+    sample = [from_graph(g) for n in range(1, 6) for g in enumerate_graphs(n)]
+    for b in sample + [BuildingSet(0, ())]:
+        assert_matches_walk(b)
+    assert len(sample) == 52
+
+
 def test_decomposition_matches_walk_on_random_sets():
-    sample = [b for b in random_building_sets(200, seed=7, max_n=6) if bs_connected(b)]
-    assert len(sample) == 138
+    sample = random_building_sets(200, seed=7, max_n=6)
+    assert sum(map(bs_connected, sample)) == 138
     for b in sample:
-        assert maximal_nested_sets(b) == walked_maximal_nested_sets(b), b
-
-
-def test_maximal_nested_sets_never_walk(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("maximal_nested_sets walked every nested set")
-
-    monkeypatch.setattr(nestopoly, "_walk_nested", refuse)
-    assert len(maximal_nested_sets(from_graph(family("cycle", 6)))) == 252
+        assert_matches_walk(b)
 
 
 def test_empty_building_set_has_one_vertex():
@@ -179,6 +217,8 @@ def test_empty_building_set_has_one_vertex():
     assert vertex_count(F_btree_route(empty), 0) == 1
     assert tree_multiset(empty) == Counter()
     assert _all_coordinates(empty) == [()]
+    assert b_tree(empty, ()) == BTree(0, ())
+    assert vertex_coordinates(empty, ()) == ()
     assert check_realization(empty)
 
 
