@@ -1,4 +1,5 @@
-"""Small helpers for subsets of [n] encoded as machine-word bit masks."""
+"""Small helpers for subsets of [n] encoded as machine-word bit masks, and
+the one memoized walk over ordered set partitions built from them."""
 
 from __future__ import annotations
 
@@ -18,6 +19,14 @@ def bits(mask: int):
         mask ^= low
 
 
+def singletons(mask: int):
+    """Yield the one-bit submasks of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
 def submasks(mask: int):
     """All submasks of mask, including 0 and mask itself."""
     sub = mask
@@ -33,3 +42,34 @@ def nonempty_submasks(mask: int):
     while sub:
         yield sub
         sub = (sub - 1) & mask
+
+
+def flag_walk(n: int, admissible, key=int.bit_count, blocks=nonempty_submasks) -> dict:
+    """Ordered set partitions of [n] whose blocks come from blocks(rest) and
+    pass admissible(done, block), counted by their sequence of key(block).
+
+    The continuations depend on the covered mask alone, so they are memoized
+    on it: each (done, block) pair is tested once, 3^n tests for all blocks.
+    key=int lists the partitions themselves, each counted once, and
+    blocks=singletons walks orderings.  Keys come in depth-first order,
+    blocks in the order blocks(rest) yields them.
+    """
+    full = (1 << n) - 1
+    memo = {full: {(): 1}}
+
+    def rest(done: int) -> dict:
+        hit = memo.get(done)
+        if hit is None:
+            hit = {}
+            for blk in blocks(full & ~done):
+                if admissible(done, blk):
+                    k = (key(blk),)
+                    for seq, c in rest(done | blk).items():
+                        seq = k + seq
+                        hit[seq] = hit.get(seq, 0) + c
+            memo[done] = hit
+        return hit
+
+    out = rest(0)
+    memo.clear()  # rest's closure is a cycle, so the memo would outlive the call
+    return out

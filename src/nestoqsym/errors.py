@@ -58,7 +58,7 @@ LIMITS = {
     "coproduct": Limit(12, "coproduct", "2^n coproduct terms"),
     "takeuchi": Limit(6, "Takeuchi antipode", "one chain per ordered set partition"),
     # quasisymmetric functions
-    "weight": Limit(4096, "composition weight", "the L-basis antipode writes w letters", "w"),
+    "weight": Limit(4096, "composition weight", "the L-basis antipode scans w positions per term", "w"),
     "refinements": Limit(16, "refinements of a term", "2^(w - l) per term", "w - l"),
     "coarsenings": Limit(16, "coarsenings of a term", "2^(l - 1) per term", "l - 1"),
     # nested sets and trees

@@ -3,8 +3,8 @@
 The four routes to the same quasisymmetric function:
 
   * F_splitting       -- counts splitting chains of the building set by the
-                         flag condition (splitting_chains lists them, the
-                         brute-force oracle),
+                         flag condition, on bitsets.flag_walk (which also
+                         lists them for splitting_chains),
   * F_btree_route     -- sums tree enumerators over the B-trees at vertices,
   * F_graph_colorings -- counts ordered colorings of the graph,
   * F_graph_recurrence -- vertex-deletion recurrence with a shift.
@@ -34,7 +34,7 @@ from itertools import combinations
 from math import comb, factorial, prod
 
 from . import qsym
-from .bitsets import bits, mask_of, nonempty_submasks, submasks
+from .bitsets import bits, flag_walk, mask_of, nonempty_submasks, submasks
 from .buildset import (
     BuildingSet,
     HopfElement,
@@ -89,82 +89,34 @@ from .qsym import (
 # ---------------------------------------------------------------------------
 # splitting chains
 
-def _pair_index(b: BuildingSet) -> dict:
-    """(u, v) -> members containing both, smallest first (fast early exit)."""
-    idx = {}
-    for s in sorted(b.sets, key=int.bit_count):
-        if s.bit_count() < 2:
-            continue
-        vs = list(bits(s))
-        for i, u in enumerate(vs):
-            for v in vs[i + 1 :]:
-                idx.setdefault((u, v), []).append(s)
-    return idx
+def _discrete_step(b: BuildingSet):
+    """The flag condition as admissible(done, block): (B restricted to
+    done | block) / done is discrete iff no member inside done | block meets
+    block in two or more vertices.  Members of two or more vertices are
+    scanned smallest first; a one-vertex block passes without a scan."""
+    wide = sorted((s for s in b.sets if s & (s - 1)), key=int.bit_count)
 
-
-def _block_ok(pair_index, done: int, block: int) -> bool:
-    # (B restricted to done|block) / done is discrete iff no member inside
-    # done|block meets block in >= 2 vertices; singleton blocks pass outright
-    if block & (block - 1) == 0:
-        return True
-    inside = done | block
-    vs = list(bits(block))
-    for i, u in enumerate(vs):
-        for v in vs[i + 1 :]:
-            for s in pair_index.get((u, v), ()):
-                if s & ~inside == 0:
+    def admissible(done: int, block: int) -> bool:
+        if block & (block - 1):
+            inside = done | block
+            for s in wide:
+                meet = s & block
+                if meet & (meet - 1) and s & ~inside == 0:
                     return False
-    return True
+        return True
+
+    return admissible
 
 
 def splitting_chains(b: BuildingSet) -> list:
     """Every splitting chain, as the ordered set partition of its steps."""
     check_limit("splitting chains", b.n)
-    pairs = _pair_index(b)
-    full = (1 << b.n) - 1
-    out = []
-
-    def rec(done: int, blocks: tuple):
-        if done == full:
-            out.append(OrderedSetPartition(b.n, blocks))
-            return
-        for blk in nonempty_submasks(full & ~done):
-            if _block_ok(pairs, done, blk):
-                rec(done | blk, blocks + (blk,))
-
-    rec(0, ())
-    return out
-
-
-def _flag_dp(n: int, admissible) -> dict:
-    """Ordered set partitions of [n] whose every block passes
-    admissible(done, block), counted by block-size sequence.
-
-    The count of the continuations depends on the covered mask alone, so it
-    is memoized on it: each (done, block) pair is tested once, 3^n tests.
-    """
-    full = (1 << n) - 1
-    memo = {full: {(): 1}}
-
-    def rest(done: int) -> dict:
-        hit = memo.get(done)
-        if hit is None:
-            hit = {}
-            for blk in nonempty_submasks(full & ~done):
-                if admissible(done, blk):
-                    k = blk.bit_count()
-                    for sizes, c in rest(done | blk).items():
-                        key = (k,) + sizes
-                        hit[key] = hit.get(key, 0) + c
-            memo[done] = hit
-        return hit
-
-    return rest(0)
+    chains = flag_walk(b.n, _discrete_step(b), key=int)
+    return [OrderedSetPartition(b.n, blocks) for blocks in chains]
 
 
 def _splitting_types(b: BuildingSet) -> dict:
-    pairs = _pair_index(b)
-    return _flag_dp(b.n, lambda done, blk: _block_ok(pairs, done, blk))
+    return flag_walk(b.n, _discrete_step(b))
 
 
 def zeta(b: BuildingSet, alpha) -> int:
@@ -195,13 +147,10 @@ def _f_shape(code: str) -> QSymElement:
 
 def F_tree(tree) -> QSymElement:
     """Enumerator of strictly root-increasing maps on a tree or forest."""
-    if isinstance(tree, TreeShape):
-        shapes = (tree,)
-    else:
-        check_limit("tree enumerators", tree.n)
-        shapes = forest_shapes(tree)
+    one_tree = isinstance(tree, TreeShape)
+    check_limit("tree enumerators", tree.size if one_tree else tree.n)
     out = one("M")
-    for sh in shapes:
+    for sh in (tree,) if one_tree else forest_shapes(tree):
         out = mul(out, _f_shape(sh.code))
     return out
 
@@ -417,7 +366,7 @@ def chromatic_symmetric(g: Graph) -> SymElement:
 def ordered_colorings_by_type(g: Graph) -> dict:
     """Proper-coloring ordered set partitions counted by size sequence."""
     check_limit("chromatic", g.n)
-    return _flag_dp(g.n, lambda done, blk: all(g.adj[v] & blk == 0 for v in bits(blk)))
+    return flag_walk(g.n, lambda done, blk: all(g.adj[v] & blk == 0 for v in bits(blk)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bitsets import bits, nonempty_submasks
+from .bitsets import bits, flag_walk, nonempty_submasks, singletons
 from .buildset import BuildingSet, _components_in, is_connected, maximal_members
 from .errors import InputError, check_limit
 
@@ -118,7 +118,7 @@ def maximal_nested_sets(b: BuildingSet) -> list:
     """
     if len(b.maxima) > 1:
         raise InputError("maximal nested sets require a connected building set")
-    fams = _nested(b, lambda S: (1 << v for v in bits(S)))
+    fams = _nested(b, singletons)
     return sorted(tuple(sorted(f)) for f in fams)
 
 
@@ -351,44 +351,37 @@ def _descending_labels(tree: BTree) -> list:
     return omega
 
 
-def extension_listings(tree: BTree) -> list:
-    """All orderings of the vertices placing every child before its parent."""
+def _extensions(tree: BTree, labels) -> dict:
+    """Orderings of the vertices placing every child before its parent, each
+    read as its sequence of labels[v]: the flag walk over singletons, which
+    admits a vertex once its children are placed."""
     check_limit("extensions", tree.n)
-    ch = tree.children()
-    pending = [len(c) for c in ch]
-    out = []
-    listing = []
+    children = {1 << v: 0 for v in range(tree.n)}
+    for v, p in enumerate(tree.parent):
+        if p is not None:
+            children[1 << p] |= 1 << v
+    label = {1 << v: labels[v] for v in range(tree.n)}
+    return flag_walk(
+        tree.n,
+        lambda done, blk: children[blk] & ~done == 0,
+        key=label.__getitem__,
+        blocks=singletons,
+    )
 
-    def rec(ready):
-        if len(listing) == tree.n:
-            out.append(tuple(listing))
-            return
-        for v in sorted(ready):
-            listing.append(v)
-            nxt = set(ready)
-            nxt.discard(v)
-            p = tree.parent[v]
-            if p is not None:
-                pending[p] -= 1
-                if pending[p] == 0:
-                    nxt.add(p)
-            rec(nxt)
-            if p is not None:
-                pending[p] += 1
-            listing.pop()
 
-    rec({v for v in range(tree.n) if pending[v] == 0})
-    return out
+def extension_listings(tree: BTree) -> list:
+    """All orderings of the vertices placing every child before its parent,
+    in lexicographic order."""
+    return list(_extensions(tree, range(tree.n)))
 
 
 def linear_extensions(tree: BTree) -> list:
-    """Linear extensions as permutation words under the decreasing labeling.
+    """Linear extensions as permutation words under the decreasing labeling,
+    sorted: the flag walk of `_extensions`, each step keyed by its label.
 
     The tree is labeled so labels increase from each root toward the leaves;
     a listing of the vertices with children before parents then reads off a
     permutation of 1..n.  The multiset of descent compositions of these
     words is independent of the labeling choice.
     """
-    omega = _descending_labels(tree)
-    words = sorted(tuple(omega[v] for v in listing) for listing in extension_listings(tree))
-    return words
+    return sorted(_extensions(tree, _descending_labels(tree)))

@@ -17,6 +17,7 @@ import json
 import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial
 
 from .bitsets import bits
@@ -364,34 +365,19 @@ def descent_composition(pi) -> Composition:
     return tuple(parts)
 
 
-def descent_permutation(alpha) -> tuple:
-    """A permutation whose descent composition is alpha.
-
-    Runs are consecutive ascending values with descending run starts: run j
-    takes the largest values not yet used, which forces a descent at every
-    run boundary and nowhere else.
-    """
-    n = sum(alpha)
-    check_limit("weight", n)
-    word, hi = [], n
-    for a in alpha:
-        word.extend(range(hi - a + 1, hi + 1))
-        hi -= a
-    return tuple(word)
-
-
 def antipode(F: QSymElement) -> QSymElement:
     """Hopf antipode, in the caller's basis.
 
     S(M_alpha) = (-1)^l(alpha) times the sum of M_beta over the coarsenings
     beta of alpha reversed (Malvenuto-Reutenauer, Ehrenborg), and
-    S(L_des(pi)) = (-1)^n L_des(opposite of pi).  The opposite permutation
-    is the word of pi read right to left; its descent composition depends
-    only on des(pi) (the descent set gets complemented and reflected), so
-    the choice of pi is immaterial.  This is the unique map satisfying the
-    antipode axiom for the deconcatenation coproduct; the value-complement
-    variant pi(i) -> n+1-pi(i) only complements the descent set and is not
-    a Hopf antipode.
+    S(L_alpha) = (-1)^n L_beta, where beta has the descent set
+    {n - j : j in [n - 1], j not a partial sum of alpha}: the descent set
+    of alpha complemented and reflected.  Equivalently, beta is the descent
+    composition of any permutation with descent composition alpha, read
+    right to left.  This is
+    the unique map satisfying the antipode axiom for the deconcatenation
+    coproduct; the value-complement variant pi(i) -> n+1-pi(i) only
+    complements the descent set and is not a Hopf antipode.
     """
     acc = {}
     if F.basis == "M":
@@ -403,11 +389,11 @@ def antipode(F: QSymElement) -> QSymElement:
         return _element("M", acc)
     for alpha, c in F.terms:
         n = sum(alpha)
-        pi = descent_permutation(alpha)
-        pibar = tuple(reversed(pi))
-        beta = descent_composition(pibar)
-        s = -1 if n % 2 else 1
-        acc[beta] = acc.get(beta, 0) + c * s
+        check_limit("weight", n)
+        cuts = set(accumulate(alpha[:-1]))
+        ends = [j for j in range(n, -1, -1) if j not in cuts]  # n - j: 0, des(beta), n
+        beta = tuple(a - b for a, b in zip(ends, ends[1:]))
+        acc[beta] = acc.get(beta, 0) + (-c if n % 2 else c)
     return _element("L", acc)
 
 

@@ -1,6 +1,7 @@
 """The enumerator routes, coefficient theorems, families, collisions, Hopf checks."""
 
 import random
+from collections import Counter
 from itertools import product as iproduct
 from math import comb
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 
 from conftest import graphs, naive_components
 from nestoqsym import invariants, qsym
-from nestoqsym.bitsets import bits, mask_of
+from nestoqsym.bitsets import bits, mask_of, nonempty_submasks
 from nestoqsym.buildset import (
     BuildingSet,
     building_set,
@@ -18,7 +19,7 @@ from nestoqsym.buildset import (
     hopf_monomial,
     takeuchi_antipode,
 )
-from nestoqsym.errors import CapacityError, InputError
+from nestoqsym.errors import LIMITS, CapacityError, InputError
 from nestoqsym.graphs import (
     contract,
     enumerate_graphs,
@@ -48,7 +49,7 @@ from nestoqsym.invariants import (
     tree_matrix_kernel,
     zeta,
 )
-from nestoqsym.nestopoly import BTree, enumerate_tree_shapes
+from nestoqsym.nestopoly import BTree, TreeShape, enumerate_tree_shapes
 from nestoqsym.qsym import (
     _mul_d,
     antipode,
@@ -111,6 +112,58 @@ def test_splitting_chains_satisfy_flag_condition_verbatim():
         assert len(produced) <= total
 
 
+def literal_splitting_chains(b):
+    """Oracle: the splitting chains by a plain recursion over ordered set
+    partitions, the flag condition read through a pair index (the members
+    containing each vertex pair, smallest first)."""
+    pairs = {}
+    for s in sorted(b.sets, key=int.bit_count):
+        vs = list(bits(s))
+        for i, u in enumerate(vs):
+            for v in vs[i + 1 :]:
+                pairs.setdefault((u, v), []).append(s)
+
+    def discrete_step(done, block):
+        vs = list(bits(block))
+        return not any(
+            s & ~(done | block) == 0
+            for i, u in enumerate(vs)
+            for v in vs[i + 1 :]
+            for s in pairs.get((u, v), ())
+        )
+
+    full = (1 << b.n) - 1
+    out = []
+
+    def rec(done, blocks):
+        if done == full:
+            out.append(blocks)
+            return
+        for blk in nonempty_submasks(full & ~done):
+            if discrete_step(done, blk):
+                rec(done | blk, blocks + (blk,))
+
+    rec(0, ())
+    return out
+
+
+def test_route_1_matches_literal_recursion():
+    # splitting_chains in order; F_splitting and zeta by the chain types
+    oracle_sets = (
+        [from_graph(g) for n in range(1, 6) for g in enumerate_graphs(n)]
+        + random_building_sets(200, seed=7, max_n=5)
+        + [discrete_building_set(n) for n in range(1, 6)]
+        + [BuildingSet(0, ())]
+    )
+    for b in oracle_sets:
+        chains = literal_splitting_chains(b)
+        assert [c.blocks for c in splitting_chains(b)] == chains
+        types = Counter(tuple(blk.bit_count() for blk in c) for c in chains)
+        assert F_splitting(b) == element("M", types)
+        for alpha, count in types.items():
+            assert zeta(b, alpha) == count
+
+
 def _relabel(mask, inside):
     verts = [v for v in range(inside.bit_length()) if inside >> v & 1]
     return mask_of(verts.index(v) for v in bits(mask))
@@ -163,6 +216,15 @@ def test_F_tree_examples():
     assert F_tree(cherry) == element("M", {(1, 1, 1): 2, (2, 1): 1})
     forest = BTree(2, (None, None))
     assert F_tree(forest) == element("M", {(1, 1): 2, (2,): 1})
+
+
+def test_F_tree_caps_a_shape_like_a_tree():
+    row = LIMITS["tree enumerators"]
+    with pytest.raises(CapacityError) as exc:
+        F_tree(TreeShape("(" * 13 + ")" * 13))
+    assert str(exc.value) == (
+        f"{row.what} capped at {row.size} <= {row.limit}, got 13 ({row.why})"
+    )
 
 
 def test_F_btree_route_examples():

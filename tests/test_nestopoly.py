@@ -21,6 +21,7 @@ from nestoqsym.invariants import F_btree_route, random_building_sets
 from nestoqsym.nestopoly import (
     BTree,
     _all_coordinates,
+    _descending_labels,
     TreeShape,
     b_tree,
     check_realization,
@@ -429,6 +430,51 @@ def test_extensions_give_fundamental_expansion_of_tree_enumerator():
                 acc[beta] = acc.get(beta, 0) + 1
             via_extensions = from_fundamental(qsym.element("L", acc))
             assert via_extensions == brute_tree_enumerator(tree)
+
+
+def literal_extension_listings(tree):
+    """Oracle: the orderings placing every child before its parent, by a
+    plain recursion over the ready vertices, smallest first."""
+    pending = [len(c) for c in tree.children()]
+    out, listing = [], []
+
+    def rec(ready):
+        if len(listing) == tree.n:
+            out.append(tuple(listing))
+            return
+        for v in sorted(ready):
+            listing.append(v)
+            nxt = set(ready)
+            nxt.discard(v)
+            p = tree.parent[v]
+            if p is not None:
+                pending[p] -= 1
+                if pending[p] == 0:
+                    nxt.add(p)
+            rec(nxt)
+            if p is not None:
+                pending[p] += 1
+            listing.pop()
+
+    rec({v for v in range(tree.n) if pending[v] == 0})
+    return out
+
+
+def test_extensions_match_literal_recursion():
+    trees = [
+        b_tree(b, fam)
+        for b in (from_graph(g) for n in range(1, 6) for g in enumerate_graphs(n))
+        if bs_connected(b)
+        for fam in maximal_nested_sets(b)
+    ]
+    trees += [shape_to_btree(sh.code) for n in range(1, 8) for sh in enumerate_tree_shapes(n)]
+    trees += [BTree(n, (None,) * n) for n in range(0, 7)]
+    for tree in trees:
+        listings = literal_extension_listings(tree)
+        assert extension_listings(tree) == listings
+        omega = _descending_labels(tree)
+        words = sorted(tuple(omega[v] for v in listing) for listing in listings)
+        assert linear_extensions(tree) == words
 
 
 @given(graphs(max_n=5))

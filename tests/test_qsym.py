@@ -14,7 +14,6 @@ from nestoqsym.qsym import (
     compositions_of,
     coproduct,
     descent_composition,
-    descent_permutation,
     element,
     from_fundamental,
     fundamental,
@@ -232,10 +231,29 @@ def test_descent_composition_examples():
         descent_composition((1, 1, 2))
 
 
-def test_descent_permutation_has_prescribed_descents():
-    for n in range(0, 7):
+def descent_word(alpha):
+    """A permutation with descent composition alpha: runs of consecutive
+    ascending values with descending run starts, so run j takes the largest
+    values not yet used."""
+    word, hi = [], sum(alpha)
+    for a in alpha:
+        word.extend(range(hi - a + 1, hi + 1))
+        hi -= a
+    return tuple(word)
+
+
+def test_antipode_matches_word_reversal():
+    # oracle: S(L_des(pi)) = (-1)^n L_des(pi read right to left); the code
+    # complements and reflects the descent set instead of writing a word
+    count = 0
+    for n in range(0, 11):
         for alpha in compositions_of(n):
-            assert descent_composition(descent_permutation(alpha)) == alpha
+            word = descent_word(alpha)
+            assert descent_composition(word) == alpha
+            beta = descent_composition(word[::-1])
+            assert antipode(L(alpha, 3)) == L(beta, 3 * (-1) ** n)
+            count += 1
+    assert count == 1024
 
 
 def test_antipode_examples():
@@ -320,7 +338,7 @@ def descent_complement(F):
     acc = zero("L")
     for alpha, c in F.terms:
         n = sum(alpha)
-        pi = descent_permutation(alpha)
+        pi = descent_word(alpha)
         beta = descent_composition(tuple(n + 1 - v for v in pi))
         acc = acc + L(beta, c * (-1) ** n)
     return acc
