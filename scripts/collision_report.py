@@ -10,7 +10,9 @@ Usage:
 """
 
 import argparse
+import sys
 
+from nestoqsym.cli import guarded
 from nestoqsym.graphs import from_graph6
 from nestoqsym.invariants import F_graph_recurrence, collision_search
 from nestoqsym.qsym import render
@@ -40,4 +42,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(guarded(main))

@@ -10,8 +10,10 @@ Usage:
 """
 
 import argparse
+import sys
 
 from nestoqsym.buildset import from_graph
+from nestoqsym.cli import guarded
 from nestoqsym.graphs import FAMILIES
 from nestoqsym.invariants import (
     family_F,
@@ -48,4 +50,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(guarded(main))

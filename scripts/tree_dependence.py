@@ -11,7 +11,9 @@ Usage:
 """
 
 import argparse
+import sys
 
+from nestoqsym.cli import guarded
 from nestoqsym.invariants import F_tree, tree_matrix_kernel
 from nestoqsym.nestopoly import enumerate_tree_shapes
 from nestoqsym.qsym import render, zero
@@ -41,4 +43,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(guarded(main))

@@ -408,11 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def guarded(fn, *args) -> int:
+    """fn(*args), an error reported as one line on stderr and exit 2 or 3."""
     try:
-        return args.fn(args)
+        return fn(*args)
     except CapacityError as e:
         print(f"capacity error: {e}", file=sys.stderr)
         return 3
@@ -422,6 +421,11 @@ def main(argv=None) -> int:
     except OverflowError as e:
         print(f"overflow: {e}", file=sys.stderr)
         return 3
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return guarded(args.fn, args)
 
 
 if __name__ == "__main__":

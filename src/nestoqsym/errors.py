@@ -73,11 +73,11 @@ LIMITS = {
     "tree enumerators": Limit(12, "tree enumerators", "2^(n - 1) terms per enumerator"),
     "colorings": Limit(8, "ordered-coloring route", "one walk step per ordered coloring"),
     "chromatic": Limit(8, "chromatic enumeration", "3^n block tests"),
-    "recurrence": Limit(11, "recurrence route", "2^n vertex masks in the memo"),
+    "recurrence": Limit(14, "recurrence route", "2^n vertex masks in the memo"),
     "fundamental": Limit(7, "fundamental route", "one word per B-tree linear extension"),
     "thm72": Limit(7, "coefficient checks", "C(n, q) separator sets per q"),
     "family": Limit(10, "family recurrences", "2^(n - 1) terms per enumerator"),
-    "family check": Limit(9, "family recurrence checks", "runs the recurrence route too"),
+    "family check": Limit(10, "family recurrence checks", "runs the recurrence route too"),
     "kernel": Limit(7, "kernel computation", "tree shapes times 2^(n - 1) compositions"),
     "hopf": Limit(5, "Hopf checks", "Takeuchi antipode and coproduct of b"),
     "collide": Limit(7, "collision search", "12,346 classes at n = 8"),

@@ -12,10 +12,10 @@ The four routes to the same quasisymmetric function:
 The recurrence (`_recurrence`) needs only the components of each restriction,
 so it serves building sets too: F_of_hopf runs it on every factor of a word
 of building sets, with the components of the building set in place of those
-of the graph.  Its memo lists coefficients by composition code (the
-partial-sum set as a bit mask, qsym.code_table), so the shift is a prefix
-of zeros and the connected sum adds lists; X keys its memo on the block-size
-counts packed into one integer.
+of the graph.  Its memo packs F into one integer, a 64-bit slot per
+composition code (qsym.code_table), so the shift is a bit shift and
+products are keyed on values; X keys its memo on the block-size counts
+packed into one integer.
 
 Disconnected inputs reduce to component products everywhere (the enumerator
 is multiplicative); splitting chains are enumerated by the verbatim flag
@@ -28,6 +28,7 @@ Everything is pure and exact (no floating point anywhere).
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
@@ -200,56 +201,61 @@ def F_graph_colorings(g: Graph) -> QSymElement:
     return qsym.element("M", acc)
 
 
-def _terms(mask: int, coeffs: list) -> list:
-    """(composition, coeff) pairs of a coefficient list indexed by code."""
-    by_code = code_table(mask.bit_count())[0]
-    return [(by_code[i], c) for i, c in enumerate(coeffs) if c]
-
-
 def _recurrence(n: int, components) -> dict:
     """F by vertex deletion, as a {composition: coeff} dict, memoized on the
     surviving vertex set; components(mask) lists the components there.
 
-    The memo holds, for a mask of w vertices, the coefficients of F listed
-    by composition code (qsym.code_table).  Connected: the sum over
-    vertices of the deletions, shifted; appending a part 1 sets code bit
-    w - 2, so the shift puts 2^(w - 2) zeros in front.  Disconnected: the
-    quasi-shuffle product of the components.
+    The memo holds F on w vertices as one int, the coefficient of the
+    composition with code i (qsym.code_table) in 64-bit slot i; it counts
+    ordered set partitions of one type, so it is at most w! < 2^64 (w <= 20).
+    Connected: the deletions' sum, shifted 2^(w - 2) slots (a part 1 appended
+    sets code bit w - 2).  Disconnected: first component times the rest, once
+    per pair of values; slot 2^(w - 1) - 1 holds w! > 0, so length fixes w.
     """
-    memo = {0: [1]}
-    factors = {}  # component mask -> its (composition, coeff) pairs
+    memo = {0: 1}
+    terms = {}  # value -> its (composition, coeff) pairs
+    products = {}  # pair of values -> their product
 
-    def factor(comp: int) -> list:
-        hit = factors.get(comp)
+    def decoded(value: int, w: int) -> list:
+        hit = terms.get(value)
         if hit is None:
-            hit = factors[comp] = _terms(comp, rec(comp))
+            by_code = code_table(w)[0]
+            packed = value.to_bytes(8 * len(by_code), sys.byteorder)
+            slots = memoryview(packed).cast("Q")
+            hit = terms[value] = [(by_code[i], c) for i, c in enumerate(slots) if c]
         return hit
 
-    def rec(mask: int) -> list:
+    def rec(mask: int) -> int:
         hit = memo.get(mask)
         if hit is None:
-            comps = components(mask)
-            if len(comps) > 1:
-                prod = factor(comps[0])
-                for c in comps[1:]:
-                    prod = _mul_d(prod, factor(c)).items()
-                code_of = code_table(mask.bit_count())[1]
-                hit = [0] * len(code_of)
-                for a, c in prod:
-                    hit[code_of[a]] = c
+            w = mask.bit_count()
+            first = components(mask)[0]
+            if first != mask:
+                a, b = rec(first), rec(mask ^ first)
+                key = (a, b) if a <= b else (b, a)
+                hit = products.get(key)
+                if hit is None:
+                    u = first.bit_count()
+                    code_of = code_table(w)[1]
+                    packed = bytearray(8 * len(code_of))
+                    slots = memoryview(packed).cast("Q")
+                    for alpha, c in _mul_d(decoded(a, u), decoded(b, w - u)).items():
+                        slots[code_of[alpha]] = c
+                    hit = products[key] = int.from_bytes(packed, sys.byteorder)
             else:
-                deletions, left = [], mask
+                hit, left = 0, mask
                 while left:
                     low = left & -left
-                    deletions.append(memo.get(mask ^ low) or rec(mask ^ low))
+                    hit += memo.get(mask ^ low) or rec(mask ^ low)
                     left ^= low
-                hit = [0] * len(deletions[0]) if len(deletions) > 1 else []
-                hit += map(sum, zip(*deletions))
+                hit <<= 64 * (1 << w >> 2)
             memo[mask] = hit
         return hit
 
-    full = (1 << n) - 1
-    return dict(_terms(full, rec(full)))
+    out = dict(decoded(rec((1 << n) - 1), n))
+    for d in (memo, terms, products):
+        d.clear()  # rec's closure is a cycle, so the memos would outlive the call
+    return out
 
 
 def F_graph_recurrence(g: Graph) -> QSymElement:

@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 from itertools import product as iproduct
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -325,6 +325,41 @@ def test_recurrence_above_old_memo_cutoff():
         assert F_graph_recurrence(family_graph(kind, 10)) == family_F(kind, 10)
     assert vertex_count(F_graph_recurrence(family("cycle", 11)), 11) == comb(20, 10)
     assert vertex_count(F_graph_recurrence(family("path", 11)), 11) == 58786  # Catalan
+
+
+def test_recurrence_above_old_limit_matches_closed_forms():
+    stellohedra = [1]  # s(1) = 1, s(n) = (n - 1) s(n - 1) + 1
+    for n in range(2, 15):
+        stellohedra.append((n - 1) * stellohedra[-1] + 1)
+    for n in range(12, 15):
+        closed = {
+            "path": comb(2 * n, n) // (n + 1),  # Catalan
+            "cycle": comb(2 * n - 2, n - 1),
+            "star": stellohedra[n - 1],
+            "complete": factorial(n),
+        }
+        for kind, count in closed.items():
+            F = F_graph_recurrence(family(kind, n))
+            assert vertex_count(F, n) == count, (kind, n)
+            assert F.coeff((1,) * n) == factorial(n), (kind, n)  # every ordering
+
+
+def test_recurrence_coefficients_fit_their_64_bit_slots():
+    # a coefficient counts ordered set partitions of one type: at most n!
+    assert factorial(LIMITS["recurrence"].limit) < 2**64
+
+
+def test_recurrence_multiplies_each_pair_of_values_once(monkeypatch):
+    calls = []
+
+    def counted(F_terms, G_terms):
+        calls.append(1)
+        return _mul_d(F_terms, G_terms)
+
+    monkeypatch.setattr(invariants, "_mul_d", counted)
+    # star:11 less its centre leaves k equal leaves for each of 2^10 leaf sets
+    assert vertex_count(F_graph_recurrence(family("star", 11)), 11) == 9864101
+    assert len(calls) <= 10
 
 
 def test_connected_terms_end_in_1():

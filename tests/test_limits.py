@@ -121,7 +121,7 @@ def test_below_range_sizes_are_input_errors():
 
 
 CAPACITY_ARGV = [
-    ("invariant", "--graph", "cycle:12"),
+    ("invariant", "--graph", f"cycle:{LIMITS['recurrence'].limit + 1}"),
     ("invariant", "--graph", "cycle:9", "--route", "splitting"),
     ("invariant", "--graph", "cycle:9", "--route", "trees"),
     ("invariant", "--graph", "cycle:9", "--route", "colorings"),

@@ -8,6 +8,20 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+IDS = ["family_table", "tree_dependence", "collision_report"]
+
+
+def run_script(argv):
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 @pytest.mark.parametrize(
@@ -17,19 +31,26 @@ ROOT = Path(__file__).resolve().parent.parent
         ["tree_dependence.py"],
         ["collision_report.py", "--max-n", "4"],
     ],
-    ids=["family_table", "tree_dependence", "collision_report"],
+    ids=IDS,
 )
 def test_script_runs(argv):
-    src = str(ROOT / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_script(argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family_table.py", "--max-n", "11", "--check-recurrences"],
+        ["tree_dependence.py", "--max-n", "20"],
+        ["collision_report.py", "--max-n", "8", "--connected"],
+    ],
+    ids=IDS,
+)
+def test_script_past_a_limit_exits_3_with_one_line(argv):
+    proc = run_script(argv)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("capacity error: ") and proc.stderr.count("\n") == 1
