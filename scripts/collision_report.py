@@ -13,6 +13,7 @@ import argparse
 import sys
 
 from nestoqsym.cli import guarded
+from nestoqsym.errors import check_limit
 from nestoqsym.graphs import from_graph6
 from nestoqsym.invariants import F_graph_recurrence, collision_search
 from nestoqsym.qsym import render
@@ -23,6 +24,7 @@ def main():
     ap.add_argument("--max-n", type=int, default=5)
     ap.add_argument("--connected", action="store_true")
     args = ap.parse_args()
+    check_limit("collide connected" if args.connected else "collide", args.max_n)
 
     for n in range(1, args.max_n + 1):
         for invariant in ("F", "X"):

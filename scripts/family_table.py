@@ -14,6 +14,7 @@ import sys
 
 from nestoqsym.buildset import from_graph
 from nestoqsym.cli import guarded
+from nestoqsym.errors import check_limit
 from nestoqsym.graphs import FAMILIES
 from nestoqsym.invariants import (
     family_F,
@@ -30,6 +31,7 @@ def main():
     ap.add_argument("--max-n", type=int, default=7)
     ap.add_argument("--check-recurrences", action="store_true")
     args = ap.parse_args()
+    check_limit("family", args.max_n)
 
     kinds = tuple(f.polytope for f in FAMILIES)
     print(f"{'n':>3} " + " ".join(f"{f.alias:>8}" for f in FAMILIES))

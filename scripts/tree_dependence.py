@@ -14,6 +14,7 @@ import argparse
 import sys
 
 from nestoqsym.cli import guarded
+from nestoqsym.errors import check_limit
 from nestoqsym.invariants import F_tree, tree_matrix_kernel
 from nestoqsym.nestopoly import enumerate_tree_shapes
 from nestoqsym.qsym import render, zero
@@ -23,6 +24,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-n", type=int, default=6)
     args = ap.parse_args()
+    check_limit("kernel", args.max_n)
 
     for n in range(1, args.max_n + 1):
         shapes = enumerate_tree_shapes(n)

@@ -18,7 +18,7 @@ from functools import cached_property
 
 from .bitsets import bits, mask_of, nonempty_submasks
 from .errors import InputError, NotABuildingSetError, ParseError, check_int, check_limit
-from .graphs import Graph, _components_within, json_int, load_json
+from .graphs import Graph, _lowest_component, json_int, load_json
 from .qsym import Combination
 
 
@@ -114,11 +114,8 @@ def is_discrete(b: BuildingSet) -> bool:
 def from_graph(g: Graph) -> BuildingSet:
     """The graphical building set: supports of connected induced subgraphs."""
     check_limit("graphical", g.n)
-    out = []
-    for mask in range(1, 1 << g.n):
-        if len(_components_within(g, mask)) == 1:
-            out.append(mask)
-    return BuildingSet(g.n, tuple(sorted(out)))
+    lowest = _lowest_component(g)
+    return BuildingSet(g.n, tuple(m for m in range(1, 1 << g.n) if lowest(m) == m))
 
 
 def _minor(b: BuildingSet, inside: int, contracted: int) -> BuildingSet:

@@ -156,6 +156,28 @@ def _components_within(g: Graph, mask: int) -> list:
     return comps
 
 
+def _lowest_component(g: Graph):
+    """lowest(mask): the component of g on mask holding the lowest vertex.
+
+    A table over all 2^n vertex sets holds the neighbourhood of each,
+    nbr[S] = nbr[S - v] | adj[v] for the top vertex v of S, so a component
+    grows by one breadth-first layer per lookup: comp |= nbr[comp] & mask.
+    """
+    nbr = [0]
+    for a in g.adj:
+        nbr += [s | a for s in nbr]
+
+    def lowest(mask: int) -> int:
+        comp = mask & -mask
+        while True:
+            grown = comp | nbr[comp] & mask
+            if grown == comp:
+                return comp
+            comp = grown
+
+    return lowest
+
+
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         return True

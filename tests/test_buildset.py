@@ -27,7 +27,14 @@ from nestoqsym.buildset import (
     validate,
 )
 from nestoqsym.errors import InputError, NotABuildingSetError, ParseError
-from nestoqsym.graphs import contract, enumerate_graphs, family, graph_from_edges, induced
+from nestoqsym.graphs import (
+    _components_within,
+    contract,
+    enumerate_graphs,
+    family,
+    graph_from_edges,
+    induced,
+)
 from nestoqsym.invariants import random_building_sets
 
 
@@ -62,6 +69,16 @@ def test_from_graph_examples():
     ]
     assert from_graph(family("complete", 2)).sets == (1, 2, 3)
     assert from_graph(graph_from_edges(2, [])).sets == (1, 2)
+
+
+def test_from_graph_keeps_the_masks_the_search_finds_connected():
+    graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    graphs += [family("path", 16), family("complete", 16)]
+    for g in graphs:
+        connected = tuple(
+            m for m in range(1, 1 << g.n) if len(_components_within(g, m)) == 1
+        )
+        assert from_graph(g).sets == connected, g
 
 
 @given(graphs(max_n=6))

@@ -16,6 +16,7 @@ from nestoqsym.graphs import (
     CanonicalForm,
     _components_within,
     _graph_from_code,
+    _lowest_component,
     _min_code,
     _slot,
     canonical_form,
@@ -352,3 +353,15 @@ def test_components_within_matches_naive_search_on_every_mask():
     for g in enumerate_graphs(6):
         for mask in range(1 << g.n):
             assert _components_within(g, mask) == naive_components(g, mask), (g, mask)
+
+
+def test_lowest_component_is_the_first_of_components_within():
+    graphs = enumerate_graphs(6) + [
+        family(kind, n)
+        for kind in FAMILY_KINDS
+        for n in range(3 if kind == "cycle" else 1, 13)  # C_n needs n >= 3
+    ]
+    for g in graphs:
+        lowest = _lowest_component(g)
+        for mask in range(1, 1 << g.n):
+            assert lowest(mask) == _components_within(g, mask)[0], (g, mask)

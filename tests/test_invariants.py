@@ -357,9 +357,26 @@ def test_recurrence_multiplies_each_pair_of_values_once(monkeypatch):
         return _mul_d(F_terms, G_terms)
 
     monkeypatch.setattr(invariants, "_mul_d", counted)
+    invariants._product.cache_clear()
     # star:11 less its centre leaves k equal leaves for each of 2^10 leaf sets
     assert vertex_count(F_graph_recurrence(family("star", 11)), 11) == 9864101
-    assert len(calls) <= 10
+    assert 1 <= len(calls) <= 10
+    calls.clear()
+    assert vertex_count(F_graph_recurrence(family("star", 11)), 11) == 9864101
+    assert calls == []  # every product is in the shared memo
+
+
+def test_product_memo_is_bounded():
+    assert invariants._product.cache_info().maxsize is not None
+
+
+def test_product_memo_cold_and_warm_agree():
+    sample = enumerate_graphs(7, connected_only=True)[::40]
+    cold = []
+    for g in sample:
+        invariants._product.cache_clear()
+        cold.append(F_graph_recurrence(g))
+    assert [F_graph_recurrence(g) for g in sample] == cold
 
 
 def test_connected_terms_end_in_1():

@@ -54,3 +54,5 @@ def test_script_past_a_limit_exits_3_with_one_line(argv):
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("capacity error: ") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""  # refused before the first row
+    assert f", got {argv[2]} (" in proc.stderr  # names --max-n itself
