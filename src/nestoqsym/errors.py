@@ -80,8 +80,8 @@ LIMITS = {
     "family check": Limit(10, "family recurrence checks", "runs the recurrence route too"),
     "kernel": Limit(7, "kernel computation", "tree shapes times 2^(n - 1) compositions"),
     "hopf": Limit(5, "Hopf checks", "Takeuchi antipode and coproduct of b"),
-    "collide": Limit(7, "collision search", "12,346 classes at n = 8"),
-    "collide connected": Limit(7, "connected collision search", "11,117 classes at n = 8"),
+    "collide": Limit(8, "collision search", "274,668 classes at n = 9"),
+    "collide connected": Limit(8, "connected collision search", "261,080 classes at n = 9"),
 }
 
 

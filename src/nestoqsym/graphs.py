@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -231,10 +232,27 @@ def _slot(i: int, j: int) -> int:
 
 
 def edge_code(g: Graph) -> int:
+    # the slots (u, v), u < v, of column v are v's lower neighbours, shifted
     m = 0
-    for u, v in g.edges():
-        m |= 1 << _slot(u, v)
+    for v, a in enumerate(g.adj):
+        m |= (a & (1 << v) - 1) << _slot(0, v)
     return m
+
+
+@lru_cache(maxsize=None)
+def _pairs_within(n: int) -> tuple:
+    """P[mask]: the edge-code slots of the pairs inside mask, for all 2^n masks.
+
+    So edge_code(g) & P[mask] is the code of the subgraph g induces on mask,
+    in g's labels.  Built by doubling over the vertices: adding v to m adds
+    the slots (u, v) for u in m, P[m | 1 << v] = P[m] | m << _slot(0, v).
+    One table per n; its callers stop at the recurrence limit.
+    """
+    P = [0]
+    for v in range(n):
+        base = _slot(0, v)
+        P += [p | m << base for m, p in enumerate(P)]
+    return tuple(P)
 
 
 def _graph_from_code(n: int, code: int) -> Graph:

@@ -16,8 +16,12 @@ graph's (which graphs._lowest_component reads off a neighbourhood table).
 Its memo, per call and on the masks it reaches, packs F into one integer, a
 64-bit slot per composition code (qsym.code_table), so the shift is a bit
 shift; products of two such integers go in one bounded memo (`_product`)
-shared by every call.  X keys its memo on the block-size counts packed into
-one integer.
+shared by every call.  F and X of an induced subgraph depend only on that
+subgraph, so both also go in one memo shared by every call (`_SUBGRAPHS`),
+held under a byte budget and keyed on the subgraph's edge code in the
+labels of the graph (graphs._pairs_within): a sweep over classes computes
+a small subgraph once, not once per class.  X counts block sizes packed
+into one integer.
 
 Disconnected inputs reduce to component products everywhere (the enumerator
 is multiplicative); splitting chains are enumerated by the verbatim flag
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import random
 import sys
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -56,7 +61,9 @@ from .graphs import (
     Graph,
     _components_within,
     _lowest_component,
+    _pairs_within,
     connectivity,
+    edge_code,
     enumerate_graphs,
     family,
     independence_fvector,
@@ -227,7 +234,41 @@ def _product(a: int, u: int, b: int, v: int) -> int:
     return int.from_bytes(packed, sys.byteorder)
 
 
-def _recurrence(n: int, first) -> dict:
+class _SubgraphMemo:
+    """F and X of induced subgraphs, shared by every call; oldest out first.
+
+    Both depend only on the subgraph, so a value found in one graph serves
+    every graph that induces the same labeled subgraph.  Values are stored
+    bare; `used` counts each one's own size (8 bytes per 64-bit slot of a
+    packed F, 16 per entry of an X dict) and never exceeds `budget`.
+    """
+
+    def __init__(self, budget: int):
+        self.budget, self.used = budget, 0
+        self.values = OrderedDict()
+        self.get = self.values.get
+
+    @staticmethod
+    def size(value) -> int:
+        return value.bit_length() >> 3 if type(value) is int else 16 * len(value)
+
+    def put(self, key, value):
+        size = self.size(value)
+        self.values[key] = value
+        self.used += size
+        while self.used > self.budget:
+            self.used -= self.size(self.values.popitem(last=False)[1])
+
+    def clear(self):
+        self.values.clear()
+        self.used = 0
+
+
+_SUBGRAPHS = _SubgraphMemo(3 << 19)  # 1.5 MiB
+_SHARED_W = 6  # F is shared on at most 6 vertices, at most 256 bytes a value
+
+
+def _recurrence(n: int, first, code: int | None = None) -> dict:
     """F by vertex deletion, as a {composition: coeff} dict, memoized on the
     surviving vertex set; first(mask) is one component of the restriction.
 
@@ -237,8 +278,19 @@ def _recurrence(n: int, first) -> dict:
     Connected: the deletions' sum, shifted 2^(w - 2) slots (a part 1 appended
     sets code bit w - 2).  Disconnected: first component times the rest,
     through _product; slot 2^(w - 1) - 1 holds w! > 0, so length fixes w.
+    Given a graph's edge code, a connected mask of 2 <= w <= n - 2 vertices,
+    w <= _SHARED_W, is also looked up in, and on a miss stored in,
+    _SUBGRAPHS, keyed on the code of the subgraph it induces: with an edge
+    at every vertex, that code fixes the vertex set.  Larger subgraphs are
+    met again less often (over the connected classes at n = 8, 6 % of the
+    lookups on 7 vertices hit, 55 % on 5) and would each push out many
+    small values.  The per-call memo stays, since the shared one is bounded.
     """
     memo = {0: 1}
+    top, pairs = 0, None
+    if code is not None:
+        top, pairs = min(n - 2, _SHARED_W), _pairs_within(n)
+    shared, remember = _SUBGRAPHS.get, _SUBGRAPHS.put
 
     def rec(mask: int) -> int:
         hit = memo.get(mask)
@@ -250,12 +302,17 @@ def _recurrence(n: int, first) -> dict:
                 u = comp.bit_count()
                 hit = _product(a, u, b, w - u) if a <= b else _product(b, w - u, a, u)
             else:
-                hit, left = 0, mask
-                while left:
-                    low = left & -left
-                    hit += memo.get(mask ^ low) or rec(mask ^ low)
-                    left ^= low
-                hit <<= 64 * (1 << w >> 2)
+                key = 1 < w <= top and code & pairs[mask]
+                hit = key and shared(key)
+                if not hit:  # a packed F is never 0
+                    hit, left = 0, mask
+                    while left:
+                        low = left & -left
+                        hit += memo.get(mask ^ low) or rec(mask ^ low)
+                        left ^= low
+                    hit <<= 64 * (1 << w >> 2)
+                    if key:
+                        remember(key, hit)
             memo[mask] = hit
         return hit
 
@@ -267,7 +324,7 @@ def _recurrence(n: int, first) -> dict:
 def F_graph_recurrence(g: Graph) -> QSymElement:
     """Vertex-deletion recurrence over the components of induced subgraphs."""
     check_limit("recurrence", g.n)
-    return _element("M", _recurrence(g.n, _lowest_component(g)))
+    return _element("M", _recurrence(g.n, _lowest_component(g), edge_code(g)))
 
 
 def F_graph(g: Graph) -> QSymElement:
@@ -331,7 +388,9 @@ def chromatic_symmetric(g: Graph) -> SymElement:
 
     It is computed from the unordered partitions of the vertices into
     independent sets, counted by their block sizes: each block takes the
-    lowest vertex not yet covered, memoized on the covered mask.  The block
+    lowest vertex not yet covered, memoized on the uncovered mask, per call
+    and in _SUBGRAPHS, there keyed on (n, mask, code of the subgraph it
+    induces).  A block is independent iff the code it induces is 0.  The block
     sizes are kept as one integer, sum_k m_k (n + 1)^(k - 1) with m_k the
     number of blocks of size k, so adding a block adds a constant.  Ordering
     the blocks into the color slots of mu gives prod_k m_k! colorings per
@@ -340,32 +399,34 @@ def chromatic_symmetric(g: Graph) -> SymElement:
     check_limit("chromatic", g.n)
     n = g.n
     full = (1 << n) - 1
-    independent = [True] * (full + 1)
-    for s in range(1, full + 1):
-        low = s & -s
-        v = low.bit_length() - 1
-        independent[s] = independent[s ^ low] and not g.adj[v] & s
+    code, pairs = edge_code(g), _pairs_within(n)
     step = [(n + 1) ** (k - 1) for k in range(n + 1)]  # one block of size k
-    memo = {full: {0: 1}}
+    memo = {0: {0: 1}}
 
-    def rest(done: int) -> dict:
-        hit = memo.get(done)
+    def rest(left: int) -> dict:
+        hit = memo.get(left)
         if hit is None:
-            hit = {}
-            left = full & ~done
-            low = left & -left
-            for sub in submasks(left ^ low):
-                blk = sub | low
-                if independent[blk]:
-                    inc = step[blk.bit_count()]
-                    for key, c in rest(done | blk).items():
-                        key += inc
-                        hit[key] = hit.get(key, 0) + c
-            memo[done] = hit
+            key = (n, left, code & pairs[left])
+            hit = _SUBGRAPHS.get(key)
+            if hit is None:
+                hit = {}
+                low = left & -left
+                for sub in submasks(left ^ low):
+                    blk = sub | low
+                    if not code & pairs[blk]:  # independent
+                        inc = step[blk.bit_count()]
+                        for sizes, c in rest(left ^ blk).items():
+                            sizes += inc
+                            hit[sizes] = hit.get(sizes, 0) + c
+                if left != full:
+                    _SUBGRAPHS.put(key, hit)
+            memo[left] = hit
         return hit
 
     counts = {}
-    for key, c in rest(0).items():
+    whole = rest(full)
+    memo.clear()  # rest's closure is a cycle, so the memo would outlive the call
+    for key, c in whole.items():
         parts = []
         for k in range(1, n + 1):
             key, m = divmod(key, n + 1)

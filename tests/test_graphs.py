@@ -9,7 +9,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from conftest import graphs, naive_components
-from nestoqsym.bitsets import mask_of
+from nestoqsym.bitsets import bits, mask_of
 from nestoqsym.errors import CapacityError, InputError, ParseError
 from nestoqsym.graphs import (
     FAMILY_KINDS,
@@ -18,6 +18,7 @@ from nestoqsym.graphs import (
     _graph_from_code,
     _lowest_component,
     _min_code,
+    _pairs_within,
     _slot,
     canonical_form,
     components,
@@ -353,6 +354,35 @@ def test_components_within_matches_naive_search_on_every_mask():
     for g in enumerate_graphs(6):
         for mask in range(1 << g.n):
             assert _components_within(g, mask) == naive_components(g, mask), (g, mask)
+
+
+def test_pairs_within_matches_a_slot_scan():
+    for n in range(9):
+        scan = tuple(
+            sum(1 << _slot(i, j) for j in bits(mask) for i in bits(mask) if i < j)
+            for mask in range(1 << n)
+        )
+        assert _pairs_within(n) == scan, n
+    for g in enumerate_graphs(6):
+        assert edge_code(g) == sum(1 << _slot(u, v) for u, v in g.edges()), g
+
+
+def test_induced_code_is_zero_exactly_on_independent_sets():
+    # the table of independent sets chromatic_symmetric built before it read
+    # independence off the induced code
+    graphs = enumerate_graphs(6) + [
+        family(kind, n)
+        for kind in FAMILY_KINDS
+        for n in range(3 if kind == "cycle" else 1, 11)  # C_n needs n >= 3
+    ]
+    for g in graphs:
+        independent = [True] * (1 << g.n)
+        for s in range(1, 1 << g.n):
+            low = s & -s
+            v = low.bit_length() - 1
+            independent[s] = independent[s ^ low] and not g.adj[v] & s
+        code, pairs = edge_code(g), _pairs_within(g.n)
+        assert [code & pairs[mask] == 0 for mask in range(1 << g.n)] == independent, g
 
 
 def test_lowest_component_is_the_first_of_components_within():

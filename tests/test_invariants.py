@@ -22,6 +22,7 @@ from nestoqsym.buildset import (
 from nestoqsym.errors import LIMITS, CapacityError, InputError
 from nestoqsym.graphs import (
     contract,
+    edge_code,
     enumerate_graphs,
     family,
     graph_from_edges,
@@ -358,6 +359,7 @@ def test_recurrence_multiplies_each_pair_of_values_once(monkeypatch):
 
     monkeypatch.setattr(invariants, "_mul_d", counted)
     invariants._product.cache_clear()
+    invariants._SUBGRAPHS.clear()
     # star:11 less its centre leaves k equal leaves for each of 2^10 leaf sets
     assert vertex_count(F_graph_recurrence(family("star", 11)), 11) == 9864101
     assert 1 <= len(calls) <= 10
@@ -375,8 +377,42 @@ def test_product_memo_cold_and_warm_agree():
     cold = []
     for g in sample:
         invariants._product.cache_clear()
+        invariants._SUBGRAPHS.clear()
         cold.append(F_graph_recurrence(g))
     assert [F_graph_recurrence(g) for g in sample] == cold
+
+
+def test_subgraph_memo_cold_and_warm_agree():
+    sample = enumerate_graphs(7, connected_only=True)[::40]
+    cold = []
+    for g in sample:
+        invariants._SUBGRAPHS.clear()
+        cold.append((F_graph_recurrence(g), chromatic_symmetric(g)))
+    # the other way round, so shared values come from the other graphs
+    warm = [(F_graph_recurrence(g), chromatic_symmetric(g)) for g in reversed(sample)]
+    assert warm[::-1] == cold
+
+
+def test_subgraph_memo_stays_within_its_budget():
+    memo = invariants._SUBGRAPHS
+    memo.clear()
+    graphs = [family(kind, 14) for kind in ("path", "cycle", "star", "complete")]
+    graphs += _random_graphs(1, 14, seed=14, p=0.5)
+    for g in graphs:
+        F_graph_recurrence(g)
+    small = [family(kind, 8) for kind in ("path", "cycle", "star", "complete")]
+    for g in small:
+        chromatic_symmetric(g)
+    assert 0 < memo.used <= memo.budget
+    assert memo.used == sum(memo.size(value) for value in memo.values.values())
+    # no whole-graph value: a sweep never meets the same graph twice
+    whole = {edge_code(g) for g in graphs}
+    whole |= {(g.n, (1 << g.n) - 1, edge_code(g)) for g in small}
+    assert not whole & memo.values.keys()
+
+
+def test_subgraph_memo_budget_is_finite():
+    assert type(invariants._SUBGRAPHS.budget) is int and invariants._SUBGRAPHS.budget > 0
 
 
 def test_connected_terms_end_in_1():
@@ -430,14 +466,14 @@ def test_chromatic_examples():
     assert X.as_dict() == {(2,): 1, (1, 1): 2}
 
 
-def _random_graphs(count, n, seed):
-    """G(n, p) with p drawn uniformly per graph."""
+def _random_graphs(count, n, seed, p=None):
+    """G(n, p), with p drawn uniformly per graph unless it is given."""
     rng = random.Random(seed)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     out = []
     for _ in range(count):
-        p = rng.random()
-        out.append(graph_from_edges(n, [e for e in pairs if rng.random() < p]))
+        q = rng.random() if p is None else p
+        out.append(graph_from_edges(n, [e for e in pairs if rng.random() < q]))
     return out
 
 
@@ -643,7 +679,7 @@ def test_collision_search_small():
     r = collision_search(2, "F")
     assert r.class_count == 2 and r.value_count == 2 and not r.collisions
     with pytest.raises(CapacityError):
-        collision_search(8, "F")
+        collision_search(9, "F")
     with pytest.raises(InputError):
         collision_search(3, "Y")
 

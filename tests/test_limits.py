@@ -134,8 +134,8 @@ CAPACITY_ARGV = [
     ("polytope", "--family", "pe", "--n", "9", "--coords"),
     ("polytope", "--family", "as", "--n", "9", "--fvector"),
     ("polytope", "--family", "st", "--n", "11"),
-    ("collide", "--n", "8"),
-    ("collide", "--n", "8", "--connected"),
+    ("collide", "--n", "9"),
+    ("collide", "--n", "9", "--connected"),
     ("trees", "--n", "8", "--kernel"),
     ("trees", "--n", "10"),
     ("antipode", "--qsym", "M[" + ",".join(["1"] * 20) + "]"),

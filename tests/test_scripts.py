@@ -45,7 +45,7 @@ def test_script_runs(argv):
     [
         ["family_table.py", "--max-n", "11", "--check-recurrences"],
         ["tree_dependence.py", "--max-n", "20"],
-        ["collision_report.py", "--max-n", "8", "--connected"],
+        ["collision_report.py", "--max-n", "9", "--connected"],
     ],
     ids=IDS,
 )
