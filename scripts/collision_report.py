@@ -24,7 +24,7 @@ def main():
     ap.add_argument("--max-n", type=int, default=5)
     ap.add_argument("--connected", action="store_true")
     args = ap.parse_args()
-    check_limit("collide connected" if args.connected else "collide", args.max_n)
+    check_limit("enumeration", args.max_n)
 
     for n in range(1, args.max_n + 1):
         for invariant in ("F", "X"):

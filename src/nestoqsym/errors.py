@@ -58,17 +58,16 @@ LIMITS = {
     "coproduct": Limit(12, "coproduct", "2^n coproduct terms"),
     "takeuchi": Limit(6, "Takeuchi antipode", "one chain per ordered set partition"),
     # quasisymmetric functions
-    "weight": Limit(4096, "composition weight", "the L-basis antipode scans w positions per term", "w"),
+    "weight": Limit(4096, "composition weight", "a term's code is a (w - 1)-bit mask", "w"),
     "refinements": Limit(16, "refinements of a term", "2^(w - l) per term", "w - l"),
     "coarsenings": Limit(16, "coarsenings of a term", "2^(l - 1) per term", "l - 1"),
     # nested sets and trees
     "nested": Limit(8, "nested-set enumeration", "one visit per nested set, 545,835 on K8"),
     "realization": Limit(7, "realization check", "n! (2^n - 2) facet tests on K_n"),
-    "tree shapes": Limit(9, "tree shapes", "rooted trees grow about 2.96^n"),
+    "tree shapes": Limit(14, "tree shapes", "rooted trees grow about 2.96^n"),
     "extensions": Limit(9, "linear extensions", "up to n! orderings"),
     # routes and checks
-    "zeta": Limit(9, "zeta enumeration", "3^n block tests"),
-    "splitting": Limit(8, "splitting-chain route", "3^n block tests"),
+    "splitting": Limit(9, "splitting-chain route", "3^n block tests"),
     "splitting chains": Limit(8, "splitting chains", "as many as ordered set partitions"),
     "tree enumerators": Limit(12, "tree enumerators", "2^(n - 1) terms per enumerator"),
     "colorings": Limit(8, "ordered-coloring route", "one walk step per ordered coloring"),
@@ -77,11 +76,8 @@ LIMITS = {
     "fundamental": Limit(7, "fundamental route", "one word per B-tree linear extension"),
     "thm72": Limit(7, "coefficient checks", "C(n, q) separator sets per q"),
     "family": Limit(10, "family recurrences", "2^(n - 1) terms per enumerator"),
-    "family check": Limit(10, "family recurrence checks", "runs the recurrence route too"),
     "kernel": Limit(7, "kernel computation", "tree shapes times 2^(n - 1) compositions"),
     "hopf": Limit(5, "Hopf checks", "Takeuchi antipode and coproduct of b"),
-    "collide": Limit(8, "collision search", "274,668 classes at n = 9"),
-    "collide connected": Limit(8, "connected collision search", "261,080 classes at n = 9"),
 }
 
 

@@ -135,7 +135,7 @@ def zeta(b: BuildingSet, alpha) -> int:
     alpha = qsym.composition(alpha)
     if sum(alpha) != b.n:
         raise InputError(f"composition weighs {sum(alpha)}, ground set has {b.n}")
-    check_limit("zeta", b.n)
+    check_limit("splitting", b.n)
     return _splitting_types(b).get(alpha, 0)
 
 
@@ -581,7 +581,6 @@ def family_graph(kind: str, n: int) -> Graph:
 
 def family_recurrence_check(kind: str, n: int) -> bool:
     """Recurrence value == vertex-deletion route on the defining graph."""
-    check_limit("family check", n)
     return family_F(kind, n) == F_graph_recurrence(family_graph(kind, n))
 
 
@@ -685,7 +684,6 @@ def collision_search(n: int, invariant: str = "F", connected_only: bool = False)
     """Group isomorphism classes by invariant value and report collisions."""
     if invariant not in ("F", "X"):
         raise InputError(f"invariant must be F or X, got {invariant!r}")
-    check_limit("collide connected" if connected_only else "collide", n)
     graphs = enumerate_graphs(n, connected_only)
     groups: dict = {}
     for g in graphs:

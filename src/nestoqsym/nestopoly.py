@@ -292,46 +292,28 @@ def tree_multiset(b: BuildingSet) -> Counter:
 
 
 @lru_cache(maxsize=None)
-def _partitions(n: int) -> tuple:
-    """Partitions of n as weakly decreasing tuples."""
-    if n == 0:
+def _forests(m: int, low: str = "") -> tuple:
+    """Forests on m nodes as tuples of tree codes, each >= low, in
+    nondecreasing order, so each forest appears once."""
+    if m == 0:
         return ((),)
-    out = []
-
-    def rec(rest, maxpart, acc):
-        if rest == 0:
-            out.append(tuple(acc))
-            return
-        for p in range(min(rest, maxpart), 0, -1):
-            rec(rest - p, p, acc + [p])
-
-    rec(n, n, [])
-    return tuple(out)
+    return tuple(
+        (t.code,) + rest
+        for size in range(1, m + 1)
+        for t in enumerate_tree_shapes(size)
+        if t.code >= low
+        for rest in _forests(m - size, t.code)
+    )
 
 
 @lru_cache(maxsize=None)
 def enumerate_tree_shapes(n: int) -> tuple:
-    """All unlabeled rooted trees on n nodes, each exactly once, sorted."""
+    """All unlabeled rooted trees on n nodes, each exactly once, sorted:
+    one root over each forest on n - 1 nodes."""
     if n < 1:
         raise InputError(f"tree shapes need n >= 1, got {n}")
     check_limit("tree shapes", n)
-    if n == 1:
-        return (TreeShape("()"),)
-    from itertools import combinations_with_replacement, product as iproduct
-
-    out = set()
-    for part in _partitions(n - 1):
-        sizes = sorted(set(part), reverse=True)
-        choices = []
-        for s in sizes:
-            mult = part.count(s)
-            choices.append(
-                list(combinations_with_replacement(enumerate_tree_shapes(s), mult))
-            )
-        for combo in iproduct(*choices):
-            codes = [t.code for group in combo for t in group]
-            out.add(TreeShape("(" + "".join(sorted(codes)) + ")"))
-    return tuple(sorted(out))
+    return tuple(sorted(TreeShape("(" + "".join(f) + ")") for f in _forests(n - 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,10 @@ unit.  Coefficients are Python ints, so arithmetic is exact at every size
 (an arithmetic-overflow failure mode cannot occur); the practical limit is
 the enumeration cost of the callers, not the coefficient width.
 
+Compositions are enumerated and compared through one code, the set of
+partial sums below the weight as a bit mask (Gessel): refinement is
+containment of codes, and the L-basis antipode complements and reverses.
+
 Values are immutable after construction and every operation is a pure
 function, so elements can be shared freely across threads.
 """
@@ -20,7 +24,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import factorial
 
-from .bitsets import bits
+from .bitsets import bits, submasks
 from .errors import InputError, ParseError, check_int, check_limit
 from .graphs import json_int, load_json
 
@@ -36,42 +40,48 @@ def composition(parts) -> Composition:
     return alpha
 
 
-def _check_refinements(alpha):
-    w = sum(alpha)
-    check_limit("weight", w)
-    check_limit("refinements", w - len(alpha))
-
-
 def term_key(alpha):
     """Canonical total order on compositions: weight, length, lexicographic."""
     return (sum(alpha), len(alpha), alpha)
 
 
+def _code(alpha) -> int:
+    """The partial sums of alpha below its weight, as a mask: bit s - 1 for s.
+    The mask has w - 1 bits, so the weight is checked first."""
+    check_limit("weight", sum(alpha))
+    return sum(1 << (s - 1) for s in accumulate(alpha[:-1]))
+
+
+def _composition(code: int, w: int) -> Composition:
+    """The composition of w whose partial sums below w are the bits of code."""
+    if w == 0:
+        return ()
+    parts, last = [], 0
+    for s in bits(code):
+        parts.append(s + 1 - last)
+        last = s + 1
+    parts.append(w - last)
+    return tuple(parts)
+
+
+def _free(code: int, w: int) -> int:
+    """The cut positions in [w - 1] that code leaves unset, as a mask."""
+    return ((1 << max(w - 1, 0)) - 1) & ~code
+
+
 def refines(beta, alpha) -> bool:
-    """True iff beta cuts into consecutive blocks summing to alpha's parts."""
-    i = 0
-    for a in alpha:
-        s = 0
-        while s < a:
-            if i >= len(beta):
-                return False
-            s += beta[i]
-            i += 1
-        if s != a:
-            return False
-    return i == len(beta)
+    """True iff beta cuts into consecutive blocks summing to alpha's parts:
+    both weigh the same and every partial sum of alpha is one of beta's."""
+    beta, alpha = composition(beta), composition(alpha)
+    return sum(beta) == sum(alpha) and _code(alpha) & ~_code(beta) == 0
 
 
 def coarsenings(alpha) -> set:
-    """All beta obtained by merging adjacent parts of alpha (2^(l-1) of length l)."""
-    alpha = tuple(alpha)
-    if not alpha:
-        return {()}
+    """All beta obtained by merging adjacent parts of alpha (2^(l-1) of length l):
+    the compositions whose codes are submasks of alpha's."""
+    alpha = composition(alpha)
     check_limit("coarsenings", len(alpha) - 1)
-    out = [alpha[:1]]
-    for a in alpha[1:]:  # a new part, or merged into the last one
-        out = [c + (a,) for c in out] + [c[:-1] + (c[-1] + a,) for c in out]
-    return set(out)
+    return {_composition(sub, sum(alpha)) for sub in submasks(_code(alpha))}
 
 
 @lru_cache(maxsize=None)
@@ -79,14 +89,7 @@ def compositions_of(n: int) -> tuple:
     """All compositions of n in canonical term order."""
     if n < 0:
         raise InputError(f"negative weight {n}")
-    if n == 0:
-        return ((),)
-    _check_refinements((n,))
-    res = []
-    for first in range(1, n + 1):
-        for rest in compositions_of(n - first):
-            res.append((first,) + rest)
-    return tuple(sorted(res, key=term_key))
+    return tuple(sorted(code_table(n)[0], key=term_key))
 
 
 @lru_cache(maxsize=None)
@@ -95,31 +98,27 @@ def code_table(w: int) -> tuple:
 
     The code of a composition of w is its set of partial sums below w, as a
     bit mask over [w - 1]: bit s - 1 is set iff the first parts sum to s.
-    Appending a part 1 to a composition of w sets bit w - 1, so the codes
-    of (alpha, 1) fill the top half of the table at weight w + 1.
+    It is one-to-one, refinement is containment of codes, and appending a
+    part 1 to a composition of w sets bit w - 1, so the codes of (alpha, 1)
+    fill the top half of the table at weight w + 1.
     """
-    if w == 0:
-        return ((),), {(): 0}
-    _check_refinements((w,))
-    by_code = []
-    for code in range(1 << (w - 1)):
-        parts, last = [], 0
-        for s in bits(code):
-            parts.append(s + 1 - last)
-            last = s + 1
-        parts.append(w - last)
-        by_code.append(tuple(parts))
-    return tuple(by_code), {alpha: code for code, alpha in enumerate(by_code)}
+    check_limit("weight", w)
+    check_limit("refinements", w - 1)
+    by_code = tuple(_composition(code, w) for code in range(1 << max(w - 1, 0)))
+    return by_code, {alpha: code for code, alpha in enumerate(by_code)}
+
+
+def refinements(alpha) -> tuple:
+    """All beta with refines(beta, alpha)."""
+    return _refinements(composition(alpha))
 
 
 @lru_cache(maxsize=None)
-def refinements(alpha) -> tuple:
-    """All beta with refines(beta, alpha), concatenating per-part refinements."""
-    _check_refinements(alpha)
-    out = [()]
-    for a in alpha:
-        out = [b + c for b in out for c in compositions_of(a)]
-    return tuple(out)
+def _refinements(alpha) -> tuple:
+    """alpha's code joined with each set of the cut positions it leaves free."""
+    w, code = sum(alpha), _code(alpha)
+    check_limit("refinements", w - len(alpha))
+    return tuple(_composition(code | s, w) for s in submasks(_free(code, w)))
 
 
 class Combination:
@@ -330,7 +329,7 @@ def to_fundamental(F: QSymElement) -> QSymElement:
     acc = {}
     for alpha, c in F.terms:
         k = len(alpha)
-        for beta in refinements(alpha):
+        for beta in _refinements(alpha):
             s = -1 if (len(beta) - k) % 2 else 1
             acc[beta] = acc.get(beta, 0) + c * s
     return _element("L", acc)
@@ -342,7 +341,7 @@ def from_fundamental(F: QSymElement) -> QSymElement:
         raise InputError("from_fundamental expects an L-basis element")
     acc = {}
     for alpha, c in F.terms:
-        for beta in refinements(alpha):
+        for beta in _refinements(alpha):
             acc[beta] = acc.get(beta, 0) + c
     return _element("M", acc)
 
@@ -370,9 +369,9 @@ def antipode(F: QSymElement) -> QSymElement:
 
     S(M_alpha) = (-1)^l(alpha) times the sum of M_beta over the coarsenings
     beta of alpha reversed (Malvenuto-Reutenauer, Ehrenborg), and
-    S(L_alpha) = (-1)^n L_beta, where beta has the descent set
-    {n - j : j in [n - 1], j not a partial sum of alpha}: the descent set
-    of alpha complemented and reflected.  Equivalently, beta is the descent
+    S(L_alpha) = (-1)^n L_beta, where beta is the reverse of the composition
+    whose code is the complement of alpha's in [n - 1]: the descent set of
+    alpha complemented and reflected.  Equivalently, beta is the descent
     composition of any permutation with descent composition alpha, read
     right to left.  This is
     the unique map satisfying the antipode axiom for the deconcatenation
@@ -382,17 +381,13 @@ def antipode(F: QSymElement) -> QSymElement:
     acc = {}
     if F.basis == "M":
         for alpha, c in F.terms:
-            check_limit("weight", sum(alpha))  # the same weight bound as L
             s = -c if len(alpha) % 2 else c
             for beta in coarsenings(alpha[::-1]):
                 acc[beta] = acc.get(beta, 0) + s
         return _element("M", acc)
     for alpha, c in F.terms:
         n = sum(alpha)
-        check_limit("weight", n)
-        cuts = set(accumulate(alpha[:-1]))
-        ends = [j for j in range(n, -1, -1) if j not in cuts]  # n - j: 0, des(beta), n
-        beta = tuple(a - b for a, b in zip(ends, ends[1:]))
+        beta = _composition(_free(_code(alpha), n), n)[::-1]
         acc[beta] = acc.get(beta, 0) + (-c if n % 2 else c)
     return _element("L", acc)
 

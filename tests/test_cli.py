@@ -323,7 +323,7 @@ def test_exit_codes(capsys):
     assert code == 2 and "neither" in err
     code, _, err = run(capsys, "collide", "--n", "9")
     assert code == 3 and "capacity" in err
-    code, _, err = run(capsys, "trees", "--n", "12")
+    code, _, err = run(capsys, "trees", "--n", "15")
     assert code == 3
     code, out, err = run(capsys, "antipode", "--qsym", "M[99999999999999999999999]")
     assert code == 3 and err.startswith("capacity error: ") and err.count("\n") == 1

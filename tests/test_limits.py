@@ -78,7 +78,6 @@ PROBES = {
     "realization": lambda v: check_realization(discrete(v)),
     "tree shapes": lambda v: enumerate_tree_shapes(v),
     "extensions": lambda v: linear_extensions(forest(v)),
-    "zeta": lambda v: zeta(discrete(v), (1,) * v),
     "splitting": lambda v: F_splitting(discrete(v)),
     "splitting chains": lambda v: splitting_chains(discrete(v)),
     "tree enumerators": lambda v: F_tree(forest(v)),
@@ -88,11 +87,8 @@ PROBES = {
     "fundamental": lambda v: F_fundamental(discrete(v)),
     "thm72": lambda v: check_thm72(empty(v)),
     "family": lambda v: family_F("permutohedron", v),
-    "family check": lambda v: family_recurrence_check("associahedron", v),
     "kernel": lambda v: tree_matrix_kernel(v),
     "hopf": lambda v: hopf_morphism_check(discrete(v)),
-    "collide": lambda v: collision_search(v, "F"),
-    "collide connected": lambda v: collision_search(v, "F", connected_only=True),
 }
 
 
@@ -111,6 +107,28 @@ def test_row_refuses_one_past_its_limit(name):
     )
 
 
+# Calls that had rows of their own, one past the old limits: each is now
+# refused by the row of the kernel it runs.
+FOLDED = {
+    "zeta": (lambda: zeta(discrete(10), (1,) * 10), "splitting"),
+    "family check": (lambda: family_recurrence_check("associahedron", 11), "family"),
+    "collide": (lambda: collision_search(9, "F"), "enumeration"),
+    "collide connected": (
+        lambda: collision_search(9, "F", connected_only=True),
+        "enumeration",
+    ),
+}
+
+
+@pytest.mark.parametrize("old_row", sorted(FOLDED))
+def test_folded_rows_are_refused_by_their_kernel(old_row):
+    call, row = FOLDED[old_row]
+    assert old_row not in LIMITS
+    with pytest.raises(CapacityError) as exc:
+        call()
+    assert str(exc.value).startswith(f"{LIMITS[row].what} capped at ")
+
+
 def test_below_range_sizes_are_input_errors():
     with pytest.raises(InputError, match="family counts need n >= 1, got 0"):
         family_vertex_counts(0)
@@ -122,7 +140,7 @@ def test_below_range_sizes_are_input_errors():
 
 CAPACITY_ARGV = [
     ("invariant", "--graph", f"cycle:{LIMITS['recurrence'].limit + 1}"),
-    ("invariant", "--graph", "cycle:9", "--route", "splitting"),
+    ("invariant", "--graph", "cycle:10", "--route", "splitting"),
     ("invariant", "--graph", "cycle:9", "--route", "trees"),
     ("invariant", "--graph", "cycle:9", "--route", "colorings"),
     ("invariant", "--graph", "cycle:9", "--route", "all"),
@@ -137,7 +155,7 @@ CAPACITY_ARGV = [
     ("collide", "--n", "9"),
     ("collide", "--n", "9", "--connected"),
     ("trees", "--n", "8", "--kernel"),
-    ("trees", "--n", "10"),
+    ("trees", "--n", "15"),
     ("antipode", "--qsym", "M[" + ",".join(["1"] * 20) + "]"),
     ("antipode", "--qsym", "L[5000]"),
     ("antipode", "--qsym", "M[99999999999999999999999]"),

@@ -347,12 +347,42 @@ def test_tree_multiset_examples():
 
 
 def test_enumerate_tree_shapes_counts():
-    assert [len(enumerate_tree_shapes(n)) for n in range(1, 10)] == [
-        1, 1, 2, 4, 9, 20, 48, 115, 286,
+    # OEIS A000081
+    assert [len(enumerate_tree_shapes(n)) for n in range(1, 15)] == [
+        1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486, 32973,
     ]
     assert enumerate_tree_shapes(1) == (TreeShape("()"),)
     with pytest.raises(CapacityError):
-        enumerate_tree_shapes(10)
+        enumerate_tree_shapes(15)
+
+
+def oracle_tree_shapes(n):
+    """The enumeration the forests replaced: for each partition of n - 1 into
+    subtree sizes, every multiset of shapes of each size, deduplicated."""
+    from itertools import combinations_with_replacement, product
+
+    def partitions(rest, largest):
+        if rest == 0:
+            yield ()
+        for p in range(min(rest, largest), 0, -1):
+            for tail in partitions(rest - p, p):
+                yield (p,) + tail
+
+    out = set()
+    for part in partitions(n - 1, n - 1):
+        choices = [
+            list(combinations_with_replacement(oracle_tree_shapes(s), part.count(s)))
+            for s in sorted(set(part), reverse=True)
+        ]
+        for combo in product(*choices):
+            codes = [code for group in combo for code in group]
+            out.add("(" + "".join(sorted(codes)) + ")")
+    return tuple(sorted(out))
+
+
+def test_enumerate_tree_shapes_matches_the_partition_oracle():
+    for n in range(1, 11):
+        assert tuple(sh.code for sh in enumerate_tree_shapes(n)) == oracle_tree_shapes(n)
 
 
 def test_shape_codes_distinguish_the_4_vertex_trees():

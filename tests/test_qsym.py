@@ -1,5 +1,7 @@
 """The quasisymmetric kernel: exact values and algebraic laws."""
 
+from itertools import accumulate
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -26,6 +28,7 @@ from nestoqsym.qsym import (
     refinements,
     render,
     shift1,
+    term_key,
     to_fundamental,
     to_json,
     vertex_count,
@@ -106,6 +109,111 @@ def test_code_of_appending_a_one_sets_the_top_bit():
         code_of, longer = code_table(w)[1], code_table(w + 1)[1]
         for alpha, code in code_of.items():
             assert longer[alpha + (1,)] == code | 1 << (w - 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: refines((0, 1), (1,)),
+        lambda: refines((-1, 3), (2,)),
+        lambda: coarsenings((1.5, 0.5)),
+        lambda: refinements((0, 2)),
+        lambda: refinements((2.5,)),
+    ],
+    ids=["refines-zero-part", "refines-negative-part", "coarsenings-floats",
+         "refinements-zero-part", "refinements-float"],
+)
+def test_composition_helpers_refuse_non_compositions(call):
+    with pytest.raises(InputError):
+        call()
+
+
+def test_refinements_of_the_empty_composition():
+    assert refinements(()) == ((),)
+    assert coarsenings(()) == {()}
+    assert refines((), ())
+    assert not refines((1,), ())
+
+
+# The enumerations the partial-sum code replaced, kept as oracles.
+
+def oracle_compositions_of(n):
+    """First part, then every composition of the rest; sorted by term_key."""
+    if n == 0:
+        return ((),)
+    res = []
+    for first in range(1, n + 1):
+        for rest in oracle_compositions_of(n - first):
+            res.append((first,) + rest)
+    return tuple(sorted(res, key=term_key))
+
+
+def oracle_code_table(w):
+    """Read each code's set bits as partial sums, one part at a time."""
+    if w == 0:
+        return ((),)
+    by_code = []
+    for code in range(1 << (w - 1)):
+        parts, last = [], 0
+        for s in range(w - 1):
+            if code >> s & 1:
+                parts.append(s + 1 - last)
+                last = s + 1
+        parts.append(w - last)
+        by_code.append(tuple(parts))
+    return tuple(by_code)
+
+
+def oracle_refinements(alpha, by_weight):
+    """Concatenate one refinement of each part, in every way."""
+    out = [()]
+    for a in alpha:
+        out = [b + c for b in out for c in by_weight[a]]
+    return out
+
+
+def oracle_coarsenings(alpha):
+    """Each next part starts a new part or merges into the last one."""
+    if not alpha:
+        return {()}
+    out = [alpha[:1]]
+    for a in alpha[1:]:
+        out = [c + (a,) for c in out] + [c[:-1] + (c[-1] + a,) for c in out]
+    return set(out)
+
+
+def oracle_antipode_L(alpha):
+    """Scan 0..n right to left, keeping the positions that are not cuts."""
+    n = sum(alpha)
+    cuts = set(accumulate(alpha[:-1]))
+    ends = [j for j in range(n, -1, -1) if j not in cuts]
+    return tuple(a - b for a, b in zip(ends, ends[1:]))
+
+
+def test_code_table_and_compositions_of_match_the_recursion():
+    for w in range(0, 15):
+        assert code_table(w)[0] == oracle_code_table(w)
+        assert compositions_of(w) == oracle_compositions_of(w)
+
+
+def test_refinements_and_coarsenings_match_the_concatenations():
+    by_weight = {w: oracle_compositions_of(w) for w in range(13)}
+    for w in range(0, 13):
+        for alpha in by_weight[w]:
+            refs = refinements(alpha)
+            assert len(refs) == len(set(refs))
+            assert set(refs) == set(oracle_refinements(alpha, by_weight))
+            assert coarsenings(alpha) == oracle_coarsenings(alpha)
+
+
+def test_antipode_matches_the_scans_on_every_basis_function():
+    for w in range(0, 13):
+        for alpha in compositions_of(w):
+            sign = -1 if len(alpha) % 2 else 1
+            expect = element("M", {b: sign for b in oracle_coarsenings(alpha[::-1])})
+            assert antipode(monomial(alpha)) == expect
+            beta = oracle_antipode_L(alpha)
+            assert antipode(fundamental(alpha)) == fundamental(beta, (-1) ** w)
 
 
 # ---------------------------------------------------------------------------
