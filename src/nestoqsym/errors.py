@@ -71,7 +71,7 @@ LIMITS = {
     "splitting chains": Limit(8, "splitting chains", "as many as ordered set partitions"),
     "tree enumerators": Limit(12, "tree enumerators", "2^(n - 1) terms per enumerator"),
     "colorings": Limit(8, "ordered-coloring route", "one walk step per ordered coloring"),
-    "chromatic": Limit(8, "chromatic enumeration", "3^n block tests"),
+    "chromatic": Limit(11, "chromatic enumeration", "3^n block tests"),
     "recurrence": Limit(14, "recurrence route", "2^n vertex masks in the memo"),
     "fundamental": Limit(7, "fundamental route", "one word per B-tree linear extension"),
     "thm72": Limit(7, "coefficient checks", "C(n, q) separator sets per q"),

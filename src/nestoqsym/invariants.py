@@ -83,6 +83,7 @@ from .qsym import (
     QSymElement,
     _element,
     _mul_d,
+    _term_slots,
     antipode,
     code_table,
     compositions_of,
@@ -211,12 +212,14 @@ def F_graph_colorings(g: Graph) -> QSymElement:
     return qsym.element("M", acc)
 
 
-def _terms(value: int, w: int) -> list:
+def _terms(value: int, w: int) -> tuple:
     """The (composition, coeff) pairs of F on w vertices packed as in
-    _recurrence, unpacked through a memoryview cast to 64-bit slots."""
-    by_code = code_table(w)[0]
-    slots = memoryview(value.to_bytes(8 * len(by_code), sys.byteorder)).cast("Q")
-    return [(by_code[i], c) for i, c in enumerate(slots) if c]
+    _recurrence, in canonical term order: the nonzero 64-bit slots, read
+    through a memoryview cast in the order of qsym._term_slots, so an
+    element built on them needs no sort."""
+    order = _term_slots(w)
+    slots = memoryview(value.to_bytes(8 * len(order), sys.byteorder)).cast("Q")
+    return tuple([(alpha, c) for i, alpha in order if (c := slots[i])])
 
 
 @lru_cache(maxsize=1024)
@@ -268,13 +271,14 @@ _SUBGRAPHS = _SubgraphMemo(3 << 19)  # 1.5 MiB
 _SHARED_W = 6  # F is shared on at most 6 vertices, at most 256 bytes a value
 
 
-def _recurrence(n: int, first, code: int | None = None) -> dict:
-    """F by vertex deletion, as a {composition: coeff} dict, memoized on the
-    surviving vertex set; first(mask) is one component of the restriction.
+def _recurrence(n: int, first, code: int | None = None) -> int:
+    """F by vertex deletion, packed as below, memoized on the surviving
+    vertex set; first(mask) is one component of the restriction.
 
-    The memo holds F on w vertices as one int, the coefficient of the
-    composition with code i (qsym.code_table) in 64-bit slot i; it counts
-    ordered set partitions of one type, so it is at most w! < 2^64 (w <= 20).
+    The memo and the result hold F on w vertices as one int, the
+    coefficient of the composition with code i (qsym.code_table) in 64-bit
+    slot i; it counts ordered set partitions of one type, so it is at most
+    w! < 2^64 (w <= 20).
     Connected: the deletions' sum, shifted 2^(w - 2) slots (a part 1 appended
     sets code bit w - 2).  Disconnected: first component times the rest,
     through _product; slot 2^(w - 1) - 1 holds w! > 0, so length fixes w.
@@ -316,15 +320,20 @@ def _recurrence(n: int, first, code: int | None = None) -> dict:
             memo[mask] = hit
         return hit
 
-    out = dict(_terms(rec((1 << n) - 1), n))
+    out = rec((1 << n) - 1)
     memo.clear()  # rec's closure is a cycle, so the memo would outlive the call
     return out
 
 
+def _packed_F(g: Graph) -> int:
+    """F of a graph packed as in _recurrence: equal integers are equal F."""
+    check_limit("recurrence", g.n)
+    return _recurrence(g.n, _lowest_component(g), edge_code(g))
+
+
 def F_graph_recurrence(g: Graph) -> QSymElement:
     """Vertex-deletion recurrence over the components of induced subgraphs."""
-    check_limit("recurrence", g.n)
-    return _element("M", _recurrence(g.n, _lowest_component(g), edge_code(g)))
+    return QSymElement("M", _terms(_packed_F(g), g.n))
 
 
 def F_graph(g: Graph) -> QSymElement:
@@ -371,7 +380,7 @@ class SymElement(qsym.Combination):
             return "0"
         chunks = []
         for mu, c in self.terms:
-            body = f"m[{','.join(map(str, mu))}]"
+            body = qsym._body("m", mu)
             chunks.append(body if c == 1 else f"{c}*{body}")
         return " + ".join(chunks)
 
@@ -394,8 +403,32 @@ def chromatic_symmetric(g: Graph) -> SymElement:
     sizes are kept as one integer, sum_k m_k (n + 1)^(k - 1) with m_k the
     number of blocks of size k, so adding a block adds a constant.  Ordering
     the blocks into the color slots of mu gives prod_k m_k! colorings per
-    partition.
+    partition; _partitions(n) pairs each key with its mu and that factor, in
+    term order, so the terms need no decoding and no sort.
     """
+    whole = _block_counts(g)
+    return SymElement(
+        tuple([(mu, c * ways) for key, mu, ways in _partitions(g.n) if (c := whole.get(key))])
+    )
+
+
+@lru_cache(maxsize=None)
+def _partitions(n: int) -> tuple:
+    """(block-size key, partition mu, prod_k m_k!) for every partition of n,
+    in term order: the compositions of n whose parts do not increase.
+    Bounded by the chromatic row."""
+    check_limit("chromatic", n)
+    out = []
+    for mu in compositions_of(n):
+        if all(a >= b for a, b in zip(mu, mu[1:])):
+            ways = prod(factorial(mu.count(k)) for k in set(mu))
+            out.append((sum((n + 1) ** (k - 1) for k in mu), mu, ways))
+    return tuple(out)
+
+
+def _block_counts(g: Graph) -> dict:
+    """{block-size key: partitions of the vertices into independent sets
+    with those block sizes}, keyed as in chromatic_symmetric."""
     check_limit("chromatic", g.n)
     n = g.n
     full = (1 << n) - 1
@@ -423,17 +456,9 @@ def chromatic_symmetric(g: Graph) -> SymElement:
             memo[left] = hit
         return hit
 
-    counts = {}
     whole = rest(full)
     memo.clear()  # rest's closure is a cycle, so the memo would outlive the call
-    for key, c in whole.items():
-        parts = []
-        for k in range(1, n + 1):
-            key, m = divmod(key, n + 1)
-            parts += [k] * m
-            c *= factorial(m)
-        counts[tuple(reversed(parts))] = c
-    return SymElement.of(counts)
+    return whole
 
 
 def ordered_colorings_by_type(g: Graph) -> dict:
@@ -685,26 +710,19 @@ def collision_search(n: int, invariant: str = "F", connected_only: bool = False)
     if invariant not in ("F", "X"):
         raise InputError(f"invariant must be F or X, got {invariant!r}")
     graphs = enumerate_graphs(n, connected_only)
+    value = _packed_F if invariant == "F" else chromatic_symmetric
     groups: dict = {}
     for g in graphs:
-        if invariant == "F":
-            key = qsym.render(F_graph_recurrence(g))
-        else:
-            key = str(chromatic_symmetric(g))
-        groups.setdefault(key, []).append(g)
-    collisions = tuple(
-        tuple(to_graph6(g) for g in grp)
-        for key, grp in sorted(groups.items())
-        if len(grp) > 1
-    )
+        groups.setdefault(value(g), []).append(g)
+    # Only shared values are rendered: the groups are listed in text order.
+    text = (lambda v: qsym.render(QSymElement("M", _terms(v, n)))) if invariant == "F" else str
+    shared = {text(v): grp for v, grp in groups.items() if len(grp) > 1}
+    collisions = tuple(tuple(to_graph6(g) for g in shared[t]) for t in sorted(shared))
     f_separates = None
     if invariant == "X":
-        f_separates = True
-        for key, grp in groups.items():
-            if len(grp) > 1:
-                fs = [qsym.render(F_graph_recurrence(g)) for g in grp]
-                if len(set(fs)) != len(fs):
-                    f_separates = False
+        f_separates = all(
+            len({_packed_F(g) for g in grp}) == len(grp) for grp in shared.values()
+        )
     return CollisionReport(
         n=n,
         invariant=invariant,
@@ -733,7 +751,7 @@ def F_of_hopf(h: HopfElement) -> QSymElement:
             if factor not in by_factor:
                 check_limit("recurrence", factor.n)
                 F = _recurrence(factor.n, lambda mask: _components_in(factor, mask)[0])
-                by_factor[factor] = F.items()
+                by_factor[factor] = _terms(F, factor.n)
             prod = _mul_d(prod.items(), by_factor[factor])
         for a, x in prod.items():
             acc[a] = acc.get(a, 0) + x

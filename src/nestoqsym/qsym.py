@@ -21,7 +21,7 @@ import json
 import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import factorial
 
 from .bitsets import bits, submasks
@@ -108,6 +108,15 @@ def code_table(w: int) -> tuple:
     return by_code, {alpha: code for code, alpha in enumerate(by_code)}
 
 
+@lru_cache(maxsize=None)
+def _term_slots(w: int) -> tuple:
+    """(code, composition) for each composition of w, in canonical term order:
+    reading a packed value's slots in this order yields sorted terms.  Bounded
+    by code_table's rows, like it."""
+    code_of = code_table(w)[1]
+    return tuple([(code_of[alpha], alpha) for alpha in compositions_of(w)])
+
+
 def refinements(alpha) -> tuple:
     """All beta with refines(beta, alpha)."""
     return _refinements(composition(alpha))
@@ -115,10 +124,19 @@ def refinements(alpha) -> tuple:
 
 @lru_cache(maxsize=None)
 def _refinements(alpha) -> tuple:
-    """alpha's code joined with each set of the cut positions it leaves free."""
+    """alpha's code joined with each set of the cut positions it leaves free,
+    in term order, so the basis changes hand their sort near-sorted sums:
+    fewer cuts first, and among as many cuts, the sets of cuts in the
+    lexicographic order of their sorted positions, which is the
+    lexicographic order of the parts."""
     w, code = sum(alpha), _code(alpha)
     check_limit("refinements", w - len(alpha))
-    return tuple(_composition(code | s, w) for s in submasks(_free(code, w)))
+    free = [1 << s for s in bits(_free(code, w))]
+    return tuple(
+        _composition(code | sum(cuts), w)
+        for k in range(len(free) + 1)
+        for cuts in combinations(free, k)
+    )
 
 
 class Combination:
@@ -423,13 +441,19 @@ def vertex_count(F: QSymElement, n: int) -> int:
 # text and JSON forms
 
 
+@lru_cache(maxsize=1024)
+def _body(letter: str, parts: tuple) -> str:
+    """The text of one basis function, e.g. M[2,1] or m[3,1]."""
+    return f"{letter}[{','.join(map(str, parts))}]"
+
+
 def render(F: QSymElement) -> str:
     """Deterministic text form, e.g. '24*M[1,1,1,1] + 6*M[2,1,1]'."""
     if not F.terms:
         return "0"
     chunks = []
     for alpha, c in F.terms:
-        body = f"{F.basis}[{','.join(map(str, alpha))}]"
+        body = _body(F.basis, alpha)
         mag = body if abs(c) == 1 else f"{abs(c)}*{body}"
         if not chunks:
             chunks.append(mag if c > 0 else "-" + mag)

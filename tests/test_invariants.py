@@ -1,6 +1,7 @@
 """The enumerator routes, coefficient theorems, families, collisions, Hopf checks."""
 
 import random
+import sys
 from collections import Counter
 from itertools import product as iproduct
 from math import comb, factorial
@@ -422,6 +423,32 @@ def test_connected_terms_end_in_1():
                 assert alpha[-1] == 1
 
 
+def _family_or_edgeless(kind, n):
+    """The family's n-vertex graph, the path for a cycle below 3, and the
+    graph on no vertices at n = 0."""
+    if n == 0:
+        return graph_from_edges(0, [])
+    return family("path" if kind == "cycle" and n < 3 else kind, n)
+
+
+def test_terms_read_in_slot_order_match_the_sorted_construction():
+    # the recurrence's terms, read off its packed value in term order, are
+    # the tuple Combination.of sorts out of the slots read in code order
+    cases = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    cases += [
+        _family_or_edgeless(kind, n)
+        for kind in ("path", "cycle", "star", "complete")
+        for n in range(0, 13)
+    ]
+    for g in cases:
+        by_code = qsym.code_table(g.n)[0]
+        packed = invariants._packed_F(g).to_bytes(8 * len(by_code), sys.byteorder)
+        slots = memoryview(packed).cast("Q")
+        in_code_order = {by_code[i]: c for i, c in enumerate(slots) if c}
+        sorted_form = qsym.QSymElement.of(in_code_order, basis="M")
+        assert F_graph_recurrence(g).terms == sorted_form.terms, g
+
+
 # ---------------------------------------------------------------------------
 # fundamental basis and the antipode image
 
@@ -488,8 +515,40 @@ def test_chromatic_matches_ordered_walk():
         walk = {mu: c for mu, c in by_type.items() if list(mu) == sorted(mu, reverse=True)}
         assert chromatic_symmetric(g).as_dict() == walk
     assert chromatic_symmetric(graph_from_edges(0, [])).as_dict() == {(): 1}
-    with pytest.raises(CapacityError, match="chromatic enumeration capped at n <= 8"):
-        chromatic_symmetric(family("path", 9))
+    with pytest.raises(CapacityError, match="chromatic enumeration capped at n <= 11"):
+        chromatic_symmetric(family("path", 12))
+
+
+def oracle_decode(whole, n):
+    """The block-size keys decoded one digit at a time, then sorted."""
+    counts = {}
+    for key, c in whole.items():
+        parts = []
+        for k in range(1, n + 1):
+            key, mult = divmod(key, n + 1)
+            parts += [k] * mult
+            c *= factorial(mult)
+        counts[tuple(reversed(parts))] = c
+    return invariants.SymElement.of(counts)
+
+
+def oracle_str(X):
+    """The text form of X with each term's body formatted in place."""
+    if not X.terms:
+        return "0"
+    return " + ".join(
+        f"m[{','.join(map(str, mu))}]" if c == 1 else f"{c}*m[{','.join(map(str, mu))}]"
+        for mu, c in X.terms
+    )
+
+
+def test_chromatic_table_read_matches_the_decoded_keys():
+    cases = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    cases += [graph_from_edges(n, []) for n in range(0, LIMITS["chromatic"].limit + 1)]
+    for g in cases:
+        X = chromatic_symmetric(g)
+        assert X.terms == oracle_decode(invariants._block_counts(g), g.n).terms, g
+        assert str(X) == oracle_str(X)
 
 
 def test_chromatic_convention_matches_ordered_expansion():
@@ -674,6 +733,19 @@ def test_kernel_relation_annihilates_tree_enumerators():
 
 # ---------------------------------------------------------------------------
 # collisions
+
+def test_collision_search_renders_only_shared_values(monkeypatch):
+    rendered = []
+    render = qsym.render
+    monkeypatch.setattr(qsym, "render", lambda F: rendered.append(F) or render(F))
+    assert len(collision_search(6, "F").collisions) == len(rendered) == 3
+    rendered.clear()
+    to_str = invariants.SymElement.__str__
+    monkeypatch.setattr(
+        invariants.SymElement, "__str__", lambda X: rendered.append(X) or to_str(X)
+    )
+    assert len(collision_search(6, "X").collisions) == len(rendered) == 10
+
 
 def test_collision_search_small():
     r = collision_search(2, "F")

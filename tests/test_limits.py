@@ -146,7 +146,7 @@ CAPACITY_ARGV = [
     ("invariant", "--graph", "cycle:9", "--route", "all"),
     ("invariant", "--graph", "complete:17", "--route", "splitting"),
     ("invariant", "--graph", '{"n":33,"edges":[]}'),
-    ("chromatic", "--graph", "path:9"),
+    ("chromatic", "--graph", f"path:{LIMITS['chromatic'].limit + 1}"),
     ("fvector", "--graph", "path:9"),
     ("fvector", "--sets", '{"n":9,"sets":[]}'),
     ("polytope", "--family", "pe", "--n", "9", "--coords"),

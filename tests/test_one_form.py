@@ -107,10 +107,10 @@ def test_one_flag_walk():
         ("buildset", "takeuchi_antipode"),
         ("invariants", "F_graph_colorings"),
         # X walks unordered partitions; on flag_walk it took 0.31 s over the
-        # 853 connected 7-vertex classes, against 0.13 s by its own walk.
-        ("invariants", "chromatic_symmetric"),
-        # Not walks over set partitions: one pass over the subsets of a
+        # 853 connected 7-vertex classes, against 0.13 s by its own walk
+        # (chromatic_symmetric reads the counts of this one).
+        ("invariants", "_block_counts"),
+        # Not a walk over set partitions: one pass over the subsets of a
         # composition's cut positions, the partial-sum code of qsym.
-        ("qsym", "_refinements"),
         ("qsym", "coarsenings"),
     ]

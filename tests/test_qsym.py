@@ -7,6 +7,8 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from conftest import compositions, qsym_elements, small_qsym_elements
+from nestoqsym import qsym
+from nestoqsym.bitsets import submasks
 from nestoqsym.errors import InputError, ParseError
 from nestoqsym.qsym import (
     antipode,
@@ -204,6 +206,17 @@ def test_refinements_and_coarsenings_match_the_concatenations():
             assert len(refs) == len(set(refs))
             assert set(refs) == set(oracle_refinements(alpha, by_weight))
             assert coarsenings(alpha) == oracle_coarsenings(alpha)
+
+
+def test_refinements_are_cached_in_term_order():
+    # the cached tuple holds the submask walk's refinements, in term order
+    for w in range(0, 13):
+        for alpha in compositions_of(w):
+            code = qsym._code(alpha)
+            walk = {qsym._composition(code | s, w) for s in submasks(qsym._free(code, w))}
+            cached = qsym._refinements(alpha)
+            assert set(cached) == walk and len(cached) == len(walk)
+            assert list(cached) == sorted(cached, key=term_key)
 
 
 def test_antipode_matches_the_scans_on_every_basis_function():
@@ -512,6 +525,32 @@ def test_render_canonical_order():
     assert render(zero()) == "0"
     assert render(element("M", {(): 1})) == "M[]"
     assert render(element("M", {(2,): -1, (1, 1): 3})) == "-M[2] + 3*M[1,1]"
+
+
+def oracle_render(F):
+    """The text form with each term's body formatted in place."""
+    if not F.terms:
+        return "0"
+    chunks = []
+    for alpha, c in F.terms:
+        body = f"{F.basis}[{','.join(map(str, alpha))}]"
+        mag = body if abs(c) == 1 else f"{abs(c)}*{body}"
+        if not chunks:
+            chunks.append(mag if c > 0 else "-" + mag)
+        else:
+            chunks.append(("+ " if c > 0 else "- ") + mag)
+    return " ".join(chunks)
+
+
+@given(qsym_elements)
+def test_render_matches_the_formatted_form(F):
+    assert render(F) == oracle_render(F)
+    L = element("L", F.terms)
+    assert render(L) == oracle_render(L)
+
+
+def test_render_body_cache_is_bounded():
+    assert qsym._body.cache_info().maxsize is not None
 
 
 def test_parse_accepts_text_and_json():
