@@ -69,14 +69,14 @@ LIMITS = {
     # routes and checks
     "splitting": Limit(9, "splitting-chain route", "3^n block tests"),
     "splitting chains": Limit(8, "splitting chains", "as many as ordered set partitions"),
-    "tree enumerators": Limit(12, "tree enumerators", "2^(n - 1) terms per enumerator"),
+    "tree enumerators": Limit(15, "tree enumerators", "2^(n - 1) terms per enumerator"),
     "colorings": Limit(8, "ordered-coloring route", "one walk step per ordered coloring"),
     "chromatic": Limit(11, "chromatic enumeration", "3^n block tests"),
     "recurrence": Limit(14, "recurrence route", "2^n vertex masks in the memo"),
     "fundamental": Limit(7, "fundamental route", "one word per B-tree linear extension"),
     "thm72": Limit(7, "coefficient checks", "C(n, q) separator sets per q"),
-    "family": Limit(10, "family recurrences", "2^(n - 1) terms per enumerator"),
-    "kernel": Limit(7, "kernel computation", "tree shapes times 2^(n - 1) compositions"),
+    "family": Limit(13, "family recurrences", "2^(n - 1) terms per enumerator"),
+    "kernel": Limit(9, "kernel computation", "tree shapes times 2^(n - 1) compositions"),
     "hopf": Limit(5, "Hopf checks", "Takeuchi antipode and coproduct of b"),
 }
 

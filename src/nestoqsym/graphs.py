@@ -196,11 +196,8 @@ def is_q_connected(g: Graph, q: int) -> bool:
     """Connected after deleting any q-1 vertices."""
     if not 1 <= q <= g.n:
         raise InputError(f"need 1 <= q <= n, got q={q}, n={g.n}")
-    for removed in combinations(range(g.n), q - 1):
-        keep = [v for v in range(g.n) if v not in removed]
-        if not is_connected(induced(g, keep)):
-            return False
-    return True
+    full, cuts = (1 << g.n) - 1, combinations(range(g.n), q - 1)
+    return all(len(_components_within(g, full & ~mask_of(S))) == 1 for S in cuts)
 
 
 def connectivity(g: Graph) -> int:

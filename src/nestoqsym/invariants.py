@@ -9,19 +9,19 @@ The four routes to the same quasisymmetric function:
   * F_graph_colorings -- counts ordered colorings of the graph,
   * F_graph_recurrence -- vertex-deletion recurrence with a shift.
 
-The recurrence (`_recurrence`) needs only one component of each restriction,
-so it serves building sets too: F_of_hopf runs it on every factor of a word
-of building sets, with a component of the building set in place of the
-graph's (which graphs._lowest_component reads off a neighbourhood table).
-Its memo, per call and on the masks it reaches, packs F into one integer, a
-64-bit slot per composition code (qsym.code_table), so the shift is a bit
-shift; products of two such integers go in one bounded memo (`_product`)
-shared by every call.  F and X of an induced subgraph depend only on that
-subgraph, so both also go in one memo shared by every call (`_SUBGRAPHS`),
-held under a byte budget and keyed on the subgraph's edge code in the
-labels of the graph (graphs._pairs_within): a sweep over classes computes
-a small subgraph once, not once per class.  X counts block sizes packed
-into one integer.
+Routes 2 and 4, the family recurrences and F_of_hopf hold F as one integer,
+a 64-bit slot per composition code (qsym.code_table, see `_terms`): the shift
+is a bit shift (`_shift`), and products go through one bounded memo shared
+by every call (`_product`).  The recurrence (`_recurrence`) needs only one
+component of each restriction, so it serves building sets too: F_of_hopf
+runs it on every factor of a word of building sets, with a component of the
+building set in place of the graph's (which graphs._lowest_component reads
+off a neighbourhood table).  Its memo is per call.  F and X of an induced
+subgraph depend only on that subgraph, so both also go in one memo shared
+by every call (`_SUBGRAPHS`), held under a byte budget and keyed on the
+subgraph's edge code in the labels of the graph (graphs._pairs_within): a
+sweep over classes computes a small subgraph once, not once per class.  X
+counts block sizes packed into one integer.
 
 Disconnected inputs reduce to component products everywhere (the enumerator
 is multiplicative); splitting chains are enumerated by the verbatim flag
@@ -39,7 +39,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 
 from . import qsym
 from .bitsets import bits, flag_walk, mask_of, nonempty_submasks, submasks
@@ -81,7 +81,6 @@ from .nestopoly import (
 )
 from .qsym import (
     QSymElement,
-    _element,
     _mul_d,
     _term_slots,
     antipode,
@@ -89,12 +88,9 @@ from .qsym import (
     compositions_of,
     descent_composition,
     mul,
-    one,
     refinements,
-    shift1,
     tensor_product,
     vertex_count,
-    zero,
 )
 
 
@@ -147,39 +143,76 @@ def F_splitting(b: BuildingSet) -> QSymElement:
 
 
 # ---------------------------------------------------------------------------
+# packed enumerators
+
+def _terms(value: int, w: int) -> tuple:
+    """The (composition, coeff) pairs of F on w vertices packed into one int,
+    64-bit slot i holding the coefficient of the composition with code i
+    (qsym.code_table).  A coefficient counts ordered set partitions of one
+    type, so it is at most w! < 2^64, as code_table refuses w > 17: slots
+    never carry.  The nonzero slots are read in the order of
+    qsym._term_slots, so an element built on the pairs needs no sort."""
+    slots = memoryview(value.to_bytes(8 << max(w - 1, 0), sys.byteorder)).cast("Q")
+    return tuple([(alpha, c) for i, alpha in _term_slots(w) if (c := slots[i])])
+
+
+def _shift(value: int, w: int) -> int:
+    """M_alpha -> M_(alpha,1) on a packed F of w vertices: appending a part 1
+    sets code bit w - 1, so every slot moves up 2^(w - 1) places."""
+    return value << 64 * (1 << w >> 1)
+
+
+@lru_cache(maxsize=1024)
+def _product(a: int, u: int, b: int, v: int) -> int:
+    """Packed F on u vertices times packed F on v vertices, packed again.
+    F on 0 vertices is a scalar, packed as itself, so a weight 0 scales.
+
+    One bounded memo serves every call: a sweep over classes meets few
+    distinct products (71 over the 853 connected classes at n = 7).
+    """
+    if not u or not v:
+        return a * b
+    code_of = code_table(u + v)[1]
+    packed = bytearray(8 * len(code_of))
+    slots = memoryview(packed).cast("Q")
+    for alpha, c in _mul_d(_terms(a, u), _terms(b, v)).items():
+        slots[code_of[alpha]] = c
+    return int.from_bytes(packed, sys.byteorder)
+
+
+def _fold(factors) -> tuple:
+    """(packed product, weight) of (packed F, weight) pairs."""
+    value, w = 1, 0
+    for a, u in factors:
+        value, w = _product(value, w, a, u), w + u
+    return value, w
+
+
+# ---------------------------------------------------------------------------
 # tree enumerators
 
 @lru_cache(maxsize=None)
-def _f_shape(code: str) -> QSymElement:
-    prod = one("M")
-    for child in child_codes(TreeShape(code)):
-        prod = mul(prod, _f_shape(child))
-    return shift1(prod)
+def _f_shape(code: str) -> int:
+    """Packed F of a tree shape: its subtrees' product, shifted."""
+    subtrees = [(_f_shape(child), child.count("(")) for child in child_codes(TreeShape(code))]
+    return _shift(*_fold(subtrees))
 
 
 def F_tree(tree) -> QSymElement:
     """Enumerator of strictly root-increasing maps on a tree or forest."""
     one_tree = isinstance(tree, TreeShape)
     check_limit("tree enumerators", tree.size if one_tree else tree.n)
-    out = one("M")
-    for sh in (tree,) if one_tree else forest_shapes(tree):
-        out = mul(out, _f_shape(sh.code))
-    return out
+    shapes = (tree,) if one_tree else forest_shapes(tree)
+    return QSymElement("M", _terms(*_fold((_f_shape(sh.code), sh.size) for sh in shapes)))
 
 
 def F_btree_route(b: BuildingSet) -> QSymElement:
     """Sum of tree enumerators over all B-trees; components multiply."""
-    if b.n == 0:
-        return one("M")
-    if is_connected(b):
-        out = zero("M")
-        for sh, mult in sorted(tree_multiset(b).items()):
-            out = out + _f_shape(sh.code).scale(mult)
-        return out
-    out = one("M")
-    for _, comp in components(b):
-        out = mul(out, F_btree_route(comp))
-    return out
+    sums = [
+        (sum(mult * _f_shape(sh.code) for sh, mult in tree_multiset(comp).items()), comp.n)
+        for _, comp in components(b)
+    ]
+    return QSymElement("M", _terms(*_fold(sums)))
 
 
 # ---------------------------------------------------------------------------
@@ -210,31 +243,6 @@ def F_graph_colorings(g: Graph) -> QSymElement:
 
     rec(g.adj, full, ())
     return qsym.element("M", acc)
-
-
-def _terms(value: int, w: int) -> tuple:
-    """The (composition, coeff) pairs of F on w vertices packed as in
-    _recurrence, in canonical term order: the nonzero 64-bit slots, read
-    through a memoryview cast in the order of qsym._term_slots, so an
-    element built on them needs no sort."""
-    order = _term_slots(w)
-    slots = memoryview(value.to_bytes(8 * len(order), sys.byteorder)).cast("Q")
-    return tuple([(alpha, c) for i, alpha in order if (c := slots[i])])
-
-
-@lru_cache(maxsize=1024)
-def _product(a: int, u: int, b: int, v: int) -> int:
-    """Packed F on u vertices times packed F on v vertices, packed again.
-
-    One bounded memo serves every call of _recurrence: a sweep over classes
-    meets few distinct products (71 over the 853 connected classes at n = 7).
-    """
-    code_of = code_table(u + v)[1]
-    packed = bytearray(8 * len(code_of))
-    slots = memoryview(packed).cast("Q")
-    for alpha, c in _mul_d(_terms(a, u), _terms(b, v)).items():
-        slots[code_of[alpha]] = c
-    return int.from_bytes(packed, sys.byteorder)
 
 
 class _SubgraphMemo:
@@ -275,12 +283,8 @@ def _recurrence(n: int, first, code: int | None = None) -> int:
     """F by vertex deletion, packed as below, memoized on the surviving
     vertex set; first(mask) is one component of the restriction.
 
-    The memo and the result hold F on w vertices as one int, the
-    coefficient of the composition with code i (qsym.code_table) in 64-bit
-    slot i; it counts ordered set partitions of one type, so it is at most
-    w! < 2^64 (w <= 20).
-    Connected: the deletions' sum, shifted 2^(w - 2) slots (a part 1 appended
-    sets code bit w - 2).  Disconnected: first component times the rest,
+    The memo and the result hold F packed as in _terms.  Connected: the
+    deletions' sum, shifted.  Disconnected: first component times the rest,
     through _product; slot 2^(w - 1) - 1 holds w! > 0, so length fixes w.
     Given a graph's edge code, a connected mask of 2 <= w <= n - 2 vertices,
     w <= _SHARED_W, is also looked up in, and on a miss stored in,
@@ -314,7 +318,7 @@ def _recurrence(n: int, first, code: int | None = None) -> int:
                         low = left & -left
                         hit += memo.get(mask ^ low) or rec(mask ^ low)
                         left ^= low
-                    hit <<= 64 * (1 << w >> 2)
+                    hit = _shift(hit, w - 1)
                     if key:
                         remember(key, hit)
             memo[mask] = hit
@@ -349,8 +353,6 @@ def F_fundamental(b: BuildingSet) -> QSymElement:
     check_limit("fundamental", b.n)
     if not is_connected(b):
         raise InputError("fundamental route requires a connected building set")
-    if b.n == 0:
-        return one("L")
     acc = {}
     for fam in maximal_nested_sets(b):
         for word in linear_extensions(_vertex(b, fam)[0]):
@@ -572,29 +574,28 @@ def _family(kind: str):
     return _FAMILY_NAMES[kind]
 
 
-@lru_cache(maxsize=None)
 def family_F(kind: str, n: int) -> QSymElement:
     """Enumerator of the n-vertex member of a classical family, by recurrence."""
     kind = _family(kind).polytope
     if n < 0:
         raise InputError("family index must be >= 0")
     check_limit("family", n)
+    return QSymElement("M", _terms(_family_packed(kind, n), n))
+
+
+@lru_cache(maxsize=None)
+def _family_packed(kind: str, n: int) -> int:
+    """family_F packed, by each family's shift recurrence."""
     if n == 0:
-        return one("M")
-    if kind == "permutohedron":
-        return shift1(family_F(kind, n - 1)).scale(n)
+        return 1
     if kind == "associahedron":
-        acc = zero("M")
-        for k in range(1, n + 1):
-            acc = acc + mul(family_F(kind, k - 1), family_F(kind, n - k))
-        return shift1(acc)
-    if kind == "cyclohedron":
-        return shift1(family_F("associahedron", n - 1)).scale(n)
-    # stellohedron
-    power = one("M")
-    for _ in range(n - 1):
-        power = mul(power, qsym.monomial((1,)))
-    return shift1(family_F(kind, n - 1).scale(n - 1) + power)
+        F = [_family_packed(kind, k) for k in range(n)]
+        return _shift(sum(_product(F[k], k, F[n - 1 - k], n - 1 - k) for k in range(n)), n - 1)
+    if kind == "stellohedron":  # M_(1) is packed as 1 on one vertex
+        power = _fold([(1, 1)] * (n - 1))[0]
+        return _shift((n - 1) * _family_packed(kind, n - 1) + power, n - 1)
+    below = _family_packed("associahedron" if kind == "cyclohedron" else kind, n - 1)
+    return n * _shift(below, n - 1)
 
 
 def family_graph(kind: str, n: int) -> Graph:
@@ -641,13 +642,10 @@ def tree_matrix_kernel(n: int) -> tuple:
     """
     check_limit("kernel", n)
     shapes = enumerate_tree_shapes(n)  # refuses n < 1
-    cols = {alpha: i for i, alpha in enumerate(compositions_of(n))}
     rows = []
     for sh in shapes:
-        vec = [0] * len(cols)
-        for alpha, c in _f_shape(sh.code).terms:
-            vec[cols[alpha]] = c
-        rows.append(vec)
+        coeff = dict(_terms(_f_shape(sh.code), n))
+        rows.append([coeff.get(alpha, 0) for alpha in compositions_of(n)])
     return _integer_kernel(rows)
 
 
@@ -678,11 +676,7 @@ def _integer_kernel(rows: list) -> tuple:
 
 
 def _primitive(row: list) -> list:
-    from math import gcd
-
-    g = 0
-    for x in row:
-        g = gcd(g, x)
+    g = gcd(*row)
     if g > 1:
         row = [x // g for x in row]
     lead = next((x for x in row if x), 0)
@@ -741,21 +735,21 @@ def F_of_hopf(h: HopfElement) -> QSymElement:
     """Extend the enumerator linearly over words, multiplicatively over factors.
 
     Each distinct factor runs the recurrence once, over the components of
-    the building set, and so shares the product memo with the graph route.
+    the building set, and the factors multiply through the product memo the
+    graph route uses.  F of a word is F of the product building set, so the
+    word's total weight is held to the recurrence row.
     """
     by_factor = {}
     acc = {}
     for word, c in h.terms:
-        prod = {(): c}
+        check_limit("recurrence", sum(factor.n for factor in word))
         for factor in word:
             if factor not in by_factor:
-                check_limit("recurrence", factor.n)
-                F = _recurrence(factor.n, lambda mask: _components_in(factor, mask)[0])
-                by_factor[factor] = _terms(F, factor.n)
-            prod = _mul_d(prod.items(), by_factor[factor])
-        for a, x in prod.items():
-            acc[a] = acc.get(a, 0) + x
-    return _element("M", acc)
+                first = lambda mask: _components_in(factor, mask)[0]
+                by_factor[factor] = _recurrence(factor.n, first)
+        for alpha, x in _terms(*_fold((by_factor[f], f.n) for f in word)):
+            acc[alpha] = acc.get(alpha, 0) + c * x
+    return QSymElement.of(acc, basis="M")
 
 
 def hopf_morphism_check(b: BuildingSet) -> dict:

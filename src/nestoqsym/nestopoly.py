@@ -298,22 +298,30 @@ def _forests(m: int, low: str = "") -> tuple:
     if m == 0:
         return ((),)
     return tuple(
-        (t.code,) + rest
+        (t,) + rest
         for size in range(1, m + 1)
-        for t in enumerate_tree_shapes(size)
-        if t.code >= low
-        for rest in _forests(m - size, t.code)
+        for t in _trees(size)
+        if t >= low
+        for rest in _forests(m - size, t)
     )
 
 
 @lru_cache(maxsize=None)
+def _trees(n: int) -> tuple:
+    """Sorted codes of the rooted trees on n nodes: a root over each forest on n - 1."""
+    return tuple(sorted("(" + "".join(f) + ")" for f in _forests(n - 1)))
+
+
+@lru_cache(maxsize=None)
 def enumerate_tree_shapes(n: int) -> tuple:
-    """All unlabeled rooted trees on n nodes, each exactly once, sorted:
-    one root over each forest on n - 1 nodes."""
+    """All unlabeled rooted trees on n nodes, each once, sorted; one call's memos are freed."""
     if n < 1:
         raise InputError(f"tree shapes need n >= 1, got {n}")
     check_limit("tree shapes", n)
-    return tuple(sorted(TreeShape("(" + "".join(f) + ")") for f in _forests(n - 1)))
+    shapes = tuple(map(TreeShape, _trees(n)))
+    _forests.cache_clear()
+    _trees.cache_clear()
+    return shapes
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,22 @@ def test_q_connectivity_examples():
         is_q_connected(family("path", 3), 0)
 
 
+def oracle_is_q_connected(g, q):
+    """Connected after deleting any q - 1 vertices, on induced subgraphs."""
+    for removed in combinations(range(g.n), q - 1):
+        keep = [v for v in range(g.n) if v not in removed]
+        if not is_connected(induced(g, keep)):
+            return False
+    return True
+
+
+def test_q_connectivity_on_masks_matches_induced_subgraphs():
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            for q in range(1, n + 1):
+                assert is_q_connected(g, q) == oracle_is_q_connected(g, q), (g, q)
+
+
 def test_independence_fvector_examples():
     assert independence_fvector(family("path", 3)) == (1, 3, 1)
     for n in range(2, 6):

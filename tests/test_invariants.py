@@ -3,6 +3,7 @@
 import random
 import sys
 from collections import Counter
+from functools import lru_cache
 from itertools import product as iproduct
 from math import comb, factorial
 
@@ -14,10 +15,14 @@ from nestoqsym import invariants, qsym
 from nestoqsym.bitsets import bits, mask_of, nonempty_submasks
 from nestoqsym.buildset import (
     BuildingSet,
+    _components_in,
     building_set,
+    components,
     discrete_building_set,
     from_graph,
     hopf_monomial,
+    is_connected,
+    product,
     takeuchi_antipode,
 )
 from nestoqsym.errors import LIMITS, CapacityError, InputError
@@ -51,7 +56,14 @@ from nestoqsym.invariants import (
     tree_matrix_kernel,
     zeta,
 )
-from nestoqsym.nestopoly import BTree, TreeShape, enumerate_tree_shapes
+from nestoqsym.nestopoly import (
+    BTree,
+    TreeShape,
+    child_codes,
+    enumerate_tree_shapes,
+    forest_shapes,
+    tree_multiset,
+)
 from nestoqsym.qsym import (
     _mul_d,
     antipode,
@@ -61,6 +73,7 @@ from nestoqsym.qsym import (
     mul,
     one,
     principal_specialization,
+    shift1,
     vertex_count,
 )
 
@@ -222,10 +235,11 @@ def test_F_tree_examples():
 
 def test_F_tree_caps_a_shape_like_a_tree():
     row = LIMITS["tree enumerators"]
+    past = row.limit + 1
     with pytest.raises(CapacityError) as exc:
-        F_tree(TreeShape("(" * 13 + ")" * 13))
+        F_tree(TreeShape("(" * past + ")" * past))
     assert str(exc.value) == (
-        f"{row.what} capped at {row.size} <= {row.limit}, got 13 ({row.why})"
+        f"{row.what} capped at {row.size} <= {row.limit}, got {past} ({row.why})"
     )
 
 
@@ -880,3 +894,126 @@ def test_three_way_vertex_counts():
                 family_F({"complete": "pe", "path": "as", "cycle": "cy", "star": "st"}[kind], n),
                 n,
             )
+
+
+# ---------------------------------------------------------------------------
+# the element-chain enumerators, kept as oracles of the packed ones
+
+@lru_cache(maxsize=None)
+def chain_f_shape(code):
+    prod = one("M")
+    for child in child_codes(TreeShape(code)):
+        prod = mul(prod, chain_f_shape(child))
+    return shift1(prod)
+
+
+def chain_F_tree(tree):
+    out = one("M")
+    for sh in (tree,) if isinstance(tree, TreeShape) else forest_shapes(tree):
+        out = mul(out, chain_f_shape(sh.code))
+    return out
+
+
+def chain_F_btree_route(b, trees=tree_multiset):
+    if b.n == 0:
+        return one("M")
+    if is_connected(b):
+        out = qsym.zero("M")
+        for sh, mult in sorted(trees(b).items()):
+            out = out + chain_f_shape(sh.code).scale(mult)
+        return out
+    out = one("M")
+    for _, comp in components(b):
+        out = mul(out, chain_F_btree_route(comp, trees))
+    return out
+
+
+@lru_cache(maxsize=None)
+def chain_family_F(kind, n):
+    if n == 0:
+        return one("M")
+    if kind == "permutohedron":
+        return shift1(chain_family_F(kind, n - 1)).scale(n)
+    if kind == "associahedron":
+        acc = qsym.zero("M")
+        for k in range(1, n + 1):
+            acc = acc + mul(chain_family_F(kind, k - 1), chain_family_F(kind, n - k))
+        return shift1(acc)
+    if kind == "cyclohedron":
+        return shift1(chain_family_F("associahedron", n - 1)).scale(n)
+    power = one("M")
+    for _ in range(n - 1):
+        power = mul(power, monomial((1,)))
+    return shift1(chain_family_F(kind, n - 1).scale(n - 1) + power)
+
+
+def chain_F_of_hopf(h):
+    by_factor = {}
+    acc = {}
+    for word, c in h.terms:
+        prod = {(): c}
+        for factor in word:
+            if factor not in by_factor:
+                by_factor[factor] = dict_F(factor).terms
+            prod = _mul_d(prod.items(), by_factor[factor])
+        for a, x in prod.items():
+            acc[a] = acc.get(a, 0) + x
+    return qsym.QSymElement.of(acc, basis="M")
+
+
+def dict_F(b):
+    """F of a building set by the dict recurrence over its components."""
+    return element("M", dict_recurrence(b.n, lambda mask: _components_in(b, mask)))
+
+
+def chain_kernel_rows(n):
+    cols = {alpha: i for i, alpha in enumerate(qsym.compositions_of(n))}
+    rows = []
+    for sh in enumerate_tree_shapes(n):
+        vec = [0] * len(cols)
+        for alpha, c in chain_f_shape(sh.code).terms:
+            vec[cols[alpha]] = c
+        rows.append(vec)
+    return rows
+
+
+def test_packed_tree_enumerators_match_the_element_chains():
+    for n in range(1, 11):
+        for sh in enumerate_tree_shapes(n):
+            assert F_tree(sh) == chain_F_tree(sh), sh
+    forests = [BTree(n, (None,) * n) for n in range(LIMITS["tree enumerators"].limit + 1)]
+    forests += [BTree(5, (None, 0, None, 2, 2)), BTree(6, (None, 0, 0, None, 3, None))]
+    for tree in forests:
+        assert F_tree(tree) == chain_F_tree(tree), tree
+
+
+def test_packed_family_recurrences_match_the_element_chains():
+    for kind in ("permutohedron", "associahedron", "cyclohedron", "stellohedron"):
+        for n in range(LIMITS["family"].limit + 1):
+            assert family_F(kind, n) == chain_family_F(kind, n), (kind, n)
+
+
+def test_packed_btree_route_matches_the_element_chain(monkeypatch):
+    # both routes read the B-tree shapes from one memo: only the sums differ
+    trees = lru_cache(maxsize=None)(tree_multiset)
+    monkeypatch.setattr(invariants, "tree_multiset", trees)
+    sample = [from_graph(g) for n in range(1, 7) for g in enumerate_graphs(n)]
+    sample += random_building_sets(200, seed=7, max_n=6)
+    sample += [BuildingSet(0, ()), discrete_building_set(4), product(L4B, K2B)]
+    sample += [product(K2B, from_graph(family("star", 4)))]
+    assert sum(not is_connected(b) for b in sample) > 100
+    for b in sample:
+        assert F_btree_route(b) == chain_F_btree_route(b, trees), b
+
+
+def test_packed_F_of_hopf_matches_the_element_chain():
+    sample = [from_graph(g) for n in range(1, 6) for g in enumerate_graphs(n)]
+    sample += random_building_sets(30, seed=5, max_n=5)
+    for b in sample:
+        s = takeuchi_antipode(b)
+        assert F_of_hopf(s) == chain_F_of_hopf(s), b
+
+
+def test_kernel_rows_read_from_packed_values_match_the_element_chains():
+    for n in range(1, 8):
+        assert tree_matrix_kernel(n) == invariants._integer_kernel(chain_kernel_rows(n)), n

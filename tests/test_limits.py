@@ -2,6 +2,7 @@
 documented in the README, and the only place a capacity error is raised."""
 
 import re
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -111,7 +112,10 @@ def test_row_refuses_one_past_its_limit(name):
 # refused by the row of the kernel it runs.
 FOLDED = {
     "zeta": (lambda: zeta(discrete(10), (1,) * 10), "splitting"),
-    "family check": (lambda: family_recurrence_check("associahedron", 11), "family"),
+    "family check": (
+        lambda: family_recurrence_check("associahedron", LIMITS["family"].limit + 1),
+        "family",
+    ),
     "collide": (lambda: collision_search(9, "F"), "enumeration"),
     "collide connected": (
         lambda: collision_search(9, "F", connected_only=True),
@@ -151,10 +155,10 @@ CAPACITY_ARGV = [
     ("fvector", "--sets", '{"n":9,"sets":[]}'),
     ("polytope", "--family", "pe", "--n", "9", "--coords"),
     ("polytope", "--family", "as", "--n", "9", "--fvector"),
-    ("polytope", "--family", "st", "--n", "11"),
+    ("polytope", "--family", "st", "--n", f"{LIMITS['family'].limit + 1}"),
     ("collide", "--n", "9"),
     ("collide", "--n", "9", "--connected"),
-    ("trees", "--n", "8", "--kernel"),
+    ("trees", "--n", f"{LIMITS['kernel'].limit + 1}", "--kernel"),
     ("trees", "--n", "15"),
     ("antipode", "--qsym", "M[" + ",".join(["1"] * 20) + "]"),
     ("antipode", "--qsym", "L[5000]"),
@@ -189,3 +193,18 @@ def test_readme_limits_table_matches_code():
         name: row.limit for name, row in LIMITS.items()
     }
     assert len(rows) == len(LIMITS)
+
+
+# Rows whose enumerators are packed, a 64-bit slot per composition code:
+# route 2 is capped by the nested-set row.
+PACKED = ("recurrence", "tree enumerators", "family", "kernel", "nested")
+
+
+def test_packed_rows_fit_their_slots():
+    # code_table refuses weights past the refinements row plus one; a
+    # coefficient on w vertices is at most w!, and 20! < 2^64 < 21!
+    width = LIMITS["refinements"].limit + 1
+    assert width <= 20
+    assert factorial(width) < 2**64
+    for name in PACKED:
+        assert LIMITS[name].limit <= width, name

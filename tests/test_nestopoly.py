@@ -8,6 +8,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from conftest import graphs
+from nestoqsym import nestopoly
 from nestoqsym.bitsets import mask_of
 from nestoqsym.buildset import (
     BuildingSet,
@@ -378,6 +379,13 @@ def oracle_tree_shapes(n):
             codes = [code for group in combo for code in group]
             out.add("(" + "".join(sorted(codes)) + ")")
     return tuple(sorted(out))
+
+
+def test_tree_shape_memos_are_freed_after_each_call():
+    nestopoly.enumerate_tree_shapes.cache_clear()
+    assert len(enumerate_tree_shapes(12)) == 4766
+    assert nestopoly._forests.cache_info().currsize == 0
+    assert nestopoly._trees.cache_info().currsize == 0
 
 
 def test_enumerate_tree_shapes_matches_the_partition_oracle():

@@ -114,3 +114,34 @@ def test_one_flag_walk():
         # composition's cut positions, the partial-sum code of qsym.
         ("qsym", "coarsenings"),
     ]
+
+
+# ---------------------------------------------------------------------------
+# one arithmetic for enumerators
+
+ELEMENT_ARITHMETIC = {"mul", "shift1", "_mul_d"}
+
+
+def _element_arithmetic_callers(module: str) -> list:
+    """(top-level function, callee) for each call of mul, shift1 or _mul_d."""
+    out = []
+    for fn in ast.parse((SRC / f"{module}.py").read_text()).body:
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in ELEMENT_ARITHMETIC
+                ):
+                    out.append((fn.name, node.func.id))
+    return sorted(set(out))
+
+
+def test_enumerators_are_packed():
+    # Every enumerator in invariants is a packed integer combined by
+    # _product, _shift and integer arithmetic; only _product multiplies
+    # terms, and hopf_morphism_check checks the public product.
+    assert _element_arithmetic_callers("invariants") == [
+        ("_product", "_mul_d"),
+        ("hopf_morphism_check", "mul"),
+    ]

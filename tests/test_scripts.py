@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from nestoqsym.errors import LIMITS
+
 ROOT = Path(__file__).resolve().parent.parent
 IDS = ["family_table", "tree_dependence", "collision_report"]
 
@@ -43,7 +45,7 @@ def test_script_runs(argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["family_table.py", "--max-n", "11", "--check-recurrences"],
+        ["family_table.py", "--max-n", f"{LIMITS['family'].limit + 1}", "--check-recurrences"],
         ["tree_dependence.py", "--max-n", "20"],
         ["collision_report.py", "--max-n", "9", "--connected"],
     ],
