@@ -375,16 +375,11 @@ class SymElement(qsym.Combination):
 
     terms: tuple  # ((partition, coeff), ...) canonical order
 
+    basis = "m"  # a class attribute, not a field: read by qsym.render
     sort_key = staticmethod(qsym.term_key)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for mu, c in self.terms:
-            body = qsym._body("m", mu)
-            chunks.append(body if c == 1 else f"{c}*{body}")
-        return " + ".join(chunks)
+        return qsym.render(self)
 
 
 def chromatic_symmetric(g: Graph) -> SymElement:
@@ -484,11 +479,11 @@ def check_thm72(g: Graph) -> dict:
         over q-sets leaving exactly k components, is reported alongside,
     (d) monotonicity under refinement,
     (e) domination by the chromatic coefficients.
+    The ordered-coloring counts are F's, read from the recurrence route.
     """
     check_limit("thm72", g.n)
     n = g.n
-    F = F_graph_colorings(g)
-    zd = F.as_dict()
+    zd = F_graph_recurrence(g).as_dict()
 
     fvec = independence_fvector(g)
     a_cases = []
@@ -650,7 +645,8 @@ def tree_matrix_kernel(n: int) -> tuple:
 
 
 def _integer_kernel(rows: list) -> tuple:
-    """Fraction-free elimination over Z: (rank, primitive kernel rows)."""
+    """Fraction-free Gaussian elimination over Z: (rank, primitive kernel
+    rows).  No later step reads a row above a pivot, so only those below are cleared."""
     m = len(rows)
     ncols = len(rows[0]) if rows else 0
     aug = [list(r) + [1 if j == i else 0 for j in range(m)] for i, r in enumerate(rows)]
@@ -661,11 +657,9 @@ def _integer_kernel(rows: list) -> tuple:
             continue
         aug[rank], aug[piv] = aug[piv], aug[rank]
         pivot = aug[rank][c]
-        for r in range(m):
-            if r != rank and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [pivot * x - f * y for x, y in zip(aug[r], aug[rank])]
-                aug[r] = _primitive(aug[r])
+        for r in range(rank + 1, m):
+            if f := aug[r][c]:
+                aug[r] = _primitive([pivot * x - f * y for x, y in zip(aug[r], aug[rank])])
         rank += 1
     kernel = []
     for r in range(rank, m):

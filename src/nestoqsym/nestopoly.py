@@ -41,21 +41,23 @@ def is_nested(b: BuildingSet, family) -> bool:
         for t in fam[i + 1 :]:
             if s & t and (s | t) != s and (s | t) != t:
                 return False
-    # (N2): members arrive in increasing mask order, so s contains or misses
-    # each top-level member so far (those inside no other), and unions lists
-    # the unions of nonempty sets of top-level members.  A union of disjoint
-    # members that lies in B forces a union of two or more children of one
-    # node into B (lift a member whose parent is lowest to that parent; the
-    # union grows and stays in B).  The children of s were tested against
-    # each other while they were top level, so s is tested only against the
-    # unions of the top-level members it misses.
-    unions = []
+    # (N2): given (N1), some union of two or more disjoint members lies in B
+    # iff some m in B is the union of the members strictly inside it (the
+    # largest of those are disjoint; the parts of such a union lie inside m).
+    # A mask strictly inside m is smaller than m, so the scan of fam stops there.
+    cover = 0
     for s in fam:
-        free = [u for u in unions if not u & s]
-        joined = [u | s for u in free]
-        if not members.isdisjoint(joined):
-            return False
-        unions = free + joined + [s]
+        cover |= s
+    for m in b.sets:
+        if m & ~cover == 0:
+            inside = 0
+            for s in fam:
+                if s >= m:
+                    break
+                if s | m == m:
+                    inside |= s
+            if inside == m:
+                return False
     return True
 
 

@@ -82,6 +82,11 @@ def test_is_nested_examples():
         is_nested(L4, [m(1, 3)])  # not a member
     with pytest.raises(InputError):
         is_nested(L4, [m(1, 2, 3, 4)])  # maximal member excluded
+    # the simplex on 32 vertices: 31 disjoint singletons, 2^31 unions, none
+    # of them the full set; with {1, 2} added to B, {1} and {2} join in B
+    singles = [m(v) for v in range(1, 32)]
+    assert is_nested(bs(32, range(1, 33)), singles)
+    assert not is_nested(bs(32, range(1, 33), [1, 2]), singles)
 
 
 # graphical sets, where (N2) fails on a pair whenever it fails, and random

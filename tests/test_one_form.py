@@ -145,3 +145,26 @@ def test_enumerators_are_packed():
         ("_product", "_mul_d"),
         ("hopf_morphism_check", "mul"),
     ]
+
+
+# ---------------------------------------------------------------------------
+# one renderer for combinations
+
+
+def _body_callers() -> list:
+    """(module, top-level function or class) for each call of qsym._body."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", None) == "_body"
+                    or getattr(node.func, "attr", None) == "_body"
+                ):
+                    out.append((path.stem, getattr(top, "name", "<module>")))
+    return sorted(out)
+
+
+def test_one_renderer():
+    # QSym elements and symmetric functions print through qsym.render alone
+    assert _body_callers() == [("qsym", "render")]
