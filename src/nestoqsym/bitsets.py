@@ -19,6 +19,19 @@ def bits(mask: int):
         mask ^= low
 
 
+def compress(mask: int, keep: int) -> int:
+    """The bits of mask at the positions of keep, packed down in order: the
+    order-preserving relabeling that every minor uses."""
+    out = i = 0
+    while keep:
+        low = keep & -keep
+        if mask & low:
+            out |= 1 << i
+        i += 1
+        keep ^= low
+    return out
+
+
 def singletons(mask: int):
     """Yield the one-bit submasks of mask, lowest first."""
     while mask:

@@ -6,8 +6,8 @@ masks; the family is stored sorted and deduplicated, so equality and
 serialization are canonical.
 
 Restriction and contraction relabel the surviving vertices to an initial
-segment with the order-preserving map; callers that need the original
-labels (the CLI does) keep the sorted vertex list on the side.
+segment with the order-preserving map (`bitsets.compress`); callers that
+need the original labels (the CLI does) keep the vertex list on the side.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bitsets import bits, mask_of, nonempty_submasks
+from .bitsets import bits, compress, mask_of, nonempty_submasks
 from .errors import InputError, NotABuildingSetError, ParseError, check_int, check_limit
 from .graphs import Graph, _lowest_component, json_int, load_json
 from .qsym import Combination
@@ -43,11 +43,6 @@ class BuildingSet:
     def maxima(self) -> frozenset:
         """The maximal members (see maximal_members)."""
         return frozenset(maximal_members(self))
-
-    @cached_property
-    def by_size(self) -> tuple:
-        """Members by decreasing size."""
-        return tuple(sorted(self.sets, key=int.bit_count, reverse=True))
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -121,40 +116,39 @@ def from_graph(g: Graph) -> BuildingSet:
 def _minor(b: BuildingSet, inside: int, contracted: int) -> BuildingSet:
     """(B restricted to inside) contracted by contracted, relabeled."""
     keep = inside & ~contracted
-    verts = list(bits(keep))
-    pos = {v: i for i, v in enumerate(verts)}
-    out = set()
-    for s in b.sets:
-        if s & ~inside:
-            continue
-        t = s & ~contracted
-        if t:
-            out.add(mask_of(pos[v] for v in bits(t)))
-    return BuildingSet(len(verts), tuple(sorted(out)))
+    out = {compress(s, keep) for s in b.sets if s & keep and not s & ~inside}
+    return BuildingSet(keep.bit_count(), tuple(sorted(out)))
+
+
+def _vertex_mask(b: BuildingSet, I) -> int:
+    if not 0 <= check_int(I, "vertex mask") <= b.full_mask():
+        raise InputError(f"vertex mask {I} is not a subset of [1..{b.n}]")
+    return I
 
 
 def restriction(b: BuildingSet, I: int) -> BuildingSet:
     """Members inside I, relabeled to an initial segment."""
-    return _minor(b, I, 0)
+    return _minor(b, _vertex_mask(b, I), 0)
 
 
 def contraction(b: BuildingSet, I: int) -> BuildingSet:
     """B/I = {S \\ I : S in B, S not inside I}, relabeled."""
-    return _minor(b, b.full_mask(), I)
+    return _minor(b, b.full_mask(), _vertex_mask(b, I))
 
 
 def _components_in(b: BuildingSet, mask: int) -> list:
     """Components of b restricted to mask: the members inside mask and
-    inside no other such member, largest first.
+    inside no other such member, in decreasing mask order.
 
     They are pairwise disjoint (two that meet have their union in b, and
-    inside mask), and every other member inside mask lies in a strictly
-    larger one of them.  So taking the members inside mask by decreasing
-    size and keeping each one that misses all those kept so far keeps
-    exactly them; the singletons make them cover mask.
+    inside mask), and every other member inside mask lies in one of them.
+    A member's proper supersets are larger masks, so the scan of the
+    members by decreasing mask meets each component before anything inside
+    it: keeping each member inside mask that misses all those kept so far
+    keeps exactly the components; the singletons make them cover mask.
     """
     kept, covered = [], 0
-    for s in b.by_size:
+    for s in reversed(b.sets):
         if not s & ~mask and not s & covered:
             kept.append(s)
             covered |= s
@@ -165,7 +159,7 @@ def _components_in(b: BuildingSet, mask: int) -> list:
 
 def maximal_members(b: BuildingSet) -> list:
     """Members inside no other member, in mask order: the components of b."""
-    return sorted(_components_in(b, b.full_mask()))
+    return _components_in(b, b.full_mask())[::-1]
 
 
 def is_connected(b: BuildingSet) -> bool:

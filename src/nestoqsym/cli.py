@@ -165,11 +165,7 @@ def cmd_buildset(args) -> int:
         if flag is None:
             continue
         mask = _parse_vertex_list(flag, b.n)
-        kept = (
-            sorted(v + 1 for v in bits(mask))
-            if op == "restrict"
-            else sorted(v + 1 for v in range(b.n) if not mask >> v & 1)
-        )
+        kept = [v + 1 for v in bits(mask if op == "restrict" else b.full_mask() & ~mask)]
         b = restriction(b, mask) if op == "restrict" else contraction(b, mask)
         lines.append(f"{op} -> kept original vertices {kept}, relabeled 1..{b.n}")
         payload[op] = {"kept": kept, "result": json.loads(serialize_building_set(b))}

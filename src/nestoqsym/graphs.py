@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .bitsets import bits, mask_of
+from .bitsets import bits, compress, mask_of
 from .errors import InputError, ParseError, check_limit
 
 
@@ -93,47 +93,37 @@ def family(kind: str, n: int) -> Graph:
     return graph_from_edges(n, edges)
 
 
-def _check_subset(g: Graph, I) -> list:
-    verts = sorted(set(I))
-    if verts and not (0 <= verts[0] and verts[-1] < g.n):
-        bad = [v for v in verts if not 0 <= v < g.n]
-        raise InputError(f"vertex {bad[0] + 1} out of range 1..{g.n}")
-    return verts
+def _check_subset(g: Graph, I) -> int:
+    verts = set(I)
+    for v in sorted(verts):
+        if not 0 <= v < g.n:
+            raise InputError(f"vertex {v + 1} out of range 1..{g.n}")
+    return mask_of(verts)
 
 
 def induced(g: Graph, I) -> Graph:
     """Subgraph on I, relabeled order-preservingly to 0..|I|-1."""
-    verts = _check_subset(g, I)
-    pos = {v: i for i, v in enumerate(verts)}
-    adj = [0] * len(verts)
-    for v in verts:
-        for u in bits(g.adj[v]):
-            if u in pos:
-                adj[pos[v]] |= 1 << pos[u]
-    return Graph(len(verts), tuple(adj))
+    keep = _check_subset(g, I)
+    return Graph(keep.bit_count(), tuple(compress(g.adj[v], keep) for v in bits(keep)))
 
 
 def contract(g: Graph, I) -> Graph:
     """Contraction of I: survivors joined iff an edge or a path through I.
 
-    Implemented by reachability through the components of g restricted to I,
-    not by iterated single-vertex contraction.
+    A survivor's neighbours are its own plus those of every component of g
+    restricted to I that it touches, relabeled; not iterated single-vertex
+    contraction.
     """
-    verts = _check_subset(g, I)
-    imask = mask_of(verts)
-    comps = _components_within(g, imask)
-    rest = [v for v in range(g.n) if not imask >> v & 1]
-    pos = {v: i for i, v in enumerate(rest)}
-    adj = [0] * len(rest)
-    touch = [[c for c in comps if g.adj[v] & c] for v in rest]
-    for i, v in enumerate(rest):
-        for j in range(i + 1, len(rest)):
-            u = rest[j]
-            joined = g.has_edge(u, v) or any(c in touch[j] for c in touch[i])
-            if joined:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph(len(rest), tuple(adj))
+    imask = _check_subset(g, I)
+    keep = (1 << g.n) - 1 & ~imask
+    adj = list(g.adj)
+    for c in _components_within(g, imask):
+        around = 0
+        for u in bits(c):
+            around |= g.adj[u]
+        for v in bits(around & keep):
+            adj[v] |= around ^ 1 << v
+    return Graph(keep.bit_count(), tuple(compress(adj[v], keep) for v in bits(keep)))
 
 
 def _components_within(g: Graph, mask: int) -> list:

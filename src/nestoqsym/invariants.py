@@ -47,7 +47,6 @@ from .buildset import (
     BuildingSet,
     HopfElement,
     OrderedSetPartition,
-    _components_in,
     components,
     coproduct,
     from_graph,
@@ -595,6 +594,8 @@ def _family_packed(kind: str, n: int) -> int:
 
 def family_graph(kind: str, n: int) -> Graph:
     graph_kind = _family(kind).graph
+    if n == 0:
+        return Graph(0, ())  # the point, which `family` refuses
     if graph_kind == "cycle" and n < 3:
         graph_kind = "path"  # C_1, C_2 degenerate to the path cases
     return family(graph_kind, n)
@@ -729,9 +730,10 @@ def F_of_hopf(h: HopfElement) -> QSymElement:
     """Extend the enumerator linearly over words, multiplicatively over factors.
 
     Each distinct factor runs the recurrence once, over the components of
-    the building set, and the factors multiply through the product memo the
-    graph route uses.  F of a word is F of the product building set, so the
-    word's total weight is held to the recurrence row.
+    the building set (its first member inside a mask, by decreasing mask, is
+    one), and the factors multiply through the product memo the graph route
+    uses.  F of a word is F of the product building set, so the word's
+    total weight is held to the recurrence row.
     """
     by_factor = {}
     acc = {}
@@ -739,7 +741,8 @@ def F_of_hopf(h: HopfElement) -> QSymElement:
         check_limit("recurrence", sum(factor.n for factor in word))
         for factor in word:
             if factor not in by_factor:
-                first = lambda mask: _components_in(factor, mask)[0]
+                down = factor.sets[::-1]
+                first = lambda mask: next(s for s in down if not s & ~mask)
                 by_factor[factor] = _recurrence(factor.n, first)
         for alpha, x in _terms(*_fold((by_factor[f], f.n) for f in word)):
             acc[alpha] = acc.get(alpha, 0) + c * x

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bitsets import bits, flag_walk, nonempty_submasks, singletons
+from .bitsets import flag_walk, nonempty_submasks, singletons
 from .buildset import BuildingSet, _components_in, is_connected, maximal_members
 from .errors import InputError, check_limit
 
@@ -215,11 +215,13 @@ def realization_failures(b: BuildingSet) -> list:
         if sum(x) != b.mu:
             failures.append({"nested_set": fam, "reason": "hyperplane", "x": x})
             continue
-        tight = set(fam)
+        tight, sums = set(fam), [0]  # sums[s]: the sum of x over the vertices of s
+        for xv in x:
+            sums += [t + xv for t in sums]
         for s in b.sets:
             if s == full:
                 continue
-            val = sum(x[v] for v in bits(s))
+            val = sums[s]
             if s in tight and val != mu_inside[s]:
                 failures.append(
                     {"nested_set": fam, "reason": "missing equality", "facet": s, "x": x}

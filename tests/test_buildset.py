@@ -1,5 +1,6 @@
 """Building sets: axioms, minors, Hopf operations."""
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from conftest import graphs
-from nestoqsym.bitsets import bits, mask_of
+from nestoqsym.bitsets import bits, compress, mask_of, submasks
 from nestoqsym.buildset import (
     BuildingSet,
+    _components_in,
+    _minor,
     building_set,
     components,
     contraction,
@@ -28,6 +31,7 @@ from nestoqsym.buildset import (
 )
 from nestoqsym.errors import InputError, NotABuildingSetError, ParseError
 from nestoqsym.graphs import (
+    FAMILY_KINDS,
     _components_within,
     contract,
     enumerate_graphs,
@@ -101,6 +105,67 @@ def test_contraction_examples():
     assert contraction(from_graph(family("complete", 2)), 1) == BuildingSet(1, (1,))
 
 
+def test_minor_masks_outside_the_ground_set_are_refused():
+    b = from_graph(family("path", 3))
+    for minor in (restriction, contraction):
+        for bad in (-1, 1 << 5, 2.0, True):
+            with pytest.raises(InputError):
+                minor(b, bad)
+    assert restriction(b, b.full_mask()) == b == contraction(b, 0)
+
+
+def _minor_by_positions(b, inside, contracted):
+    """Oracle: the minor relabeled through a vertex -> position dict."""
+    verts = list(bits(inside & ~contracted))
+    pos = {v: i for i, v in enumerate(verts)}
+    out = set()
+    for s in b.sets:
+        if s & ~inside:
+            continue
+        t = s & ~contracted
+        if t:
+            out.add(mask_of(pos[v] for v in bits(t)))
+    return BuildingSet(len(verts), tuple(sorted(out)))
+
+
+def _components_by_size(b, mask):
+    """Oracle: members inside mask by decreasing size, each kept if it
+    misses those kept before."""
+    kept, covered = [], 0
+    for s in sorted(b.sets, key=int.bit_count, reverse=True):
+        if not s & ~mask and not s & covered:
+            kept.append(s)
+            covered |= s
+            if covered == mask:
+                break
+    return kept
+
+
+MINOR_CASES = random_building_sets(40, max_n=5) + [
+    from_graph(g) for n in range(1, 6) for g in enumerate_graphs(n)
+]
+
+
+def test_minor_matches_the_position_dict_oracle():
+    pairs = 0
+    for b in MINOR_CASES:
+        for inside in range(1 << b.n):
+            for contracted in submasks(inside):
+                assert _minor(b, inside, contracted) == _minor_by_positions(
+                    b, inside, contracted
+                )
+                pairs += 1
+    assert len(MINOR_CASES) == 92 and pairs == 15_402
+
+
+def test_components_in_matches_the_size_order_oracle():
+    for b in MINOR_CASES + [BuildingSet(0, ())]:
+        for mask in range(1 << b.n):
+            # the same components, listed by decreasing mask
+            oracle = sorted(_components_by_size(b, mask), reverse=True)
+            assert _components_in(b, mask) == oracle
+
+
 def test_components_examples():
     b = bs(4, [1], [2], [3], [4], [1, 2], [3, 4])
     comps = components(b)
@@ -132,7 +197,6 @@ def test_cached_properties_leave_identity_alone():
     fresh = BuildingSet(b.n, b.sets)
     assert b.member_set == frozenset(b.sets)
     assert b.maxima == frozenset(maximal_members(b)) == {0b1111}
-    assert [s.bit_count() for s in b.by_size] == sorted(map(int.bit_count, b.sets), reverse=True)
     assert b == fresh and hash(b) == hash(fresh) and repr(b) == repr(fresh)
     assert repr(b) == f"BuildingSet(n=4, sets={b.sets!r})"
 
@@ -205,6 +269,14 @@ def _relabel_through(mask, removed, n):
     return mask_of(survivors.index(v) for v in bits(mask))
 
 
+def test_compress_is_the_survivor_relabeling():
+    n = 6
+    full = (1 << n) - 1
+    for keep in range(1 << n):
+        for mask in range(1 << n):
+            assert compress(mask, keep) == _relabel_through(mask & keep, full & ~keep, n)
+
+
 def test_minor_identities_on_closure_generated_sets():
     from nestoqsym.invariants import random_building_sets
 
@@ -259,6 +331,48 @@ def test_product_coproduct_compatibility(g1, g2, data):
     I = I1 | (I2 << b1.n)
     assert restriction(b, I) == product(restriction(b1, I1), restriction(b2, I2))
     assert contraction(b, I) == product(contraction(b1, I1), contraction(b2, I2))
+
+
+HOPF_DIGESTS = {
+    # sha256 of repr(takeuchi_antipode(b)) and of repr(coproduct(b))
+    "complete": (
+        "89de268f3c8f54afa2910714281703344141e5ac462bda3610c8f89b027c9c2d",
+        "fa9caed07aa3a937c78b6d0c7d9a0f7dc46b1fe0e74ab07fd95dc314da0bb98e",
+    ),
+    "path": (
+        "78b5dcb30248b87a9945484f3e4ddbf9b1af6190a27dfd214e9a5219deb10d6d",
+        "0449b18e9630884e674afaec028bd9d59ac005f29159c457949c4d1717441c84",
+    ),
+    "cycle": (
+        "caf3b54770092459f4342b4f0b9295d5b1d03d1de935b0b40df59df074e2deef",
+        "ae0b65f638079824fd9e203a43820db6cfefb68fcf94e6050774e28bfac1ae19",
+    ),
+    "star": (
+        "e6cb0f0631967569249394931a9c84f7ca96f76f2e56bfdf68e88020cc60adb2",
+        "9cb35151bec0f12137396cc09f443f828caf3354a75622f2cf5b5f0a4abb0c1d",
+    ),
+    # of the lists over random_building_sets(20, seed=7, max_n=5)
+    "random": (
+        "95f37b40a74360203537da60d314a1059998c17f9b4ffed4c3fe96651e4ae27f",
+        "d899072bd1432d98a9b4d2d6c8ffdf8e894c3eefd86d74f2af4c7fd026d8e3a5",
+    ),
+}
+
+
+def test_takeuchi_and_coproduct_pinned_digests():
+    def digest(value):
+        return hashlib.sha256(repr(value).encode()).hexdigest()
+
+    got = {}
+    for kind in FAMILY_KINDS:
+        b = from_graph(family(kind, 5))
+        got[kind] = (digest(takeuchi_antipode(b)), digest(coproduct(b)))
+    sample = random_building_sets(20, seed=7, max_n=5)
+    got["random"] = (
+        digest([takeuchi_antipode(b) for b in sample]),
+        digest([coproduct(b) for b in sample]),
+    )
+    assert got == HOPF_DIGESTS
 
 
 def test_serialization_round_trip():

@@ -170,6 +170,24 @@ def test_polytope_fvector_and_coords(capsys):
     assert json.loads(out) == {"family": "cy", "n": 5, "vertices": 70}
 
 
+def test_polytope_at_n0_is_the_point_in_every_mode(capsys):
+    modes = (
+        ("--vertices", "1", "vertices", 1),
+        ("--fvector", "1", "nested_set_counts", [1]),
+        ("--coords", "", "coordinates", [[]]),  # one vertex, no coordinates
+    )
+    for kind in ("pe", "as", "cy", "st"):
+        for mode, text, key, value in modes:
+            code, out, _ = run(capsys, "polytope", "--family", kind, "--n", "0", mode)
+            assert code == 0 and out == text + "\n"
+            code, out, _ = run(capsys, "polytope", "--family", kind, "--n", "0", mode, "--json")
+            assert code == 0 and json.loads(out) == {"family": kind, "n": 0, key: value}
+    code, out, _ = run(capsys, "fvector", "--graph", '{"n":0,"edges":[]}')
+    assert code == 0 and out == "1\n"
+    code, _, err = run(capsys, "fvector", "--graph", "path:0")
+    assert code == 2 and "family size must be >= 1" in err
+
+
 def test_polytope_coords_pinned_digests(capsys):
     # sha256 of the sorted coordinate rows, one line per vertex
     pinned = {

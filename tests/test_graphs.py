@@ -14,6 +14,7 @@ from nestoqsym.errors import CapacityError, InputError, ParseError
 from nestoqsym.graphs import (
     FAMILY_KINDS,
     CanonicalForm,
+    Graph,
     _components_within,
     _graph_from_code,
     _lowest_component,
@@ -116,6 +117,47 @@ def test_contract_composes(g, data):
     lhs = contract(contract(g, I), J_re)
     rhs = contract(g, I | J_orig)
     assert lhs.n == rhs.n and lhs.adj == rhs.adj
+
+
+def _induced_by_positions(g, I):
+    """Oracle: induced subgraph through a vertex -> position dict."""
+    verts = sorted(set(I))
+    pos = {v: i for i, v in enumerate(verts)}
+    adj = [0] * len(verts)
+    for v in verts:
+        for u in bits(g.adj[v]):
+            if u in pos:
+                adj[pos[v]] |= 1 << pos[u]
+    return Graph(len(verts), tuple(adj))
+
+
+def _contract_by_touch_lists(g, I):
+    """Oracle: survivors joined iff adjacent or touching a common component
+    of g restricted to I, tested pair by pair."""
+    imask = mask_of(I)
+    comps = _components_within(g, imask)
+    rest = [v for v in range(g.n) if not imask >> v & 1]
+    adj = [0] * len(rest)
+    touch = [[c for c in comps if g.adj[v] & c] for v in rest]
+    for i, v in enumerate(rest):
+        for j in range(i + 1, len(rest)):
+            u = rest[j]
+            if g.has_edge(u, v) or any(c in touch[j] for c in touch[i]):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return Graph(len(rest), tuple(adj))
+
+
+def test_minors_match_their_oracles_on_every_class_to_n6():
+    cases = 0
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            for I in range(1 << n):
+                verts = list(bits(I))
+                assert induced(g, verts) == _induced_by_positions(g, verts)
+                assert contract(g, verts) == _contract_by_touch_lists(g, verts)
+                cases += 1
+    assert cases == 2 * 1 + 4 * 2 + 8 * 4 + 16 * 11 + 32 * 34 + 64 * 156
 
 
 def test_q_connectivity_examples():

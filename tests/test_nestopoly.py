@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 
 from conftest import graphs
 from nestoqsym import nestopoly
-from nestoqsym.bitsets import mask_of
+from nestoqsym.bitsets import bits, mask_of
 from nestoqsym.buildset import (
     BuildingSet,
     building_set,
@@ -18,7 +18,7 @@ from nestoqsym.buildset import (
 )
 from nestoqsym.errors import CapacityError, InputError
 from nestoqsym.graphs import enumerate_graphs, family, is_connected
-from nestoqsym.invariants import F_btree_route, random_building_sets
+from nestoqsym.invariants import F_btree_route, family_graph, random_building_sets
 from nestoqsym.nestopoly import (
     BTree,
     _all_coordinates,
@@ -331,6 +331,60 @@ def test_check_realization_examples():
     assert check_realization(from_graph(family("complete", 4)))
     assert check_realization(SEGMENT)
     assert realization_failures(L4) == []
+
+
+def _realization_failures_by_facet_sums(b):
+    """Oracle: realization_failures summing x over each facet's vertices."""
+    failures = []
+    full = b.full_mask()
+    mu_inside = nestopoly._mu_inside(b, b.sets)
+    for fam in maximal_nested_sets(b):
+        x = nestopoly._coordinates(*nestopoly._vertex(b, fam), mu_inside)
+        if sum(x) != b.mu:
+            failures.append({"nested_set": fam, "reason": "hyperplane", "x": x})
+            continue
+        tight = set(fam)
+        for s in b.sets:
+            if s == full:
+                continue
+            val = sum(x[v] for v in bits(s))
+            if s in tight and val != mu_inside[s]:
+                failures.append(
+                    {"nested_set": fam, "reason": "missing equality", "facet": s, "x": x}
+                )
+            elif s not in tight and val <= mu_inside[s]:
+                failures.append(
+                    {"nested_set": fam, "reason": "inequality", "facet": s, "x": x}
+                )
+    return failures
+
+
+REALIZATION_CASES = [
+    from_graph(family_graph(kind, n)) for kind in ("pe", "as", "cy", "st") for n in range(7)
+] + [b for b in random_building_sets(60, seed=7, max_n=6) if bs_connected(b)]
+
+
+def test_realization_failures_match_the_facet_sum_oracle():
+    assert len(REALIZATION_CASES) == 28 + 39
+    for b in REALIZATION_CASES:
+        assert realization_failures(b) == _realization_failures_by_facet_sums(b) == []
+
+
+def test_realization_failures_match_the_oracle_where_they_fail(monkeypatch):
+    real = nestopoly._coordinates
+
+    def moved(tree, member, mu_inside, shift):
+        x = list(real(tree, member, mu_inside))
+        x[0] += 1
+        x[-1] -= shift  # 1 keeps the sum, so the facets are checked
+        return tuple(x)
+
+    for shift in (0, 1):
+        monkeypatch.setattr(nestopoly, "_coordinates", lambda *a: moved(*a, shift))
+        for b in (b for b in REALIZATION_CASES if b.n):  # a point has no x[0]
+            got = realization_failures(b)
+            assert got == _realization_failures_by_facet_sums(b)
+            assert (got != []) == (b.n > shift)
 
 
 def test_check_realization_non_graphical():
