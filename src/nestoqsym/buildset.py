@@ -217,23 +217,29 @@ def takeuchi_antipode(b: BuildingSet) -> HopfElement:
 
     S(B) = sum over chains 0 = I_0 < I_1 < ... < I_k = [n] of (-1)^k times
     the product word of (B restricted to I_j) / I_{j-1}.
+
+    A factor depends only on (I_{j-1}, I_j \\ I_{j-1}), so each is built
+    once per call, at most 3^n of them, and the words share them.
     """
     check_limit("takeuchi", b.n)
     if b.n == 0:
         return hopf_monomial(BuildingSet(0, ()))
     full = b.full_mask()
-    acc = {}
+    acc, minors = {}, {}
 
     def walk(done: int, factors: tuple, k: int):
         if done == full:
             w = hopf_word(factors)
             acc[w] = acc.get(w, 0) + (-1 if k % 2 else 1)
             return
-        rem = full & ~done
-        for step in nonempty_submasks(rem):
-            walk(done | step, factors + (_minor(b, done | step, done),), k + 1)
+        for step in nonempty_submasks(full & ~done):
+            m = minors.get((done, step))
+            if m is None:
+                m = minors[done, step] = _minor(b, done | step, done)
+            walk(done | step, factors + (m,), k + 1)
 
     walk(0, (), 0)
+    minors.clear()  # walk's closure is a cycle, so the memo would outlive the call
     return HopfElement.of(acc)
 
 

@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .bitsets import bits, compress, mask_of
-from .errors import InputError, ParseError, check_limit
+from .errors import InputError, ParseError, check_int, check_limit
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def family(kind: str, n: int) -> Graph:
 
 
 def _check_subset(g: Graph, I) -> int:
-    verts = set(I)
+    verts = {check_int(v, "vertex") for v in I}
     for v in sorted(verts):
         if not 0 <= v < g.n:
             raise InputError(f"vertex {v + 1} out of range 1..{g.n}")

@@ -136,9 +136,14 @@ def zeta(b: BuildingSet, alpha) -> int:
 
 
 def F_splitting(b: BuildingSet) -> QSymElement:
-    """Monomial expansion by splitting chains, counted by the flag condition."""
+    """Monomial expansion by splitting chains, counted by the flag condition.
+
+    The walk builds the compositions, so they need no check; each term
+    takes its composition from code_table(n), shared by every value."""
     check_limit("splitting", b.n)
-    return qsym.element("M", _splitting_types(b))
+    by_code, code_of = code_table(b.n)
+    types = _splitting_types(b)
+    return QSymElement.of({by_code[code_of[alpha]]: c for alpha, c in types.items()}, basis="M")
 
 
 # ---------------------------------------------------------------------------

@@ -316,14 +316,20 @@ class QSymTensor(Combination):
     sort_key = staticmethod(lambda k: (term_key(k[0]), term_key(k[1])))
 
 
+@lru_cache(maxsize=1024)
+def _deconcatenations(alpha) -> tuple:
+    """The (prefix, suffix) pairs of alpha, shortest prefix first.  One
+    bounded memo serves every coproduct, so equal terms share their keys."""
+    return tuple([(alpha[:i], alpha[i:]) for i in range(len(alpha) + 1)])
+
+
 def coproduct(F: QSymElement) -> QSymTensor:
     """Deconcatenation coproduct on the M basis."""
     if F.basis != "M":
         raise InputError("coproduct is defined on the M basis")
     acc = {}
     for a, c in F.terms:
-        for i in range(len(a) + 1):
-            k = (a[:i], a[i:])
+        for k in _deconcatenations(a):
             acc[k] = acc.get(k, 0) + c
     return QSymTensor.of(acc)
 

@@ -76,6 +76,14 @@ def test_contract_examples():
     assert contract(l3, [1]).edges() == [(0, 1)]
 
 
+@pytest.mark.parametrize("minor", [induced, contract])
+@pytest.mark.parametrize("verts", [[1.0], ["a"], [True, 2]])
+def test_vertex_lists_of_non_integers_are_refused(minor, verts):
+    # a float or a string raised TypeError; True was taken as vertex 1
+    with pytest.raises(InputError, match="vertex must be an integer"):
+        minor(family("path", 3), verts)
+
+
 def _reachable_through(g, u, v, allowed):
     """BFS oracle: a u-v path with every internal vertex in allowed."""
     frontier, seen = {u}, {u}

@@ -27,6 +27,7 @@ from nestoqsym.buildset import (
 )
 from nestoqsym.errors import LIMITS, CapacityError, InputError
 from nestoqsym.graphs import (
+    FAMILY_KINDS,
     contract,
     edge_code,
     enumerate_graphs,
@@ -73,6 +74,7 @@ from nestoqsym.qsym import (
     mul,
     one,
     principal_specialization,
+    render,
     shift1,
     vertex_count,
 )
@@ -211,6 +213,18 @@ def test_F_splitting_examples():
     assert F_splitting(BuildingSet(1, (1,))) == monomial((1,))
     assert F_splitting(K3B) == element("M", {(1, 1, 1): 6})
     assert F_splitting(BuildingSet(0, ())) == one()
+
+
+def test_F_splitting_terms_are_the_code_table_compositions():
+    cases = [BuildingSet(0, ())] + random_building_sets(60, seed=7, max_n=7)
+    cases += [from_graph(family(kind, 9)) for kind in FAMILY_KINDS]
+    for b in cases:
+        F = F_splitting(b)
+        # the old construction: every composition built and checked afresh
+        old = element("M", invariants._splitting_types(b))
+        assert F == old and render(F) == render(old)
+        by_code, code_of = qsym.code_table(b.n)
+        assert all(alpha is by_code[code_of[alpha]] for alpha, _ in F.terms)
 
 
 def test_F_splitting_multiplicative_over_components():

@@ -312,6 +312,29 @@ def test_coproduct_examples():
     assert coproduct(M((3,))).as_dict() == {((), (3,)): 1, ((3,), ()): 1}
 
 
+def coproduct_by_slices(F):
+    """Oracle: each term's deconcatenations sliced afresh."""
+    acc = {}
+    for a, c in F.terms:
+        for i in range(len(a) + 1):
+            k = (a[:i], a[i:])
+            acc[k] = acc.get(k, 0) + c
+    return qsym.QSymTensor.of(acc)
+
+
+@given(qsym_elements)
+def test_coproduct_matches_the_slice_oracle(F):
+    got, want = coproduct(F), coproduct_by_slices(F)
+    assert got == want and repr(got) == repr(want)
+
+
+def test_coproducts_share_their_keys():
+    F = element("M", {(1, 2, 1): 3, (2, 2): -1, (4,): 2})
+    first, second = coproduct(F), coproduct(element("M", dict(F.terms)))
+    assert [k for k, _ in first.terms] == [k for k, _ in second.terms]
+    assert all(k is j for (k, _), (j, _) in zip(first.terms, second.terms))
+
+
 def double_coproduct(F, left_first):
     out = {}
     for (a, b), c in coproduct(F).terms:
