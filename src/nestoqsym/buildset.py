@@ -219,28 +219,35 @@ def takeuchi_antipode(b: BuildingSet) -> HopfElement:
     the product word of (B restricted to I_j) / I_{j-1}.
 
     A factor depends only on (I_{j-1}, I_j \\ I_{j-1}), so each is built
-    once per call, at most 3^n of them, and the words share them.
+    once per call, at most 3^n of them, and equal factors share one integer
+    id.  The walk sums sorted tuples of ids, and each distinct one becomes a
+    word of building sets once, at the end.
     """
     check_limit("takeuchi", b.n)
     if b.n == 0:
         return hopf_monomial(BuildingSet(0, ()))
     full = b.full_mask()
-    acc, minors = {}, {}
+    acc, ids, minors = {}, {}, {}
 
-    def walk(done: int, factors: tuple, k: int):
-        if done == full:
-            w = hopf_word(factors)
-            acc[w] = acc.get(w, 0) + (-1 if k % 2 else 1)
-            return
+    def walk(done: int, word: tuple, sign: int):
         for step in nonempty_submasks(full & ~done):
-            m = minors.get((done, step))
-            if m is None:
-                m = minors[done, step] = _minor(b, done | step, done)
-            walk(done | step, factors + (m,), k + 1)
+            i = minors.get((done, step))
+            if i is None:
+                m = _minor(b, done | step, done)
+                i = minors[done, step] = ids.setdefault(m, len(ids))
+            if done | step == full:
+                w = tuple(sorted(word + (i,)))
+                acc[w] = acc.get(w, 0) - sign
+            else:
+                walk(done | step, word + (i,), -sign)
 
-    walk(0, (), 0)
-    minors.clear()  # walk's closure is a cycle, so the memo would outlive the call
-    return HopfElement.of(acc)
+    walk(0, (), 1)
+    factors = list(ids)
+    ids.clear()  # walk's closure is a cycle, so the memos would outlive the call
+    minors.clear()
+    return HopfElement.of(
+        {hopf_word([factors[i] for i in w]): c for w, c in acc.items() if c}
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ LIMITS = {
     "thm72": Limit(11, "coefficient checks", "C(n, q) separator sets per q"),
     "family": Limit(13, "family recurrences", "2^(n - 1) terms per enumerator"),
     "kernel": Limit(9, "kernel computation", "tree shapes times 2^(n - 1) compositions"),
-    "hopf": Limit(5, "Hopf checks", "Takeuchi antipode and coproduct of b"),
+    "hopf": Limit(7, "Hopf checks", "Takeuchi antipode and coproduct of b"),
 }
 
 

@@ -361,12 +361,13 @@ HOPF_DIGESTS = {
 }
 
 
-def _takeuchi_by_walk(b):
-    """Oracle: the chain walk that builds every factor afresh."""
+def _takeuchi_by_chains(b):
+    """Oracle: the walk over every chain, accumulating words of building
+    sets, each factor built once per (done, step)."""
     if b.n == 0:
         return hopf_monomial(BuildingSet(0, ()))
     full = b.full_mask()
-    acc = {}
+    acc, minors = {}, {}
 
     def walk(done, factors, k):
         if done == full:
@@ -374,22 +375,33 @@ def _takeuchi_by_walk(b):
             acc[w] = acc.get(w, 0) + (-1 if k % 2 else 1)
             return
         for step in nonempty_submasks(full & ~done):
-            walk(done | step, factors + (_minor(b, done | step, done),), k + 1)
+            m = minors.get((done, step))
+            if m is None:
+                m = minors[done, step] = _minor(b, done | step, done)
+            walk(done | step, factors + (m,), k + 1)
 
     walk(0, (), 0)
     return HopfElement.of(acc)
 
 
-def test_takeuchi_matches_the_fresh_minor_walk():
+def test_takeuchi_matches_the_chain_walk():
+    graphical = [from_graph(g) for n in range(1, 6) for g in enumerate_graphs(n)]
+    # the families below n = 3 are among the graphical sets
+    families = [
+        from_graph(family(kind, n)) for kind in FAMILY_KINDS for n in range(3, 7)
+    ]
+    discrete = [discrete_building_set(n) for n in range(8)]
     cases = (
-        [BuildingSet(0, ())]
-        + [from_graph(g) for n in range(1, 6) for g in enumerate_graphs(n)]
-        + [from_graph(family(kind, 6)) for kind in FAMILY_KINDS]
+        graphical
+        + families
+        + discrete
+        + [from_graph(family("path", 7))]
         + random_building_sets(200, seed=7, max_n=6)
     )
     for b in cases:
-        assert takeuchi_antipode(b) == _takeuchi_by_walk(b)
-    assert len(cases) == 1 + 52 + 4 + 200
+        got, want = takeuchi_antipode(b), _takeuchi_by_chains(b)
+        assert got == want and repr(got) == repr(want), b
+    assert len(cases) == 52 + 16 + 8 + 1 + 200
 
 
 def test_takeuchi_and_coproduct_pinned_digests():

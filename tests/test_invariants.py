@@ -841,6 +841,13 @@ def test_takeuchi_antipode_image_is_qsym_antipode():
     assert F_of_hopf(s) == antipode(F_splitting(K2B))
 
 
+def test_takeuchi_antipode_image_at_the_takeuchi_row():
+    n = LIMITS["takeuchi"].limit
+    for kind in FAMILY_KINDS:
+        b = from_graph(family(kind, n))
+        assert F_of_hopf(takeuchi_antipode(b)) == antipode(F_splitting(b)), kind
+
+
 def splitting_product(h):
     """F of a sum of words through F_splitting of every factor (the oracle)."""
     out = qsym.zero("M")

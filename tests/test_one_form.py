@@ -103,13 +103,13 @@ def test_one_flag_walk():
         # The memoized walk keeps every continuation.  On it, route 3 raised
         # the peak RSS of the `routes` benchmark from 23.2 to 37.5 MiB
         # (+62 %), since the benchmark worker keeps every result.  The
-        # Takeuchi antipode builds each minor once per call but walks every
-        # chain: memoized on the covered mask, it ran the `hopf` benchmark
-        # (seed 1, 12 s) at 107.8 and 105.8 jobs/s in two runs, but its peak
-        # RSS was 38.6 and 39.1 MiB, +22 to +24 % over 31.6, even with
-        # values that share their compositions; the minor memo without the
-        # shared compositions reached 40.4 and 39.4 MiB.  It waits with
-        # route 3 for a worker that does not keep every result.
+        # Takeuchi antipode keeps its own submask loop: its words are sorted
+        # multisets of per-call factor ids, which flag_walk's key sequences
+        # cannot hold.  Memoized on the covered mask in that loop, it ran the
+        # `hopf` benchmark at 121-127 jobs/s against 100-112 for the chain
+        # walk, but kept so many more results that its median peak RSS rose
+        # 12.5 % over the walk over words of building sets (five pairs),
+        # against 5.1 % for the chain walk (ten pairs).
         ("buildset", "takeuchi_antipode"),
         ("invariants", "F_graph_colorings"),
         # X walks unordered partitions; on flag_walk it took 0.31 s over the

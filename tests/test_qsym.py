@@ -1,5 +1,6 @@
 """The quasisymmetric kernel: exact values and algebraic laws."""
 
+import hashlib
 from itertools import accumulate
 
 import pytest
@@ -9,7 +10,7 @@ import hypothesis.strategies as st
 from conftest import compositions, qsym_elements, small_qsym_elements
 from nestoqsym import qsym
 from nestoqsym.bitsets import submasks
-from nestoqsym.errors import InputError, ParseError
+from nestoqsym.errors import CapacityError, InputError, ParseError
 from nestoqsym.qsym import (
     antipode,
     binomial,
@@ -30,6 +31,7 @@ from nestoqsym.qsym import (
     refinements,
     render,
     shift1,
+    tensor_product,
     term_key,
     to_fundamental,
     to_json,
@@ -335,6 +337,29 @@ def test_coproducts_share_their_keys():
     assert all(k is j for (k, _), (j, _) in zip(first.terms, second.terms))
 
 
+def tensor_by_pairs(F, G):
+    """Oracle: each (a, b) key built afresh."""
+    acc = {}
+    for a, ca in F.terms:
+        for b, cb in G.terms:
+            acc[a, b] = acc.get((a, b), 0) + ca * cb
+    return qsym.QSymTensor.of(acc)
+
+
+@given(small_qsym_elements, small_qsym_elements)
+def test_tensor_product_matches_the_pair_oracle(F, G):
+    got, want = tensor_product(F, G), tensor_by_pairs(F, G)
+    assert got == want and repr(got) == repr(want)
+
+
+def test_tensor_products_share_the_coproduct_keys():
+    F = element("M", {(1, 2, 1): 3, (2, 2): -1, (4,): 2})
+    keys = {k: k for k, _ in coproduct(F).terms}
+    for (a, b), _ in coproduct(F).terms:
+        (k, _), = tensor_product(monomial(a), monomial(b)).terms
+        assert k is keys[a, b]
+
+
 def double_coproduct(F, left_first):
     out = {}
     for (a, b), c in coproduct(F).terms:
@@ -461,6 +486,35 @@ def test_antipode_matches_monomial_formula():
     for alpha, c in from_fundamental(EX62).terms:
         image = image + S(alpha).scale(c)
     assert to_fundamental(image) == element("L", {(4,): 14, (3, 1): 6, (2, 2): 4})
+
+
+def test_antipodes_share_their_keys():
+    F = element("M", {(1, 2, 1): 3, (2, 2): -1, (4,): 2, (1, 1, 1, 1): 5})
+    first, second = antipode(F), antipode(element("M", dict(F.terms)))
+    assert first == second
+    assert all(k is j for (k, _), (j, _) in zip(first.terms, second.terms))
+
+
+def test_antipode_runs_past_the_code_table():
+    # weight 31 is past the refinements row that code_table(31) checks, but
+    # the term has only 128 coarsenings: the value is the coarsening formula
+    alpha = (1, 2, 1, 3, 1, 1, 2, 20)
+    with pytest.raises(CapacityError):
+        code_table(sum(alpha))
+    got = antipode(monomial(alpha))
+    assert got == element("M", {beta: 1 for beta in coarsenings(alpha[::-1])})
+    assert len(got.terms) == 128
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == (
+        "ae2ecdd35d479d24fadcb607c4488b5479cbea739479eb2cc2836e309ea1f89c"
+    )
+
+
+def test_antipode_is_refused_by_the_coarsenings_row():
+    with pytest.raises(CapacityError) as exc:
+        antipode(monomial((1,) * 18))
+    assert str(exc.value) == (
+        "coarsenings of a term capped at l - 1 <= 16, got 17 (2^(l - 1) per term)"
+    )
 
 
 def test_antipode_matches_fundamental_round_trip():
