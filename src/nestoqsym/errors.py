@@ -73,7 +73,7 @@ LIMITS = {
     "colorings": Limit(8, "ordered-coloring route", "one walk step per ordered coloring"),
     "chromatic": Limit(11, "chromatic enumeration", "3^n block tests"),
     "recurrence": Limit(14, "recurrence route", "2^n vertex masks in the memo"),
-    "fundamental": Limit(7, "fundamental route", "one word per B-tree linear extension"),
+    "fundamental": Limit(7, "fundamental route", "one B-tree shape per vertex, n! on K_n"),
     "thm72": Limit(11, "coefficient checks", "C(n, q) separator sets per q"),
     "family": Limit(13, "family recurrences", "2^(n - 1) terms per enumerator"),
     "kernel": Limit(9, "kernel computation", "tree shapes times 2^(n - 1) compositions"),

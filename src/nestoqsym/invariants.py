@@ -23,6 +23,12 @@ subgraph's edge code in the labels of the graph (graphs._pairs_within): a
 sweep over classes computes a small subgraph once, not once per class.  X
 counts block sizes packed into one integer.
 
+The fundamental expansion (F_fundamental) counts the descent compositions
+of the linear extensions of every B-tree.  By Stanley's P-partition theory
+that multiset depends only on the tree's shape, so it sums the shapes of
+tree_multiset, each times one packed listing per shape (_descents), memoized
+like the shapes' tree enumerators; no vertex's tree is listed.
+
 Disconnected inputs reduce to component products everywhere (the enumerator
 is multiplicative); splitting chains are enumerated by the verbatim flag
 condition, which agrees with the component product without a connectedness
@@ -70,12 +76,11 @@ from .graphs import (
 )
 from .nestopoly import (
     TreeShape,
-    _vertex,
     child_codes,
     enumerate_tree_shapes,
     forest_shapes,
     linear_extensions,
-    maximal_nested_sets,
+    shape_tree,
     tree_multiset,
 )
 from .qsym import (
@@ -352,17 +357,30 @@ def F_graph(g: Graph) -> QSymElement:
 # ---------------------------------------------------------------------------
 # fundamental basis and the antipode image
 
+@lru_cache(maxsize=None)
+def _descents(code: str) -> int:
+    """The descent compositions of the linear extensions of one tree of a
+    shape, counted and packed as in _terms (one slot per composition code).
+    By Stanley's P-partition theory that multiset depends only on the
+    shape, so one tree serves every B-tree of the shape.  The fundamental
+    row bounds the memo: 85 shapes on at most 7 nodes."""
+    tree = shape_tree(TreeShape(code))
+    code_of = code_table(tree.n)[1]
+    return sum(1 << 64 * code_of[descent_composition(w)] for w in linear_extensions(tree))
+
+
 def F_fundamental(b: BuildingSet) -> QSymElement:
-    """Positive fundamental expansion from linear extensions of B-trees."""
+    """Positive fundamental expansion from linear extensions of B-trees:
+    each shape of tree_multiset, times its multiplicity, adds its descent
+    compositions (_descents).  The slots sum to F's coefficient of
+    M_(1^n), n!, so none carries."""
     check_limit("fundamental", b.n)
     if not is_connected(b):
         raise InputError("fundamental route requires a connected building set")
-    acc = {}
-    for fam in maximal_nested_sets(b):
-        for word in linear_extensions(_vertex(b, fam)[0]):
-            beta = descent_composition(word)
-            acc[beta] = acc.get(beta, 0) + 1
-    return qsym.element("L", acc)
+    if b.n == 0:
+        return qsym.one("L")  # one vertex, whose empty B-tree has no shape
+    value = sum(mult * _descents(sh.code) for sh, mult in tree_multiset(b).items())
+    return QSymElement("L", _terms(value, b.n))
 
 
 def F_star(b: BuildingSet) -> QSymElement:

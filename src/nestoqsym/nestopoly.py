@@ -11,8 +11,10 @@ cross-component unions are never in B, so the complex is the join of the
 component complexes (faces of product polytopes multiply).
 
 Each vertex's B-tree and coordinates come from one cover map (`_vertex`).
-Only `b_tree` and `vertex_coordinates` validate a family (a caller's);
-loops over maximal_nested_sets call `_vertex` directly.
+Only `b_tree` and `vertex_coordinates` validate a family (a caller's); the
+loops over maximal_nested_sets in `tree_multiset`, `_all_coordinates` and
+`realization_failures` call `_vertex` directly.  The f-vector counts on the
+same decomposition and lists no nested set (`nested_sets_by_size`).
 """
 
 from __future__ import annotations
@@ -107,9 +109,43 @@ def nested_sets_by_size(b: BuildingSet) -> tuple:
 
     For connected B the top cardinality is n-1 and its count is the vertex
     count of the nestohedron; the size-1 count is mu(B) - 1, the facets.
+    They are counted on `_nested`'s decomposition, with no set listed: the
+    nested sets of a connected B|S that leave S out have the size
+    polynomial P(S), the sum over nonempty root blocks R inside S of the
+    product over the components C of B|(S - R) of x P(C).  P(S) is a list
+    of |S| counts, memoized on S for one call; b's polynomial is the
+    product over its maximal members.
     """
-    counts = Counter(map(len, _nested(b, nonempty_submasks)))
-    return tuple(counts[k] for k in range(max(counts) + 1))
+    check_limit("nested", b.n)
+    memo = {}
+
+    def below(S: int) -> list:
+        hit = memo.get(S)
+        if hit is None:
+            hit = [0] * S.bit_count()
+            for R in nonempty_submasks(S):
+                p = [1]
+                for C in _components_in(b, S & ~R):
+                    p = _times(p, [0] + below(C))
+                for k, c in enumerate(p):
+                    hit[k] += c
+            memo[S] = hit
+        return hit
+
+    total = [1]
+    for M in maximal_members(b):
+        total = _times(total, below(M))
+    memo.clear()  # below's closure is a cycle, so the memo would outlive the call
+    return tuple(total)
+
+
+def _times(p: list, q: list) -> list:
+    """The product of two polynomials given as coefficient lists."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, c in enumerate(q):
+            out[i + j] += a * c
+    return out
 
 
 def maximal_nested_sets(b: BuildingSet) -> list:
@@ -280,6 +316,21 @@ def child_codes(shape: TreeShape) -> list:
             out.append(inner[start : i + 1])
             start = i + 1
     return out
+
+
+def shape_tree(shape: TreeShape) -> BTree:
+    """A tree of the given shape: the root is vertex 0, and each child's
+    subtree follows its parent in child_codes order (preorder)."""
+    parent = []
+
+    def grow(code: str, up):
+        v = len(parent)
+        parent.append(up)
+        for kid in child_codes(TreeShape(code)):
+            grow(kid, v)
+
+    grow(shape.code, None)
+    return BTree(len(parent), tuple(parent))
 
 
 def tree_multiset(b: BuildingSet) -> Counter:

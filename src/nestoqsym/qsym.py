@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import accumulate, combinations
 from math import factorial
 
@@ -84,12 +84,30 @@ def coarsenings(alpha) -> set:
     return {_composition(sub, sum(alpha)) for sub in submasks(_code(alpha))}
 
 
-@lru_cache(maxsize=256)
+def _small_terms(parts):
+    """Memoize a per-term table in one lru_cache of 256 entries, but only
+    for the terms alpha whose table holds at most parts(alpha) <= 2^12
+    parts; a larger one is built afresh on every call.  A table of 2^16
+    compositions holds 7.5 MiB, while a kept one holds at most about 37 KB
+    (sys.getsizeof), so a full memo stays under 10 MiB.  Every term of
+    weight <= 8 is kept."""
+
+    def wrap(build):
+        memo = lru_cache(maxsize=256)(build)
+
+        def table(alpha) -> tuple:
+            return memo(alpha) if parts(alpha) <= 1 << 12 else build(alpha)
+
+        table.cache_info, table.cache_clear = memo.cache_info, memo.cache_clear
+        return wraps(build)(table)
+
+    return wrap
+
+
+@_small_terms(lambda alpha: len(alpha) << len(alpha) >> 1)  # 2^(l - 1) of l parts or fewer
 def _coarsenings(alpha) -> tuple:
     """coarsenings(alpha) as a tuple.  One bounded memo serves every
-    M-basis antipode, so equal terms share their keys.  An entry holds up to
-    2^16 compositions (7.5 MiB for 17 parts), hence fewer entries than
-    _deconcatenations."""
+    M-basis antipode, so equal terms share their keys."""
     return tuple(coarsenings(alpha))
 
 
@@ -131,7 +149,7 @@ def refinements(alpha) -> tuple:
     return _refinements(composition(alpha))
 
 
-@lru_cache(maxsize=None)
+@_small_terms(lambda alpha: sum(alpha) << sum(alpha) - len(alpha))  # 2^(w - l) of w parts or fewer
 def _refinements(alpha) -> tuple:
     """alpha's code joined with each set of the cut positions it leaves free,
     in term order, so the basis changes hand their sort near-sorted sums:

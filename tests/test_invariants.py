@@ -5,7 +5,7 @@ import sys
 from collections import Counter
 from functools import lru_cache
 from itertools import product as iproduct
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -60,14 +60,18 @@ from nestoqsym.invariants import (
 from nestoqsym.nestopoly import (
     BTree,
     TreeShape,
+    _vertex,
     child_codes,
     enumerate_tree_shapes,
     forest_shapes,
+    linear_extensions,
+    maximal_nested_sets,
     tree_multiset,
 )
 from nestoqsym.qsym import (
     _mul_d,
     antipode,
+    descent_composition,
     element,
     from_fundamental,
     monomial,
@@ -495,6 +499,70 @@ def test_F_fundamental_matches_splitting_for_connected():
         for g in enumerate_graphs(n, connected_only=True):
             b = from_graph(g)
             assert from_fundamental(F_fundamental(b)) == F_splitting(b)
+
+
+def _fundamental_by_vertices(b):
+    """The oracle: the descent compositions of the linear extensions of the
+    B-tree at every vertex, each vertex built and listed in turn."""
+    acc = {}
+    for fam in maximal_nested_sets(b):
+        for word in linear_extensions(_vertex(b, fam)[0]):
+            beta = descent_composition(word)
+            acc[beta] = acc.get(beta, 0) + 1
+    return element("L", acc)
+
+
+def assert_fundamental_matches_vertices(b):
+    expect = _fundamental_by_vertices(b)
+    assert F_fundamental(b) == expect, b
+    assert F_star(b) == antipode(expect), b
+
+
+def test_fundamental_by_shapes_matches_vertices_on_graphical_sets():
+    sample = [from_graph(g) for n in range(1, 6) for g in enumerate_graphs(n)]
+    assert len(sample) == 52
+    for b in sample:
+        if is_connected(b):
+            assert_fundamental_matches_vertices(b)
+        else:
+            with pytest.raises(InputError):
+                F_fundamental(b)
+
+
+def test_fundamental_by_shapes_matches_vertices_on_random_sets():
+    sample = [b for b in random_building_sets(200, seed=7, max_n=6) if is_connected(b)]
+    assert len(sample) == 138
+    for b in sample:
+        assert_fundamental_matches_vertices(b)
+
+
+@pytest.mark.parametrize("kind", ["pe", "as", "cy", "st"])
+def test_fundamental_by_shapes_matches_vertices_on_families(kind):
+    for n in range(1, 8):
+        assert_fundamental_matches_vertices(from_graph(family_graph(kind, n)))
+
+
+def test_shape_descents_count_the_linear_extensions():
+    # hook-length formula: a tree on n nodes has n! / prod of subtree sizes
+    # linear extensions, one descent composition each
+    def sizes(code):
+        kids = child_codes(TreeShape(code))
+        below = [s for kid in kids for s in sizes(kid)]
+        return [1 + sum(sizes(kid)[0] for kid in kids)] + below
+
+    for n in range(1, 8):
+        for sh in enumerate_tree_shapes(n):
+            packed = invariants._descents(sh.code)
+            total = sum(c for _, c in invariants._terms(packed, n))
+            assert total == factorial(n) // prod(sizes(sh.code)), sh
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_fundamental_route_at_n8_matches_the_recurrence(kind, monkeypatch):
+    row = LIMITS["fundamental"]
+    monkeypatch.setitem(LIMITS, "fundamental", row._replace(limit=max(row.limit, 8)))
+    g = family(kind, 8)
+    assert from_fundamental(F_fundamental(from_graph(g))) == F_graph_recurrence(g)
 
 
 def test_F_star_examples():

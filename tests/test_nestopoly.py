@@ -15,6 +15,7 @@ from nestoqsym.buildset import (
     building_set,
     from_graph,
     is_connected as bs_connected,
+    product,
 )
 from nestoqsym.errors import CapacityError, InputError
 from nestoqsym.graphs import enumerate_graphs, family, is_connected
@@ -37,6 +38,7 @@ from nestoqsym.nestopoly import (
     nested_sets_by_size,
     realization_failures,
     shape_of,
+    shape_tree,
     tree_multiset,
     vertex_coordinates,
 )
@@ -216,6 +218,39 @@ def test_decomposition_matches_walk_on_random_sets():
     assert sum(map(bs_connected, sample)) == 138
     for b in sample:
         assert_matches_walk(b)
+
+
+def sizes_by_listing(b):
+    """The oracle: nested_sets listed, then counted by size."""
+    counts = Counter(map(len, nested_sets(b)))
+    return tuple(counts[k] for k in range(max(counts) + 1))
+
+
+@pytest.mark.parametrize("kind", ["pe", "as", "cy", "st"])
+def test_fvector_counts_match_the_listing_on_families(kind):
+    for n in range(1, 8):
+        b = from_graph(family_graph(kind, n))
+        assert nested_sets_by_size(b) == sizes_by_listing(b), (kind, n)
+
+
+def test_fvector_of_K8_by_counting():
+    # the listing holds 545,835 tuples here (112 MiB); the count holds a
+    # list of at most 8 counts per member
+    fv = nested_sets_by_size(from_graph(family("complete", 8)))
+    assert fv == (1, 254, 5796, 40824, 126000, 191520, 141120, 40320)
+    assert sum(fv) == 545835
+
+
+def test_fvector_of_disconnected_sets_multiplies():
+    b1 = from_graph(family("path", 3))
+    b2 = from_graph(family("complete", 3))
+    joined = nested_sets_by_size(product(b1, b2))
+    assert joined == sizes_by_listing(product(b1, b2))
+    p1, p2 = nested_sets_by_size(b1), nested_sets_by_size(b2)
+    assert joined == tuple(
+        sum(p1[i] * p2[k - i] for i in range(len(p1)) if 0 <= k - i < len(p2))
+        for k in range(len(p1) + len(p2) - 1)
+    )
 
 
 def test_empty_building_set_has_one_vertex():
@@ -479,18 +514,14 @@ def test_linear_extensions_examples():
     )
 
 
-def shape_to_btree(code):
-    """Build a concrete tree realizing a shape code."""
-    parent = []
-
-    def build(c, parent_idx):
-        idx = len(parent)
-        parent.append(parent_idx)
-        for kid in child_codes(TreeShape(c)):
-            build(kid, idx)
-
-    build(code, None)
-    return BTree(len(parent), tuple(parent))
+def test_shape_tree_realizes_every_shape():
+    for n in range(1, 9):
+        for sh in enumerate_tree_shapes(n):
+            tree = shape_tree(sh)
+            assert shape_of(tree) == sh
+            # preorder: every vertex but the root hangs below an earlier one
+            assert tree.parent[0] is None
+            assert all(p < v for v, p in enumerate(tree.parent) if v)
 
 
 def brute_tree_enumerator(tree):
@@ -520,7 +551,7 @@ def test_extensions_give_fundamental_expansion_of_tree_enumerator():
 
     for n in range(1, 6):
         for sh in enumerate_tree_shapes(n):
-            tree = shape_to_btree(sh.code)
+            tree = shape_tree(sh)
             acc = {}
             for word in linear_extensions(tree):
                 beta = descent_composition(word)
@@ -564,7 +595,7 @@ def test_extensions_match_literal_recursion():
         if bs_connected(b)
         for fam in maximal_nested_sets(b)
     ]
-    trees += [shape_to_btree(sh.code) for n in range(1, 8) for sh in enumerate_tree_shapes(n)]
+    trees += [shape_tree(sh) for n in range(1, 8) for sh in enumerate_tree_shapes(n)]
     trees += [BTree(n, (None,) * n) for n in range(0, 7)]
     for tree in trees:
         listings = literal_extension_listings(tree)

@@ -116,6 +116,11 @@ def test_one_flag_walk():
         # 853 connected 7-vertex classes, against 0.13 s by its own walk
         # (chromatic_symmetric reads the counts of this one).
         ("invariants", "_block_counts"),
+        # Not a walk over set partitions: _nested's root-block decomposition
+        # (whose blocks come in as a parameter), counting sizes instead of
+        # listing nested sets.  Listing them put `fvector --graph complete:8`
+        # at 112 MiB peak RSS; counting, at 17 MiB.
+        ("nestopoly", "nested_sets_by_size"),
         # Not a walk over set partitions: one pass over the subsets of a
         # composition's cut positions, the partial-sum code of qsym.
         ("qsym", "coarsenings"),

@@ -630,6 +630,25 @@ def test_render_body_cache_is_bounded():
     assert qsym._body.cache_info().maxsize is not None
 
 
+def test_per_term_memos_keep_small_terms_only():
+    memos = (qsym._refinements, qsym._coarsenings)
+    for memo in memos:
+        assert memo.cache_info().maxsize is not None
+    before = [memo.cache_info().currsize for memo in memos]
+    # 2^16 refinements and 2^16 coarsenings: built afresh, never kept
+    assert len(to_fundamental(monomial((17,))).terms) == 1 << 16
+    assert len(antipode(monomial((1,) * 17)).terms) == 1 << 16
+    assert [memo.cache_info().currsize for memo in memos] == before
+    # every term of weight <= 8 is kept: a second pass only hits
+    small = [alpha for w in range(9) for alpha in compositions_of(w)]
+    for memo in memos:
+        memo.cache_clear()
+        for alpha in small * 2:
+            memo(alpha)
+        info = memo.cache_info()
+        assert (info.misses, info.hits) == (len(small), len(small))
+
+
 def test_parse_accepts_text_and_json():
     s = "24*M[1,1,1,1] + 6*M[2,1,1] + 4*M[1,2,1]"
     assert parse(s) == EX54
