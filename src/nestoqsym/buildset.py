@@ -218,36 +218,40 @@ def takeuchi_antipode(b: BuildingSet) -> HopfElement:
     S(B) = sum over chains 0 = I_0 < I_1 < ... < I_k = [n] of (-1)^k times
     the product word of (B restricted to I_j) / I_{j-1}.
 
-    A factor depends only on (I_{j-1}, I_j \\ I_{j-1}), so each is built
-    once per call, at most 3^n of them, and equal factors share one integer
-    id.  The walk sums sorted tuples of ids, and each distinct one becomes a
-    word of building sets once, at the end.
+    The chains after I_{j-1} depend on I_{j-1} alone, so the sum is
+    memoized on the covered set done: rest(done) is minus the sum over
+    nonempty steps of (B|done∪step)/done times rest(done ∪ step), 3^n
+    factors in all, each relabeled from the remainders s \\ done (listed
+    once per done) inside its step.  Equal factors share one per-call
+    integer id, words are sorted tuples of ids, and each distinct one
+    becomes a word of building sets once, at the end.
     """
     check_limit("takeuchi", b.n)
     if b.n == 0:
         return hopf_monomial(BuildingSet(0, ()))
     full = b.full_mask()
-    acc, ids, minors = {}, {}, {}
+    ids, memo = {}, {full: {(): 1}}
 
-    def walk(done: int, word: tuple, sign: int):
-        for step in nonempty_submasks(full & ~done):
-            i = minors.get((done, step))
-            if i is None:
-                m = _minor(b, done | step, done)
-                i = minors[done, step] = ids.setdefault(m, len(ids))
-            if done | step == full:
-                w = tuple(sorted(word + (i,)))
-                acc[w] = acc.get(w, 0) - sign
-            else:
-                walk(done | step, word + (i,), -sign)
+    def rest(done: int) -> dict:
+        hit = memo.get(done)
+        if hit is None:
+            hit = {}
+            # sorted, so that each relabeled factor is sorted too
+            left = sorted({s & ~done for s in b.sets} - {0})
+            for step in nonempty_submasks(full & ~done):
+                m = tuple(compress(t, step) for t in left if not t & ~step)
+                i = ids.setdefault(BuildingSet(step.bit_count(), m), len(ids))
+                for w, c in rest(done | step).items():
+                    w = tuple(sorted(w + (i,)))
+                    hit[w] = hit.get(w, 0) - c
+            hit = memo[done] = {w: c for w, c in hit.items() if c}
+        return hit
 
-    walk(0, (), 1)
+    acc = rest(0)
     factors = list(ids)
-    ids.clear()  # walk's closure is a cycle, so the memos would outlive the call
-    minors.clear()
-    return HopfElement.of(
-        {hopf_word([factors[i] for i in w]): c for w, c in acc.items() if c}
-    )
+    ids.clear()  # rest's closure is a cycle, so the memos would outlive the call
+    memo.clear()
+    return HopfElement.of({hopf_word([factors[i] for i in w]): c for w, c in acc.items()})
 
 
 # ---------------------------------------------------------------------------

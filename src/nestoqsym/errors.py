@@ -56,7 +56,7 @@ LIMITS = {
     # building sets
     "graphical": Limit(16, "graphical building set", "2^n connectivity tests"),
     "coproduct": Limit(12, "coproduct", "2^n coproduct terms"),
-    "takeuchi": Limit(7, "Takeuchi antipode", "one chain per ordered set partition"),
+    "takeuchi": Limit(9, "Takeuchi antipode", "3^n (covered set, step) factors"),
     # quasisymmetric functions
     "weight": Limit(4096, "composition weight", "a term's code is a (w - 1)-bit mask", "w"),
     "refinements": Limit(16, "refinements of a term", "2^(w - l) per term", "w - l"),

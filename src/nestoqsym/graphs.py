@@ -43,12 +43,16 @@ class Graph:
 
 
 def graph_from_edges(n: int, edges) -> Graph:
-    """Build a graph from 0-based edge pairs, rejecting loops and bad ranges."""
-    if n < 0:
+    """Build a graph from 0-based edge pairs, rejecting loops, bad ranges
+    and anything that is not an integer vertex count or a pair of integers."""
+    if check_int(n, "vertex count") < 0:
         raise InputError(f"vertex count must be >= 0, got {n}")
     check_limit("ground", n)
     adj = [0] * n
-    for u, v in edges:
+    for e in edges:
+        if not isinstance(e, (tuple, list)) or len(e) != 2:
+            raise InputError(f"edge {e!r} is not a pair of vertices")
+        u, v = (check_int(x, "edge vertex") for x in e)
         if not (0 <= u < n and 0 <= v < n):
             raise InputError(f"edge ({u + 1},{v + 1}) out of range 1..{n}")
         if u == v:
@@ -76,7 +80,7 @@ FAMILY_KINDS = tuple(f.graph for f in FAMILIES)
 
 def family(kind: str, n: int) -> Graph:
     """K_n, L_n, C_n or K_{1,n-1} with fixed labeling (star center = vertex 1)."""
-    if n < 1:
+    if check_int(n, "family size") < 1:
         raise InputError(f"family size must be >= 1, got {n}")
     if kind == "complete":
         edges = combinations(range(n), 2)

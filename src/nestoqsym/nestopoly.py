@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .bitsets import flag_walk, nonempty_submasks, singletons
 from .buildset import BuildingSet, _components_in, is_connected, maximal_members
-from .errors import InputError, check_limit
+from .errors import InputError, check_int, check_limit
 
 
 def is_nested(b: BuildingSet, family) -> bool:
@@ -181,7 +181,7 @@ class BTree:
 def _checked_family(b: BuildingSet, family) -> list:
     if not is_connected(b):
         raise InputError("this computation requires a connected building set")
-    fam = sorted(set(family))
+    fam = sorted({check_int(I, "nested set member") for I in family})
     if len(fam) != max(b.n - 1, 0) or not is_nested(b, fam):
         raise InputError("not a maximal nested set")
     return fam

@@ -1,6 +1,8 @@
 """Building sets: axioms, minors, Hopf operations."""
 
+import gc
 import hashlib
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -418,6 +420,49 @@ def test_takeuchi_and_coproduct_pinned_digests():
         digest([coproduct(b) for b in sample]),
     )
     assert got == HOPF_DIGESTS
+
+
+TAKEUCHI_DIGESTS_AT_8 = {
+    # sha256 of repr(takeuchi_antipode(b)) at n = 8, from the chain walk
+    "complete": "17a01e83c94714f33a7914a4a3702e3f483af09a543fafe77913c0a3cf4b0cc3",
+    "path": "74affc3cd9ccb66bf159560b6cdd31c0eb944697bf633df8b5cf0f6bb31622bf",
+    "cycle": "b96121921049e8e21d12452eef802d466b74bab2179b6ab13e4c01c294c4e582",
+    "star": "53203b8727e07b0ab1771a35ac23b28cf0b7bb5cfd7f7f945e2bad1ad03bd7bc",
+    "discrete": "2f59d04eafe57b5cc6d0b4dfbeda83dad2bd8c781a83bfac21b3a2879c53c9c0",
+}
+
+
+def test_takeuchi_pinned_digests_at_n8():
+    cases = {kind: from_graph(family(kind, 8)) for kind in FAMILY_KINDS}
+    cases["discrete"] = discrete_building_set(8)
+    got = {
+        kind: hashlib.sha256(repr(takeuchi_antipode(b)).encode()).hexdigest()
+        for kind, b in cases.items()
+    }
+    assert got == TAKEUCHI_DIGESTS_AT_8
+
+
+def test_takeuchi_memo_does_not_outlive_the_call():
+    # The memo is reached from a closure that refers to itself, so with the
+    # collector off only its clear() frees it.
+    b = from_graph(family("cycle", 8))
+    takeuchi_antipode(b)  # warm: first-call allocations that stay are not the memo's
+    gc.disable()
+    tracemalloc.start()
+    try:
+        s = takeuchi_antipode(b)
+        del s
+        # Frozen objects are never collected, so this full collection
+        # frees only the interpreter's free lists of dead tuples and dicts,
+        # which tracemalloc would count, and leaves the call's cycle alone.
+        gc.freeze()
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        gc.unfreeze()
+        tracemalloc.stop()
+        gc.enable()
+    assert left < 4096, left
 
 
 def test_serialization_round_trip():

@@ -84,6 +84,30 @@ def test_vertex_lists_of_non_integers_are_refused(minor, verts):
         minor(family("path", 3), verts)
 
 
+@pytest.mark.parametrize(
+    "build, what",
+    [
+        (lambda: graph_from_edges(2.0, []), "vertex count"),
+        (lambda: graph_from_edges(True, []), "vertex count"),
+        (lambda: graph_from_edges(3, [(0, 1.0)]), "edge vertex"),
+        (lambda: family("path", 3.0), "family size"),
+        (lambda: family("path", True), "family size"),
+    ],
+    ids=["float count", "bool count", "float vertex", "float size", "bool size"],
+)
+def test_graph_constructors_refuse_non_integers(build, what):
+    # a float raised TypeError; True was taken as the count 1
+    with pytest.raises(InputError, match=f"{what} must be an integer"):
+        build()
+
+
+@pytest.mark.parametrize("edge", [(0, 1, 2), (0,), 1])
+def test_an_edge_that_is_not_a_pair_is_an_input_error(edge):
+    # a 3-tuple raised a bare ValueError, an int a TypeError
+    with pytest.raises(InputError, match="is not a pair of vertices"):
+        graph_from_edges(3, [edge])
+
+
 def _reachable_through(g, u, v, allowed):
     """BFS oracle: a u-v path with every internal vertex in allowed."""
     frontier, seen = {u}, {u}

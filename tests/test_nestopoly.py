@@ -285,6 +285,15 @@ def test_b_tree_examples():
         b_tree(K3, [m(1)])  # not maximal
 
 
+@pytest.mark.parametrize("compute", [b_tree, vertex_coordinates])
+@pytest.mark.parametrize("fam", [[1.5, 3], [1, 3.0], ["a", 3], [True, 3]])
+def test_family_members_that_are_not_integers_are_refused(compute, fam):
+    # a float or a string raised TypeError; True was read as the member {1}
+    assert compute(K3, [1, 3]) is not None
+    with pytest.raises(InputError, match="nested set member must be an integer"):
+        compute(K3, fam)
+
+
 def test_vertex_coordinates_examples():
     assert vertex_coordinates(K3, [m(1), m(1, 2)]) == (1, 2, 4)
     coords = sorted(vertex_coordinates(K3, fam) for fam in maximal_nested_sets(K3))

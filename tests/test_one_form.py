@@ -103,13 +103,10 @@ def test_one_flag_walk():
         # The memoized walk keeps every continuation.  On it, route 3 raised
         # the peak RSS of the `routes` benchmark from 23.2 to 37.5 MiB
         # (+62 %), since the benchmark worker keeps every result.  The
-        # Takeuchi antipode keeps its own submask loop: its words are sorted
-        # multisets of per-call factor ids, which flag_walk's key sequences
-        # cannot hold.  Memoized on the covered mask in that loop, it ran the
-        # `hopf` benchmark at 121-127 jobs/s against 100-112 for the chain
-        # walk, but kept so many more results that its median peak RSS rose
-        # 12.5 % over the walk over words of building sets (five pairs),
-        # against 5.1 % for the chain walk (ten pairs).
+        # Takeuchi antipode keeps its own submask loop, memoized on the
+        # covered mask like flag_walk's: its words are sorted multisets of
+        # per-call factor ids, which flag_walk's key sequences cannot hold,
+        # and each factor is read from the remainders listed once per mask.
         ("buildset", "takeuchi_antipode"),
         ("invariants", "F_graph_colorings"),
         # X walks unordered partitions; on flag_walk it took 0.31 s over the
