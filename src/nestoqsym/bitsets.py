@@ -57,9 +57,9 @@ def nonempty_submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-def flag_walk(n: int, admissible, key=int.bit_count, blocks=nonempty_submasks) -> dict:
+def flag_walk(n: int, admissible, key, blocks=nonempty_submasks) -> dict:
     """Ordered set partitions of [n] whose blocks come from blocks(rest) and
-    pass admissible(done, block), counted by their sequence of key(block).
+    pass admissible(done, block), listed by their sequence of key(block).
 
     The continuations depend on the covered mask alone, so they are memoized
     on it: each (done, block) pair is tested once, 3^n tests for all blocks.

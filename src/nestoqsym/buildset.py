@@ -222,15 +222,21 @@ def takeuchi_antipode(b: BuildingSet) -> HopfElement:
     memoized on the covered set done: rest(done) is minus the sum over
     nonempty steps of (B|done∪step)/done times rest(done ∪ step), 3^n
     factors in all, each relabeled from the remainders s \\ done (listed
-    once per done) inside its step.  Equal factors share one per-call
-    integer id, words are sorted tuples of ids, and each distinct one
-    becomes a word of building sets once, at the end.
+    once per done) inside its step, through one table per step.  Equal
+    factors share one per-call integer id, keyed on their (n, sets) pair;
+    words are sorted tuples of ids, and each distinct id becomes a
+    building set once, at the end.
     """
     check_limit("takeuchi", b.n)
     if b.n == 0:
         return hopf_monomial(BuildingSet(0, ()))
     full = b.full_mask()
     ids, memo = {}, {full: {(): 1}}
+    tables = [{0: 0}]  # tables[step][t] is compress(t, step), for t inside step
+    for step in range(1, full + 1):
+        top = 1 << step.bit_length() - 1
+        below = tables[step ^ top]  # 2^k entries, k of step's bits below top: top goes to bit k
+        tables.append(below | {t | top: x | len(below) for t, x in below.items()})
 
     def rest(done: int) -> dict:
         hit = memo.get(done)
@@ -239,8 +245,9 @@ def takeuchi_antipode(b: BuildingSet) -> HopfElement:
             # sorted, so that each relabeled factor is sorted too
             left = sorted({s & ~done for s in b.sets} - {0})
             for step in nonempty_submasks(full & ~done):
-                m = tuple(compress(t, step) for t in left if not t & ~step)
-                i = ids.setdefault(BuildingSet(step.bit_count(), m), len(ids))
+                tab = tables[step]
+                key = (step.bit_count(), tuple([tab[t] for t in left if not t & ~step]))
+                i = ids.setdefault(key, len(ids))
                 for w, c in rest(done | step).items():
                     w = tuple(sorted(w + (i,)))
                     hit[w] = hit.get(w, 0) - c
@@ -248,9 +255,10 @@ def takeuchi_antipode(b: BuildingSet) -> HopfElement:
         return hit
 
     acc = rest(0)
-    factors = list(ids)
+    factors = [BuildingSet(*key) for key in ids]
     ids.clear()  # rest's closure is a cycle, so the memos would outlive the call
     memo.clear()
+    tables.clear()
     return HopfElement.of({hopf_word([factors[i] for i in w]): c for w, c in acc.items()})
 
 

@@ -3,13 +3,13 @@
 The four routes to the same quasisymmetric function:
 
   * F_splitting       -- counts splitting chains of the building set by the
-                         flag condition, on bitsets.flag_walk (which also
+                         flag condition, packed (_flag_counts; bitsets.flag_walk
                          lists them for splitting_chains),
   * F_btree_route     -- sums tree enumerators over the B-trees at vertices,
   * F_graph_colorings -- counts ordered colorings of the graph,
   * F_graph_recurrence -- vertex-deletion recurrence with a shift.
 
-Routes 2 and 4, the family recurrences and F_of_hopf hold F as one integer,
+Routes 1, 2 and 4, the family recurrences and F_of_hopf hold F as one int,
 a 64-bit slot per composition code (qsym.code_table, see `_terms`): the shift
 is a bit shift (`_shift`), and products go through one bounded memo shared
 by every call (`_product`).  The recurrence (`_recurrence`) needs only one
@@ -127,28 +127,22 @@ def splitting_chains(b: BuildingSet) -> list:
     return [OrderedSetPartition(b.n, blocks) for blocks in chains]
 
 
-def _splitting_types(b: BuildingSet) -> dict:
-    return flag_walk(b.n, _discrete_step(b))
-
-
 def zeta(b: BuildingSet, alpha) -> int:
-    """Number of splitting chains whose step sizes are alpha, in order."""
+    """Number of splitting chains whose step sizes are alpha, in order: one
+    slot of the packed count."""
     alpha = qsym.composition(alpha)
     if sum(alpha) != b.n:
         raise InputError(f"composition weighs {sum(alpha)}, ground set has {b.n}")
     check_limit("splitting", b.n)
-    return _splitting_types(b).get(alpha, 0)
+    slot = code_table(b.n)[1][alpha]
+    return _flag_counts(b.n, _discrete_step(b)) >> 64 * slot & (1 << 64) - 1
 
 
 def F_splitting(b: BuildingSet) -> QSymElement:
-    """Monomial expansion by splitting chains, counted by the flag condition.
-
-    The walk builds the compositions, so they need no check; each term
-    takes its composition from code_table(n), shared by every value."""
+    """Monomial expansion by splitting chains, counted by the flag condition
+    and read out of the packed count in term order."""
     check_limit("splitting", b.n)
-    by_code, code_of = code_table(b.n)
-    types = _splitting_types(b)
-    return QSymElement.of({by_code[code_of[alpha]]: c for alpha, c in types.items()}, basis="M")
+    return QSymElement("M", _terms(_flag_counts(b.n, _discrete_step(b)), b.n))
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +163,24 @@ def _shift(value: int, w: int) -> int:
     """M_alpha -> M_(alpha,1) on a packed F of w vertices: appending a part 1
     sets code bit w - 1, so every slot moves up 2^(w - 1) places."""
     return value << 64 * (1 << w >> 1)
+
+
+def _flag_counts(n: int, admissible) -> int:
+    """The ordered set partitions of [n] whose steps pass admissible(done,
+    block), counted by step sizes and packed as in _terms, forward over the
+    covered sets: a block appended to w vertices is _shift(value, w), since
+    the new part's partial sum is w whatever its size.  3^n (done, block)
+    tests; each set's count is complete when reached and dropped when passed on."""
+    full = (1 << n) - 1
+    count = [0] * (full + 1)
+    count[0] = 1
+    for done in range(full):
+        value = _shift(count[done], done.bit_count())
+        count[done] = 0
+        for blk in nonempty_submasks(full ^ done):
+            if admissible(done, blk):
+                count[done | blk] += value
+    return count[full]
 
 
 @lru_cache(maxsize=1024)
@@ -483,7 +495,8 @@ def _block_counts(g: Graph) -> dict:
 def ordered_colorings_by_type(g: Graph) -> dict:
     """Proper-coloring ordered set partitions counted by size sequence."""
     check_limit("chromatic", g.n)
-    return flag_walk(g.n, lambda done, blk: all(g.adj[v] & blk == 0 for v in bits(blk)))
+    independent = lambda done, blk: all(g.adj[v] & blk == 0 for v in bits(blk))
+    return dict(_terms(_flag_counts(g.n, independent), g.n))
 
 
 # ---------------------------------------------------------------------------
@@ -755,11 +768,12 @@ def F_of_hopf(h: HopfElement) -> QSymElement:
     Each distinct factor runs the recurrence once, over the components of
     the building set (its first member inside a mask, by decreasing mask, is
     one), and the factors multiply through the product memo the graph route
-    uses.  F of a word is F of the product building set, so the word's
-    total weight is held to the recurrence row.
+    uses.  Words with equal packed products add their coefficients first,
+    so each distinct product is decoded once.  F of a word is F of the
+    product building set, so the word's total weight is held to the
+    recurrence row.
     """
-    by_factor = {}
-    acc = {}
+    by_factor, by_product = {}, {}
     for word, c in h.terms:
         check_limit("recurrence", sum(factor.n for factor in word))
         for factor in word:
@@ -767,7 +781,11 @@ def F_of_hopf(h: HopfElement) -> QSymElement:
                 down = factor.sets[::-1]
                 first = lambda mask: next(s for s in down if not s & ~mask)
                 by_factor[factor] = _recurrence(factor.n, first)
-        for alpha, x in _terms(*_fold((by_factor[f], f.n) for f in word)):
+        key = _fold((by_factor[f], f.n) for f in word)
+        by_product[key] = by_product.get(key, 0) + c
+    acc = {}
+    for key, c in by_product.items():
+        for alpha, x in _terms(*key):
             acc[alpha] = acc.get(alpha, 0) + c * x
     return QSymElement.of(acc, basis="M")
 

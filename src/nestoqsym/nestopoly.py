@@ -30,7 +30,7 @@ from .errors import InputError, check_int, check_limit
 
 def is_nested(b: BuildingSet, family) -> bool:
     """(N1) pairwise nested-or-disjoint and (N2) no disjoint union lies in B."""
-    fam = sorted(set(family))
+    fam = sorted({check_int(s, "nested set member") for s in family})
     members = b.member_set
     for s in fam:
         if s not in members:

@@ -202,9 +202,13 @@ class Combination:
 
     def __add__(self, other):
         acc = dict(self.terms)
+        size = len(acc)
         for k, c in other.terms:
             acc[k] = acc.get(k, 0) + c
-        return replace(self, terms=self._canonical(acc))
+        if len(acc) > size:
+            return replace(self, terms=self._canonical(acc))
+        # no new key, so acc keeps self's term order: only its zeros go
+        return replace(self, terms=tuple([(k, c) for k, c in acc.items() if c]))
 
     def scale(self, c: int):
         """c times the combination; the terms keep their order."""

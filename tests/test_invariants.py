@@ -12,7 +12,7 @@ from hypothesis import given, settings
 
 from conftest import graphs, naive_components
 from nestoqsym import invariants, qsym
-from nestoqsym.bitsets import bits, mask_of, nonempty_submasks
+from nestoqsym.bitsets import bits, flag_walk, mask_of, nonempty_submasks
 from nestoqsym.buildset import (
     BuildingSet,
     _components_in,
@@ -225,10 +225,44 @@ def test_F_splitting_terms_are_the_code_table_compositions():
     for b in cases:
         F = F_splitting(b)
         # the old construction: every composition built and checked afresh
-        old = element("M", invariants._splitting_types(b))
+        old = element("M", dict_walk_types(b))
         assert F == old and render(F) == render(old)
         by_code, code_of = qsym.code_table(b.n)
         assert all(alpha is by_code[code_of[alpha]] for alpha, _ in F.terms)
+
+
+def dict_walk_types(b):
+    """Route 1's former walk, the oracle of the packed count: splitting
+    chains counted by their step sizes in a dict per covered set."""
+    return flag_walk(b.n, invariants._discrete_step(b), key=int.bit_count)
+
+
+ROUTE_1_CASES = (
+    [from_graph(family_graph(kind, n)) for kind in ("pe", "as", "cy", "st") for n in range(9)]
+    + random_building_sets(300, seed=7, max_n=6)
+    + [product(from_graph(family("cycle", 4)), from_graph(family("star", 4)))]
+)
+
+
+def test_packed_route_1_matches_the_dict_walk():
+    for b in ROUTE_1_CASES:
+        types = dict_walk_types(b)
+        F, old = F_splitting(b), element("M", types)
+        assert F == old and render(F) == render(old)
+        # zeta reads one slot, zero where no chain has the type; each call
+        # walks afresh, so 8 compositions are read, evenly spaced
+        alphas = qsym.compositions_of(b.n)
+        for alpha in alphas[:: max(1, len(alphas) // 8)]:
+            assert zeta(b, alpha) == types.get(alpha, 0), (b, alpha)
+
+
+def test_ordered_colorings_match_the_dict_walk():
+    for g in [family(kind, 7) for kind in ("path", "cycle", "star", "complete")] + [
+        graph_from_edges(0, []),
+        graph_from_edges(5, [(0, 1), (2, 3)]),
+    ]:
+        independent = lambda done, blk: all(g.adj[v] & blk == 0 for v in bits(blk))
+        assert ordered_colorings_by_type(g) == flag_walk(g.n, independent, key=int.bit_count)
 
 
 def test_F_splitting_multiplicative_over_components():

@@ -294,6 +294,14 @@ def test_family_members_that_are_not_integers_are_refused(compute, fam):
         compute(K3, fam)
 
 
+@pytest.mark.parametrize("fam", [[1.5], ["a"], [1.0], [True], [m(1), 2.0]])
+def test_is_nested_refuses_members_that_are_not_integers(fam):
+    # floats and strings raised TypeError; [True] was read as the member {1}
+    assert is_nested(K3, [m(1)])
+    with pytest.raises(InputError, match="nested set member must be an integer"):
+        is_nested(K3, fam)
+
+
 def test_vertex_coordinates_examples():
     assert vertex_coordinates(K3, [m(1), m(1, 2)]) == (1, 2, 4)
     coords = sorted(vertex_coordinates(K3, fam) for fam in maximal_nested_sets(K3))

@@ -113,6 +113,13 @@ def test_one_flag_walk():
         # 853 connected 7-vertex classes, against 0.13 s by its own walk
         # (chromatic_symmetric reads the counts of this one).
         ("invariants", "_block_counts"),
+        # The counting walk of route 1, zeta and the ordered colorings:
+        # one packed integer per covered set (a 64-bit slot per composition
+        # code), where flag_walk keeps a dict of step-size sequences.  Over
+        # the 13,620 F_splitting calls of 180 seed-1 `hopf` jobs, the dict
+        # walk took 0.62-0.86 s and the packed count 0.41-0.46 s; flag_walk
+        # keeps the two listings (splitting chains, linear extensions).
+        ("invariants", "_flag_counts"),
         # Not a walk over set partitions: _nested's root-block decomposition
         # (whose blocks come in as a parameter), counting sizes instead of
         # listing nested sets.  Listing them put `fvector --graph complete:8`

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from conftest import compositions, qsym_elements, small_qsym_elements
+from conftest import compositions, qsym_elements, small_compositions, small_qsym_elements
 from nestoqsym import qsym
 from nestoqsym.bitsets import submasks
+from nestoqsym.buildset import HopfElement, discrete_building_set, from_graph, hopf_word
 from nestoqsym.errors import CapacityError, InputError, ParseError
+from nestoqsym.graphs import family
 from nestoqsym.qsym import (
     antipode,
     binomial,
@@ -350,6 +352,42 @@ def tensor_by_pairs(F, G):
 def test_tensor_product_matches_the_pair_oracle(F, G):
     got, want = tensor_product(F, G), tensor_by_pairs(F, G)
     assert got == want and repr(got) == repr(want)
+
+
+_FACTORS = [discrete_building_set(1), discrete_building_set(2), from_graph(family("path", 3))]
+_KEYS = {
+    qsym.QSymElement: compositions,
+    qsym.QSymTensor: st.tuples(small_compositions, small_compositions),
+    HopfElement: st.lists(st.sampled_from(_FACTORS), min_size=1, max_size=3).map(hopf_word),
+}
+
+
+def _of(cls, d):
+    return cls.of(d, basis="M") if cls is qsym.QSymElement else cls.of(d)
+
+
+@st.composite
+def _summands(draw, cls):
+    """(a, b): b cancels some of a's terms outright, changes others, and
+    brings keys of its own only when drawn to."""
+    a = draw(st.dictionaries(_KEYS[cls], st.integers(-3, 3), max_size=5))
+    b = {k: draw(st.one_of(st.just(-c), st.integers(-3, 3))) for k, c in a.items()}
+    if draw(st.booleans()):
+        b.update(draw(st.dictionaries(_KEYS[cls], st.integers(-3, 3), max_size=3)))
+    return _of(cls, a), _of(cls, b)
+
+
+@pytest.mark.parametrize("cls", [qsym.QSymElement, qsym.QSymTensor, HopfElement])
+@given(data=st.data())
+def test_sums_are_the_canonical_form_of_the_merged_dict(cls, data):
+    a, b = data.draw(_summands(cls))
+    merged = dict(a.terms)
+    for k, c in b.terms:
+        merged[k] = merged.get(k, 0) + c
+    got, want = a + b, _of(cls, merged)
+    assert got == want and repr(got) == repr(want)
+    assert all(c for _, c in got.terms)
+    assert (a + a.scale(-1)).is_zero() and a + _of(cls, {}) == a
 
 
 def test_tensor_products_share_the_coproduct_keys():
