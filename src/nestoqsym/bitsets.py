@@ -21,7 +21,8 @@ def bits(mask: int):
 
 def compress(mask: int, keep: int) -> int:
     """The bits of mask at the positions of keep, packed down in order: the
-    order-preserving relabeling that every minor uses."""
+    order-preserving relabeling of the minors (`takeuchi_antipode` reads it
+    from one table per step instead)."""
     out = i = 0
     while keep:
         low = keep & -keep

@@ -136,9 +136,9 @@ def contraction(b: BuildingSet, I: int) -> BuildingSet:
     return _minor(b, b.full_mask(), _vertex_mask(b, I))
 
 
-def _components_in(b: BuildingSet, mask: int) -> list:
-    """Components of b restricted to mask: the members inside mask and
-    inside no other such member, in decreasing mask order.
+def _components_in(b: BuildingSet, mask: int):
+    """Yield the components of b restricted to mask: the members inside
+    mask and inside no other such member, in decreasing mask order.
 
     They are pairwise disjoint (two that meet have their union in b, and
     inside mask), and every other member inside mask lies in one of them.
@@ -147,19 +147,18 @@ def _components_in(b: BuildingSet, mask: int) -> list:
     it: keeping each member inside mask that misses all those kept so far
     keeps exactly the components; the singletons make them cover mask.
     """
-    kept, covered = [], 0
+    covered = 0
     for s in reversed(b.sets):
         if not s & ~mask and not s & covered:
-            kept.append(s)
+            yield s
             covered |= s
             if covered == mask:
-                break
-    return kept
+                return
 
 
 def maximal_members(b: BuildingSet) -> list:
     """Members inside no other member, in mask order: the components of b."""
-    return _components_in(b, b.full_mask())[::-1]
+    return list(_components_in(b, b.full_mask()))[::-1]
 
 
 def is_connected(b: BuildingSet) -> bool:
@@ -219,47 +218,38 @@ def takeuchi_antipode(b: BuildingSet) -> HopfElement:
     the product word of (B restricted to I_j) / I_{j-1}.
 
     The chains after I_{j-1} depend on I_{j-1} alone, so the sum is
-    memoized on the covered set done: rest(done) is minus the sum over
-    nonempty steps of (B|done∪step)/done times rest(done ∪ step), 3^n
-    factors in all, each relabeled from the remainders s \\ done (listed
-    once per done) inside its step, through one table per step.  Equal
-    factors share one per-call integer id, keyed on their (n, sets) pair;
-    words are sorted tuples of ids, and each distinct id becomes a
-    building set once, at the end.
+    filled in on the covered set done, from [n] down to 0: rest[done] is
+    minus the sum over nonempty steps of (B|done∪step)/done times
+    rest[done ∪ step], 3^n factors in all, each relabeled from the
+    remainders s \\ done (listed once per done) inside its step, through
+    one table per step.  Equal factors share one per-call integer id, keyed
+    on their (n, sets) pair; words are sorted tuples of ids, and each
+    distinct id becomes a building set once, at the end.
     """
     check_limit("takeuchi", b.n)
     if b.n == 0:
         return hopf_monomial(BuildingSet(0, ()))
     full = b.full_mask()
-    ids, memo = {}, {full: {(): 1}}
     tables = [{0: 0}]  # tables[step][t] is compress(t, step), for t inside step
     for step in range(1, full + 1):
         top = 1 << step.bit_length() - 1
         below = tables[step ^ top]  # 2^k entries, k of step's bits below top: top goes to bit k
         tables.append(below | {t | top: x | len(below) for t, x in below.items()})
-
-    def rest(done: int) -> dict:
-        hit = memo.get(done)
-        if hit is None:
-            hit = {}
-            # sorted, so that each relabeled factor is sorted too
-            left = sorted({s & ~done for s in b.sets} - {0})
-            for step in nonempty_submasks(full & ~done):
-                tab = tables[step]
-                key = (step.bit_count(), tuple([tab[t] for t in left if not t & ~step]))
-                i = ids.setdefault(key, len(ids))
-                for w, c in rest(done | step).items():
-                    w = tuple(sorted(w + (i,)))
-                    hit[w] = hit.get(w, 0) - c
-            hit = memo[done] = {w: c for w, c in hit.items() if c}
-        return hit
-
-    acc = rest(0)
+    ids, rest = {}, [None] * full + [{(): 1}]
+    for done in range(full - 1, -1, -1):  # done | step > done is filled first
+        acc = {}
+        # sorted, so that each relabeled factor is sorted too
+        left = sorted({s & ~done for s in b.sets} - {0})
+        for step in nonempty_submasks(full & ~done):
+            tab = tables[step]
+            key = (step.bit_count(), tuple([tab[t] for t in left if not t & ~step]))
+            i = ids.setdefault(key, len(ids))
+            for w, c in rest[done | step].items():
+                w = tuple(sorted(w + (i,)))
+                acc[w] = acc.get(w, 0) - c
+        rest[done] = {w: c for w, c in acc.items() if c}
     factors = [BuildingSet(*key) for key in ids]
-    ids.clear()  # rest's closure is a cycle, so the memos would outlive the call
-    memo.clear()
-    tables.clear()
-    return HopfElement.of({hopf_word([factors[i] for i in w]): c for w, c in acc.items()})
+    return HopfElement.of({hopf_word([factors[i] for i in w]): c for w, c in rest[0].items()})
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ from .buildset import (
     BuildingSet,
     HopfElement,
     OrderedSetPartition,
+    _components_in,
     components,
     coproduct,
     from_graph,
@@ -60,7 +61,7 @@ from .buildset import (
     product,
     takeuchi_antipode,
 )
-from .errors import LIMITS, InputError, check_limit
+from .errors import LIMITS, InputError, check_int, check_limit
 from .graphs import (
     FAMILIES,
     Graph,
@@ -76,6 +77,8 @@ from .graphs import (
 )
 from .nestopoly import (
     TreeShape,
+    _forest,
+    _one_tree,
     child_codes,
     enumerate_tree_shapes,
     forest_shapes,
@@ -221,9 +224,11 @@ def _f_shape(code: str) -> int:
 
 def F_tree(tree) -> QSymElement:
     """Enumerator of strictly root-increasing maps on a tree or forest."""
-    one_tree = isinstance(tree, TreeShape)
-    check_limit("tree enumerators", tree.size if one_tree else tree.n)
-    shapes = (tree,) if one_tree else forest_shapes(tree)
+    if isinstance(tree, TreeShape):
+        check_limit("tree enumerators", tree.size)
+        shapes = (_one_tree(tree),)
+    else:
+        shapes = forest_shapes(_forest(tree, "tree enumerators"))
     return QSymElement("M", _terms(*_fold((_f_shape(sh.code), sh.size) for sh in shapes)))
 
 
@@ -766,20 +771,18 @@ def F_of_hopf(h: HopfElement) -> QSymElement:
     """Extend the enumerator linearly over words, multiplicatively over factors.
 
     Each distinct factor runs the recurrence once, over the components of
-    the building set (its first member inside a mask, by decreasing mask, is
-    one), and the factors multiply through the product memo the graph route
-    uses.  Words with equal packed products add their coefficients first,
-    so each distinct product is decoded once.  F of a word is F of the
-    product building set, so the word's total weight is held to the
-    recurrence row.
+    the building set (the first that `_components_in` yields), and the
+    factors multiply through the product memo the graph route uses.  Words
+    with equal packed products add their coefficients first, so each
+    distinct product is decoded once.  F of a word is F of the product
+    building set, so the word's total weight is held to the recurrence row.
     """
     by_factor, by_product = {}, {}
     for word, c in h.terms:
         check_limit("recurrence", sum(factor.n for factor in word))
         for factor in word:
             if factor not in by_factor:
-                down = factor.sets[::-1]
-                first = lambda mask: next(s for s in down if not s & ~mask)
+                first = lambda mask: next(_components_in(factor, mask))
                 by_factor[factor] = _recurrence(factor.n, first)
         key = _fold((by_factor[f], f.n) for f in word)
         by_product[key] = by_product.get(key, 0) + c
@@ -821,6 +824,8 @@ def hopf_morphism_check(b: BuildingSet) -> dict:
 
 def random_building_sets(count: int, seed: int = 20250809, max_n: int = 4) -> list:
     """Deterministic sample of valid building sets, by union-closing random families."""
+    if check_int(max_n, "max_n") < 2:
+        raise InputError(f"max_n must be >= 2, got {max_n}")
     rng = random.Random(seed)
     out, seen = [], set()
     while len(out) < count:

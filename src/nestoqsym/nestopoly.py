@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .bitsets import flag_walk, nonempty_submasks, singletons
 from .buildset import BuildingSet, _components_in, is_connected, maximal_members
@@ -74,28 +75,22 @@ def _nested(b: BuildingSet, blocks) -> list:
     since a member inside their union that meets two of them would put
     their union in B.  R is the part of S no top-level member covers, so
     each nested set arises once.  Every nonempty R gives all nested sets,
-    one-vertex blocks the maximal ones.  The lists are memoized on S for
-    one call; b's nested sets are the products over its maximal members.
+    one-vertex blocks the maximal ones.  Each component is a smaller
+    member, so the lists fill in increasing mask order; b's nested sets
+    are the products over its maximal members.
     """
     check_limit("nested", b.n)
-    memo = {}
-
-    def below(S: int) -> list:
-        hit = memo.get(S)
-        if hit is None:
-            hit = []
-            for R in blocks(S):
-                fams = [()]
-                for C in _components_in(b, S & ~R):
-                    fams = [f + (C,) + g for f in fams for g in below(C)]
-                hit += fams
-            memo[S] = hit
-        return hit
-
+    below = {}
+    for S in b.sets:
+        below[S] = []
+        for R in blocks(S):
+            fams = [()]
+            for C in _components_in(b, S & ~R):
+                fams = [f + (C,) + g for f in fams for g in below[C]]
+            below[S] += fams
     fams = [()]
     for M in maximal_members(b):
-        fams = [f + g for f in fams for g in below(M)]
-    memo.clear()  # below's closure is a cycle, so the memo would outlive the call
+        fams = [f + g for f in fams for g in below[M]]
     return fams
 
 
@@ -113,29 +108,22 @@ def nested_sets_by_size(b: BuildingSet) -> tuple:
     nested sets of a connected B|S that leave S out have the size
     polynomial P(S), the sum over nonempty root blocks R inside S of the
     product over the components C of B|(S - R) of x P(C).  P(S) is a list
-    of |S| counts, memoized on S for one call; b's polynomial is the
-    product over its maximal members.
+    of |S| counts, filled in increasing mask order like `_nested`'s lists;
+    b's polynomial is the product over its maximal members.
     """
     check_limit("nested", b.n)
-    memo = {}
-
-    def below(S: int) -> list:
-        hit = memo.get(S)
-        if hit is None:
-            hit = [0] * S.bit_count()
-            for R in nonempty_submasks(S):
-                p = [1]
-                for C in _components_in(b, S & ~R):
-                    p = _times(p, [0] + below(C))
-                for k, c in enumerate(p):
-                    hit[k] += c
-            memo[S] = hit
-        return hit
-
+    below = {}
+    for S in b.sets:
+        below[S] = counts = [0] * S.bit_count()
+        for R in nonempty_submasks(S):
+            p = [1]
+            for C in _components_in(b, S & ~R):
+                p = _times(p, [0] + below[C])
+            for k, c in enumerate(p):
+                counts[k] += c
     total = [1]
     for M in maximal_members(b):
-        total = _times(total, below(M))
-    memo.clear()  # below's closure is a cycle, so the memo would outlive the call
+        total = _times(total, below[M])
     return tuple(total)
 
 
@@ -176,6 +164,21 @@ class BTree:
             if p is not None:
                 ch[p].append(v)
         return ch
+
+
+def _forest(tree: BTree, limit: str) -> BTree:
+    """tree, once its size is within LIMITS[limit] and its parent tuple is a
+    forest on range(n): n entries, each None or a vertex, and no cycle."""
+    n, parent = tree.n, tree.parent
+    check_limit(limit, check_int(n, "tree size"))
+    if len(parent) != n or any(p is not None and not 0 <= check_int(p, "parent") < n for p in parent):
+        raise InputError(f"parents {parent} are not n = {n} entries, each None or in range(n)")
+    up = list(range(n))
+    for _ in range(n):  # a vertex at depth d reaches a root's None in d + 1 <= n steps
+        up = [parent[v] for v in up if parent[v] is not None]
+    if up:
+        raise InputError(f"parents {parent} have a cycle")
+    return tree
 
 
 def _checked_family(b: BuildingSet, family) -> list:
@@ -288,6 +291,15 @@ class TreeShape:
         return self.code.count("(")
 
 
+def _one_tree(shape: TreeShape) -> TreeShape:
+    """shape, once its code is checked to be one tree: parentheses whose
+    depth returns to 0 at the end and nowhere before."""
+    depths = list(accumulate(1 if c == "(" else -1 for c in shape.code))
+    if set(shape.code) <= set("()") and depths[-1:] == [0] and min(depths[:-1], default=1) > 0:
+        return shape
+    raise InputError(f"tree shape code {shape.code!r} is not one rooted tree")
+
+
 def shape_of(tree: BTree) -> TreeShape:
     """Canonical shape of a rooted tree (single root required)."""
     roots = tree.roots()
@@ -347,36 +359,24 @@ def tree_multiset(b: BuildingSet) -> Counter:
 
 
 @lru_cache(maxsize=None)
-def _forests(m: int, low: str = "") -> tuple:
-    """Forests on m nodes as tuples of tree codes, each >= low, in
-    nondecreasing order, so each forest appears once."""
-    if m == 0:
-        return ((),)
-    return tuple(
-        (t,) + rest
-        for size in range(1, m + 1)
-        for t in _trees(size)
-        if t >= low
-        for rest in _forests(m - size, t)
-    )
-
-
-@lru_cache(maxsize=None)
-def _trees(n: int) -> tuple:
-    """Sorted codes of the rooted trees on n nodes: a root over each forest on n - 1."""
-    return tuple(sorted("(" + "".join(f) + ")" for f in _forests(n - 1)))
-
-
-@lru_cache(maxsize=None)
 def enumerate_tree_shapes(n: int) -> tuple:
-    """All unlabeled rooted trees on n nodes, each once, sorted; one call's memos are freed."""
+    """All unlabeled rooted trees on n nodes, each once, sorted: a root over
+    each forest on n - 1 nodes, forests being nondecreasing tuples of tree
+    codes (a tree t on k nodes, then a forest on m - k nodes of trees >= t)."""
     if n < 1:
         raise InputError(f"tree shapes need n >= 1, got {n}")
     check_limit("tree shapes", n)
-    shapes = tuple(map(TreeShape, _trees(n)))
-    _forests.cache_clear()
-    _trees.cache_clear()
-    return shapes
+    trees, forests = [[], ["()"]], [[()]]  # at index m: the codes, the forests on m nodes
+    for m in range(1, n):
+        forests.append([
+            (t,) + rest
+            for k in range(1, m + 1)
+            for t in trees[k]
+            for rest in forests[m - k]
+            if not rest or t <= rest[0]
+        ])
+        trees.append(sorted("(" + "".join(f) + ")" for f in forests[m]))
+    return tuple(map(TreeShape, trees[n]))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +400,6 @@ def _extensions(tree: BTree, labels) -> dict:
     """Orderings of the vertices placing every child before its parent, each
     read as its sequence of labels[v]: the flag walk over singletons, which
     admits a vertex once its children are placed."""
-    check_limit("extensions", tree.n)
     children = {1 << v: 0 for v in range(tree.n)}
     for v, p in enumerate(tree.parent):
         if p is not None:
@@ -417,7 +416,7 @@ def _extensions(tree: BTree, labels) -> dict:
 def extension_listings(tree: BTree) -> list:
     """All orderings of the vertices placing every child before its parent,
     in lexicographic order."""
-    return list(_extensions(tree, range(tree.n)))
+    return list(_extensions(_forest(tree, "extensions"), range(tree.n)))
 
 
 def linear_extensions(tree: BTree) -> list:
@@ -429,4 +428,5 @@ def linear_extensions(tree: BTree) -> list:
     permutation of 1..n.  The multiset of descent compositions of these
     words is independent of the labeling choice.
     """
+    tree = _forest(tree, "extensions")
     return sorted(_extensions(tree, _descending_labels(tree)))

@@ -167,7 +167,7 @@ def test_components_in_matches_the_size_order_oracle():
         for mask in range(1 << b.n):
             # the same components, listed by decreasing mask
             oracle = sorted(_components_by_size(b, mask), reverse=True)
-            assert _components_in(b, mask) == oracle
+            assert list(_components_in(b, mask)) == oracle
 
 
 def test_components_examples():
@@ -443,8 +443,8 @@ def test_takeuchi_pinned_digests_at_n8():
 
 
 def test_takeuchi_memo_does_not_outlive_the_call():
-    # The memo is reached from a closure that refers to itself, so with the
-    # collector off only its clear() frees it.
+    # With the collector off, whatever the call leaves in a reference cycle
+    # stays; the table of sums is a local, freed on return.
     b = from_graph(family("cycle", 8))
     takeuchi_antipode(b)  # warm: first-call allocations that stay are not the memo's
     gc.disable()

@@ -295,6 +295,22 @@ def test_F_tree_caps_a_shape_like_a_tree():
     )
 
 
+@pytest.mark.parametrize("code", ["(()", "())", "()()", ")(", "", "(x)", "(()))("])
+def test_F_tree_refuses_a_code_that_is_not_one_tree(code):
+    # "(()" was read as a 2-node tree, M[2]
+    assert F_tree(TreeShape("(()())")) == F_tree(BTree(3, (None, 0, 0)))
+    with pytest.raises(InputError, match="not one rooted tree"):
+        F_tree(TreeShape(code))
+
+
+def test_random_building_sets_refuses_max_n_below_2():
+    # max_n = 1 raised a bare ValueError from randrange
+    assert len(random_building_sets(2, max_n=2)) == 2  # both building sets on 2 vertices
+    for max_n in (1, 0, -3, 2.5):
+        with pytest.raises(InputError, match="max_n"):
+            random_building_sets(3, max_n=max_n)
+
+
 def test_F_btree_route_examples():
     assert F_btree_route(L4B) == EX54
     assert F_btree_route(K2B) == element("M", {(1, 1): 2})
@@ -1117,7 +1133,7 @@ def chain_F_of_hopf(h):
 
 def dict_F(b):
     """F of a building set by the dict recurrence over its components."""
-    return element("M", dict_recurrence(b.n, lambda mask: _components_in(b, mask)))
+    return element("M", dict_recurrence(b.n, lambda mask: list(_components_in(b, mask))))
 
 
 def chain_kernel_rows(n):

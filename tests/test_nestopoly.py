@@ -1,7 +1,11 @@
 """Nested sets, B-trees, tree shapes, coordinates, linear extensions."""
 
+import gc
+import tracemalloc
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations, permutations, product as iproduct
+from math import comb, prod
 
 import pytest
 from hypothesis import given
@@ -19,7 +23,7 @@ from nestoqsym.buildset import (
 )
 from nestoqsym.errors import CapacityError, InputError
 from nestoqsym.graphs import enumerate_graphs, family, is_connected
-from nestoqsym.invariants import F_btree_route, family_graph, random_building_sets
+from nestoqsym.invariants import F_btree_route, F_tree, family_graph, random_building_sets
 from nestoqsym.nestopoly import (
     BTree,
     _all_coordinates,
@@ -468,20 +472,22 @@ def test_enumerate_tree_shapes_counts():
         enumerate_tree_shapes(15)
 
 
+def _partitions(rest, largest):
+    """Partitions of rest into parts <= largest, parts nonincreasing."""
+    if rest == 0:
+        yield ()
+    for p in range(min(rest, largest), 0, -1):
+        for tail in _partitions(rest - p, p):
+            yield (p,) + tail
+
+
 def oracle_tree_shapes(n):
     """The enumeration the forests replaced: for each partition of n - 1 into
     subtree sizes, every multiset of shapes of each size, deduplicated."""
     from itertools import combinations_with_replacement, product
 
-    def partitions(rest, largest):
-        if rest == 0:
-            yield ()
-        for p in range(min(rest, largest), 0, -1):
-            for tail in partitions(rest - p, p):
-                yield (p,) + tail
-
     out = set()
-    for part in partitions(n - 1, n - 1):
+    for part in _partitions(n - 1, n - 1):
         choices = [
             list(combinations_with_replacement(oracle_tree_shapes(s), part.count(s)))
             for s in sorted(set(part), reverse=True)
@@ -492,16 +498,48 @@ def oracle_tree_shapes(n):
     return tuple(sorted(out))
 
 
-def test_tree_shape_memos_are_freed_after_each_call():
-    nestopoly.enumerate_tree_shapes.cache_clear()
-    assert len(enumerate_tree_shapes(12)) == 4766
-    assert nestopoly._forests.cache_info().currsize == 0
-    assert nestopoly._trees.cache_info().currsize == 0
+@lru_cache(maxsize=None)
+def oracle_tree_count(n):
+    """The partition oracle counted, not listed: for each partition of n - 1,
+    the multisets of part.count(s) shapes on s nodes, C(t + k - 1, k) each."""
+    return sum(
+        prod(comb(oracle_tree_count(s) + k - 1, k) for s, k in Counter(part).items())
+        for part in _partitions(n - 1, n - 1)
+    )
+
+
+def test_tree_shape_and_face_tables_do_not_outlive_the_call():
+    # The tables are a call's locals, in no reference cycle, so they are
+    # freed on return with the collector off.  enumerate_tree_shapes keeps
+    # its results, so its uncached body is measured.
+    K8 = from_graph(family("complete", 8))
+    calls = [
+        lambda: len(enumerate_tree_shapes.__wrapped__(12)) == 4766,
+        lambda: nested_sets_by_size(K8)[-1] == 40320,  # the permutohedron's 8! vertices
+    ]
+    for call in calls:
+        assert call()  # warm: first-call allocations that stay are not the tables'
+        gc.disable()
+        tracemalloc.start()
+        try:
+            assert call()
+            # as in test_takeuchi_memo_does_not_outlive_the_call: frees only
+            # the free lists of dead tuples, lists and dicts
+            gc.freeze()
+            gc.collect()
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            gc.unfreeze()
+            tracemalloc.stop()
+            gc.enable()
+        assert left < 4096, left
 
 
 def test_enumerate_tree_shapes_matches_the_partition_oracle():
     for n in range(1, 11):
         assert tuple(sh.code for sh in enumerate_tree_shapes(n)) == oracle_tree_shapes(n)
+    # at the row, where listing the oracle is too slow: OEIS A000081
+    assert len(enumerate_tree_shapes(14)) == oracle_tree_count(14) == 32973
 
 
 def test_shape_codes_distinguish_the_4_vertex_trees():
@@ -529,6 +567,29 @@ def test_linear_extensions_examples():
     assert sorted(set(linear_extensions(forest))) == sorted(
         permutations((1, 2, 3))
     )
+
+
+@pytest.mark.parametrize("compute", [F_tree, linear_extensions, extension_listings])
+@pytest.mark.parametrize(
+    "tree",
+    [
+        pytest.param(BTree(1, (None, None)), id="too-many-parents"),
+        pytest.param(BTree(2, (None,)), id="too-few-parents"),
+        pytest.param(BTree(2, (1.0, None)), id="float-parent"),
+        pytest.param(BTree(2, (True, None)), id="bool-parent"),
+        pytest.param(BTree(2, (5, None)), id="parent-out-of-range"),
+        pytest.param(BTree(2, (-1, None)), id="negative-parent"),
+        pytest.param(BTree(2, (0, None)), id="self-parent"),
+        pytest.param(BTree(2, (1, 0)), id="2-cycle"),
+        pytest.param(BTree(4, (None, 2, 3, 1)), id="3-cycle-beside-a-root"),
+    ],
+)
+def test_parent_tuples_that_are_not_forests_are_refused(compute, tree):
+    # F_tree raised IndexError or TypeError, or returned a value of the
+    # wrong weight (M[] for the 2-cycle); the extensions came back empty
+    assert compute(BTree(2, (1, None))) and compute(BTree(0, ()))
+    with pytest.raises(InputError):
+        compute(tree)
 
 
 def test_shape_tree_realizes_every_shape():

@@ -132,6 +132,50 @@ def test_one_flag_walk():
 
 
 # ---------------------------------------------------------------------------
+# tables filled in order, recursions only where states are skipped
+
+
+def _recursive_closures() -> list:
+    """(module, "outer.inner") for each function defined inside another
+    function that calls itself by name."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for outer in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(outer, ast.FunctionDef):
+                continue
+            for inner in ast.walk(outer):
+                if inner is not outer and isinstance(inner, ast.FunctionDef) and any(
+                    isinstance(node, ast.Call) and getattr(node.func, "id", None) == inner.name
+                    for node in ast.walk(inner)
+                ):
+                    out.append((path.stem, f"{outer.name}.{inner.name}"))
+    return sorted(out)
+
+
+def test_recursive_closures_skip_states():
+    # A memoized closure that calls itself is a reference cycle, so it must
+    # clear its memo by hand.  Where every state is needed, a loop fills the
+    # table in dependency order instead (_nested, nested_sets_by_size and
+    # takeuchi_antipode by covered or member mask, enumerate_tree_shapes by
+    # node count).  Each recursion left has a reason:
+    assert _recursive_closures() == [
+        # Admissibility leaves states unreached, and the depth-first order
+        # of splitting_chains is pinned by a test.
+        ("bitsets", "flag_walk.rest"),
+        # Route 3, the seed recursion over contracted adjacency tuples; on
+        # the shared walk it raised `routes`' peak RSS past its bound.
+        ("invariants", "F_graph_colorings.rec"),
+        # A hit in the shared memo of induced subgraphs skips a whole
+        # subtree: a warm `classes` job computes about 8 of 128 masks.
+        ("invariants", "_block_counts.rest"),
+        ("invariants", "_recurrence.rec"),
+        # Walks down one tree, each vertex once, with no memo.
+        ("nestopoly", "forest_shapes.code"),
+        ("nestopoly", "shape_tree.grow"),
+    ]
+
+
+# ---------------------------------------------------------------------------
 # one arithmetic for enumerators
 
 ELEMENT_ARITHMETIC = {"mul", "shift1", "_mul_d"}
