@@ -21,8 +21,8 @@ def bits(mask: int):
 
 def compress(mask: int, keep: int) -> int:
     """The bits of mask at the positions of keep, packed down in order: the
-    order-preserving relabeling of the minors (`takeuchi_antipode` reads it
-    from one table per step instead)."""
+    order-preserving relabeling of the minors (`takeuchi_antipode` and
+    `coproduct` read it from compress_tables instead)."""
     out = i = 0
     while keep:
         low = keep & -keep
@@ -31,6 +31,18 @@ def compress(mask: int, keep: int) -> int:
         i += 1
         keep ^= low
     return out
+
+
+def compress_tables(full: int) -> list:
+    """tables[step][t] == compress(t, step) for every step <= full = 2^n - 1
+    and every t inside step: 3^n entries, each table built from the table of
+    step without its top vertex, which the top vertex's bit extends."""
+    tables = [{0: 0}]
+    for step in range(1, full + 1):
+        top = 1 << step.bit_length() - 1
+        below = tables[step ^ top]  # 2^k entries, k of step's bits below top: top goes to bit k
+        tables.append(below | {t | top: x | len(below) for t, x in below.items()})
+    return tables
 
 
 def singletons(mask: int):

@@ -6,8 +6,10 @@ masks; the family is stored sorted and deduplicated, so equality and
 serialization are canonical.
 
 Restriction and contraction relabel the surviving vertices to an initial
-segment with the order-preserving map (`bitsets.compress`); callers that
-need the original labels (the CLI does) keep the vertex list on the side.
+segment with the order-preserving map (`bitsets.compress`); the coproduct
+and the Takeuchi antipode read it from one table per vertex set
+(`bitsets.compress_tables`).  Callers that need the original labels (the
+CLI does) keep the vertex list on the side.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bitsets import bits, compress, mask_of, nonempty_submasks
+from .bitsets import bits, compress, compress_tables, mask_of, nonempty_submasks
 from .errors import InputError, NotABuildingSetError, ParseError, check_int, check_limit
 from .graphs import Graph, _lowest_component, json_int, load_json
 from .qsym import Combination
@@ -114,7 +116,9 @@ def from_graph(g: Graph) -> BuildingSet:
 
 
 def _minor(b: BuildingSet, inside: int, contracted: int) -> BuildingSet:
-    """(B restricted to inside) contracted by contracted, relabeled."""
+    """(B restricted to inside) contracted by contracted, relabeled by one
+    compress call per surviving member (coproduct reads compress_tables
+    instead, and is tested against this)."""
     keep = inside & ~contracted
     out = {compress(s, keep) for s in b.sets if s & keep and not s & ~inside}
     return BuildingSet(keep.bit_count(), tuple(sorted(out)))
@@ -179,11 +183,22 @@ def product(b1: BuildingSet, b2: BuildingSet) -> BuildingSet:
 
 
 def coproduct(b: BuildingSet) -> list:
-    """All (I, B restricted to I, B/I) in increasing subset-mask order."""
+    """All (I, B restricted to I, B/I) in increasing subset-mask order.
+
+    Both minors relabel through one table per vertex set (compress_tables).
+    compress keeps the order of the masks inside its set, so B|I comes out
+    sorted; B/I maps the remainders s \\ I, which may coincide, and is sorted.
+    """
     check_limit("coproduct", b.n)
-    return [
-        (I, restriction(b, I), contraction(b, I)) for I in range(1 << b.n)
-    ]
+    full = b.full_mask()
+    tables = compress_tables(full)
+    out = []
+    for I in range(full + 1):
+        inside, outside, k = tables[I], tables[full ^ I], I.bit_count()
+        left = tuple([inside[s] for s in b.sets if not s & ~I])
+        right = tuple(sorted({outside[s & ~I] for s in b.sets if s & ~I}))
+        out.append((I, BuildingSet(k, left), BuildingSet(b.n - k, right)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +245,7 @@ def takeuchi_antipode(b: BuildingSet) -> HopfElement:
     if b.n == 0:
         return hopf_monomial(BuildingSet(0, ()))
     full = b.full_mask()
-    tables = [{0: 0}]  # tables[step][t] is compress(t, step), for t inside step
-    for step in range(1, full + 1):
-        top = 1 << step.bit_length() - 1
-        below = tables[step ^ top]  # 2^k entries, k of step's bits below top: top goes to bit k
-        tables.append(below | {t | top: x | len(below) for t, x in below.items()})
+    tables = compress_tables(full)
     ids, rest = {}, [None] * full + [{(): 1}]
     for done in range(full - 1, -1, -1):  # done | step > done is filled first
         acc = {}

@@ -344,7 +344,8 @@ class QSymTensor(Combination):
 
     terms: tuple  # (((alpha, beta), coeff), ...), left slot major
 
-    sort_key = staticmethod(lambda k: (term_key(k[0]), term_key(k[1])))
+    # term_key of the left slot, then of the right, as one flat tuple
+    sort_key = staticmethod(lambda k: (sum(a := k[0]), len(a), a, sum(b := k[1]), len(b), b))
 
 
 @lru_cache(maxsize=1024)
@@ -367,15 +368,13 @@ def coproduct(F: QSymElement) -> QSymTensor:
 
 
 def tensor_product(F: QSymElement, G: QSymElement) -> QSymTensor:
-    """Outer tensor F (x) G of two M-basis elements."""
+    """Outer tensor F (x) G of two M-basis elements.  Both operands are
+    canonical, so the left-major double loop yields distinct keys, nonzero
+    coefficients and QSymTensor's term order: the terms need no sort."""
     if F.basis != "M" or G.basis != "M":
         raise InputError("tensor_product requires M-basis operands")
-    acc = {}
-    for a, ca in F.terms:
-        for b, cb in G.terms:
-            k = _deconcatenations(a + b)[len(a)]
-            acc[k] = acc.get(k, 0) + ca * cb
-    return QSymTensor.of(acc)
+    terms = [(_deconcatenations(a + b)[len(a)], ca * cb) for a, ca in F.terms for b, cb in G.terms]
+    return QSymTensor(tuple(terms))
 
 
 def to_fundamental(F: QSymElement) -> QSymElement:

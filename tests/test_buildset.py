@@ -10,7 +10,14 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from conftest import graphs
-from nestoqsym.bitsets import bits, compress, mask_of, nonempty_submasks, submasks
+from nestoqsym.bitsets import (
+    bits,
+    compress,
+    compress_tables,
+    mask_of,
+    nonempty_submasks,
+    submasks,
+)
 from nestoqsym.buildset import (
     BuildingSet,
     HopfElement,
@@ -279,6 +286,29 @@ def test_compress_is_the_survivor_relabeling():
     for keep in range(1 << n):
         for mask in range(1 << n):
             assert compress(mask, keep) == _relabel_through(mask & keep, full & ~keep, n)
+
+
+def test_compress_tables_hold_compress():
+    for n in range(7):
+        tables = compress_tables((1 << n) - 1)
+        assert len(tables) == 1 << n
+        for step, table in enumerate(tables):
+            assert table == {t: compress(t, step) for t in submasks(step)}
+
+
+def _coproduct_by_minors(b):
+    """Oracle: each minor by _minor, one compress call per member."""
+    full = b.full_mask()
+    return [(I, _minor(b, I, 0), _minor(b, full, I)) for I in range(full + 1)]
+
+
+def test_coproduct_matches_the_minor_oracle():
+    families = [from_graph(family(kind, n)) for kind in FAMILY_KINDS for n in range(3, 8)]
+    small = [discrete_building_set(n) for n in range(3)]
+    cases = small + families + random_building_sets(300, seed=7, max_n=6)
+    for b in cases:
+        got, want = coproduct(b), _coproduct_by_minors(b)
+        assert got == want and repr(got) == repr(want), b
 
 
 def test_minor_identities_on_closure_generated_sets():

@@ -1,11 +1,14 @@
 """The enumerator routes, coefficient theorems, families, collisions, Hopf checks."""
 
+import os
 import random
+import subprocess
 import sys
 from collections import Counter
 from functools import lru_cache
 from itertools import product as iproduct
 from math import comb, factorial, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -309,6 +312,22 @@ def test_random_building_sets_refuses_max_n_below_2():
     for max_n in (1, 0, -3, 2.5):
         with pytest.raises(InputError, match="max_n"):
             random_building_sets(3, max_n=max_n)
+
+
+def test_random_building_sets_stops_when_too_few_exist():
+    # Two building sets exist on 2 vertices and 12 on 3, and asking for more
+    # drew forever; a separate process fails that in seconds.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "from nestoqsym.invariants import random_building_sets as r; r(3, max_n=2)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert "InputError: count=3 " in proc.stderr and "max_n=2 " in proc.stderr
+    assert len(random_building_sets(14, max_n=3)) == 14
 
 
 def test_F_btree_route_examples():
@@ -1000,6 +1019,65 @@ def test_F_of_hopf_never_runs_the_splitting_route(monkeypatch):
 
     monkeypatch.setattr(invariants, "F_splitting", refuse)
     assert F_of_hopf(takeuchi_antipode(b)) == expected
+
+
+def test_F_of_hopf_ignores_a_wrong_value_in_route_1s_memo(monkeypatch):
+    # The antipode side sets the recurrence against route 1, so a wrong F
+    # planted in route 1's memo for every factor must not reach F_of_hopf.
+    b = from_graph(family("path", 4))
+    s = takeuchi_antipode(b)
+    factors = {f for word, _ in s.terms for f in word}
+    memos = (invariants._splitting_memo, invariants._factor_memo)
+    for memo in memos:
+        memo.cache_clear()
+    expected = F_of_hopf(s)
+    invariants._factor_memo.cache_clear()  # the last F_of_hopf recomputes
+    true = {f: F_splitting(f) for f in factors}
+    invariants._splitting_memo.cache_clear()
+    flag_counts = invariants._flag_counts
+    monkeypatch.setattr(invariants, "_flag_counts", lambda n, step: 2 * flag_counts(n, step))
+    try:
+        for f in factors:
+            F_splitting(f)  # stores twice the true F
+        monkeypatch.undo()
+        assert all(F_splitting(f) == true[f].scale(2) for f in factors)
+        assert F_of_hopf(s) == expected
+    finally:
+        for memo in memos:
+            memo.cache_clear()
+
+
+def test_shared_hopf_memos_are_bounded_and_hold_small_sets_only():
+    memos = (invariants._splitting_memo, invariants._factor_memo)
+    assert [m.cache_info().maxsize for m in memos] == [1024, 1024]
+    large = [from_graph(family("complete", 8)), from_graph(family("path", 8))]
+
+    def run(sets):
+        for b in sets:
+            F_splitting(b)
+            F_of_hopf(hopf_monomial(b))
+
+    for memo in memos:
+        memo.cache_clear()
+    run(large)
+    assert [m.cache_info().currsize for m in memos] == [0, 0]
+    run(random_building_sets(2000, seed=11, max_n=6))
+    assert [m.cache_info().currsize for m in memos] == [1024, 1024]
+    before = [m.cache_info() for m in memos]
+    run(large + large)
+    assert [m.cache_info() for m in memos] == before  # on 8 vertices, never read nor stored
+
+
+def test_shared_hopf_memos_cold_and_warm_agree():
+    sample = random_building_sets(60, seed=5, max_n=6)
+    memos = (invariants._splitting_memo, invariants._factor_memo)
+    cold = []
+    for b in sample:
+        for memo in memos:
+            memo.cache_clear()
+        cold.append((F_splitting(b), F_of_hopf(takeuchi_antipode(b))))
+    warm = [(F_splitting(b), F_of_hopf(takeuchi_antipode(b))) for b in sample]
+    assert warm == cold and repr(warm) == repr(cold)
 
 
 def test_hopf_morphism_on_random_building_sets():
