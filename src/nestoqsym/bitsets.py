@@ -33,16 +33,29 @@ def compress(mask: int, keep: int) -> int:
     return out
 
 
+_SHARED_TABLES = [{0: 0}]
+
+
 def compress_tables(full: int) -> list:
     """tables[step][t] == compress(t, step) for every step <= full = 2^n - 1
     and every t inside step: 3^n entries, each table built from the table of
-    step without its top vertex, which the top vertex's bit extends."""
-    tables = [{0: 0}]
-    for step in range(1, full + 1):
+    step without its top vertex, which the top vertex's bit extends.
+
+    tables[step] does not depend on full, so the tables of n <= 6 are built
+    once, at import (3^6 = 729 entries), and every call starts from them:
+    callers share them and must only read them.  Larger n builds the rest
+    per call."""
+    if full < len(_SHARED_TABLES):
+        return _SHARED_TABLES[: full + 1]
+    tables = _SHARED_TABLES[:]
+    for step in range(len(tables), full + 1):
         top = 1 << step.bit_length() - 1
         below = tables[step ^ top]  # 2^k entries, k of step's bits below top: top goes to bit k
         tables.append(below | {t | top: x | len(below) for t, x in below.items()})
     return tables
+
+
+_SHARED_TABLES = compress_tables(63)
 
 
 def singletons(mask: int):

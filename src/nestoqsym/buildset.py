@@ -15,6 +15,7 @@ CLI does) keep the vertex list on the side.
 from __future__ import annotations
 
 import json
+from bisect import bisect
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -232,35 +233,45 @@ def takeuchi_antipode(b: BuildingSet) -> HopfElement:
     S(B) = sum over chains 0 = I_0 < I_1 < ... < I_k = [n] of (-1)^k times
     the product word of (B restricted to I_j) / I_{j-1}.
 
-    The chains after I_{j-1} depend on I_{j-1} alone, so the sum is
-    filled in on the covered set done, from [n] down to 0: rest[done] is
-    minus the sum over nonempty steps of (B|done∪step)/done times
-    rest[done ∪ step], 3^n factors in all, each relabeled from the
-    remainders s \\ done (listed once per done) inside its step, through
-    one table per step.  Equal factors share one per-call integer id, keyed
-    on their (n, sets) pair; words are sorted tuples of ids, and each
-    distinct id becomes a building set once, at the end.
+    The chains after I_{j-1} depend on B/I_{j-1} alone, so the sum is
+    filled in on the covered set done, from [n] down to 0, once per
+    distinct relabeled contraction B/done: rest[done] is minus the sum over
+    nonempty steps of (B/done)|step times rest[done | step], one dict
+    shared by the covered sets with equal contractions.  Factors are
+    relabeled from the remainders s \\ done through one table per step, and
+    equal ones share a per-call id, keyed on (n, sets).  Words are sorted
+    id tuples, each id put in by bisect; ranking the ids by key at the end
+    sorts the terms canonically.
     """
     check_limit("takeuchi", b.n)
     if b.n == 0:
         return hopf_monomial(BuildingSet(0, ()))
     full = b.full_mask()
     tables = compress_tables(full)
-    ids, rest = {}, [None] * full + [{(): 1}]
+    ids, by_contraction, rest = {}, {}, [None] * full + [{(): 1}]
     for done in range(full - 1, -1, -1):  # done | step > done is filled first
-        acc = {}
-        # sorted, so that each relabeled factor is sorted too
-        left = sorted({s & ~done for s in b.sets} - {0})
-        for step in nonempty_submasks(full & ~done):
-            tab = tables[step]
-            key = (step.bit_count(), tuple([tab[t] for t in left if not t & ~step]))
-            i = ids.setdefault(key, len(ids))
-            for w, c in rest[done | step].items():
-                w = tuple(sorted(w + (i,)))
-                acc[w] = acc.get(w, 0) - c
-        rest[done] = {w: c for w, c in acc.items() if c}
-    factors = [BuildingSet(*key) for key in ids]
-    return HopfElement.of({hopf_word([factors[i] for i in w]): c for w, c in rest[0].items()})
+        left = sorted({s & ~done for s in b.sets} - {0})  # so relabeled sets are sorted
+        todo = full ^ done
+        tab = tables[todo]
+        key = (todo.bit_count(), tuple([tab[t] for t in left]))
+        acc = by_contraction.get(key)
+        if acc is None:
+            acc = {}
+            for step in nonempty_submasks(todo):
+                tab = tables[step]
+                factor = (step.bit_count(), tuple([tab[t] for t in left if not t & ~step]))
+                i = ids.setdefault(factor, len(ids))
+                for w, c in rest[done | step].items():
+                    k = bisect(w, i)
+                    w = w[:k] + (i,) + w[k:]
+                    acc[w] = acc.get(w, 0) - c
+            acc = by_contraction[key] = {w: c for w, c in acc.items() if c}
+        rest[done] = acc
+    keys = sorted(ids)
+    rank = {ids[key]: r for r, key in enumerate(keys)}
+    words = {tuple(sorted([rank[i] for i in w])): c for w, c in rest[0].items()}
+    factors = [BuildingSet(*key) for key in keys]
+    return HopfElement(tuple([(tuple([factors[r] for r in w]), words[w]) for w in sorted(words)]))
 
 
 # ---------------------------------------------------------------------------

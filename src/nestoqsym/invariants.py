@@ -93,6 +93,7 @@ from .nestopoly import (
 )
 from .qsym import (
     QSymElement,
+    QSymTensor,
     _mul_d,
     _term_slots,
     antipode,
@@ -792,16 +793,22 @@ def F_of_hopf(h: HopfElement) -> QSymElement:
     multiply through the product memo the graph route uses.  Words with
     equal packed products add their coefficients first, so each distinct
     product is decoded once.  F of a word is F of the product building
-    set, so the word's total weight is held to the recurrence row.
+    set, so the word's total weight, summed from the factors looked up
+    once each, is held to the recurrence row, and a factor past it is
+    refused before it runs.
     """
     by_factor, by_product = {}, {}
     for word, c in h.terms:
-        check_limit("recurrence", sum(factor.n for factor in word))
+        pairs = []
         for factor in word:
-            if factor not in by_factor:
+            a = by_factor.get(factor)
+            if a is None:
+                check_limit("recurrence", factor.n)
                 recur = _factor_memo if factor.n <= _SHARED_W else _factor_F
-                by_factor[factor] = recur(factor)
-        key = _fold((by_factor[f], f.n) for f in word)
+                a = by_factor[factor] = recur(factor)
+            pairs.append((a, factor.n))
+        check_limit("recurrence", sum([u for _, u in pairs]))
+        key = _fold(pairs)
         by_product[key] = by_product.get(key, 0) + c
     acc = {}
     for key, c in by_product.items():
@@ -833,12 +840,7 @@ def hopf_morphism_check(b: BuildingSet) -> dict:
     probe = b if small else from_graph(family("complete", 2))
     Fb = F_splitting(b)
     product_ok = F_splitting(product(b, probe)) == mul(Fb, F_splitting(probe))
-    lhs = qsym.coproduct(Fb)
-    rhs = None
-    for _, left, right in coproduct(b):
-        piece = tensor_product(F_splitting(left), F_splitting(right))
-        rhs = piece if rhs is None else rhs + piece
-    coproduct_ok = lhs == rhs
+    coproduct_ok = qsym.coproduct(Fb) == _coproduct_image(b)
     antipode_ok = F_of_hopf(takeuchi_antipode(b)) == antipode(Fb)
     return {
         "product": product_ok,
@@ -847,6 +849,16 @@ def hopf_morphism_check(b: BuildingSet) -> dict:
         "probe_n": probe.n,
         "passed": product_ok and coproduct_ok and antipode_ok,
     }
+
+
+def _coproduct_image(b: BuildingSet) -> QSymTensor:
+    """The sum over I of F(B|I) (x) F(B/I): the 2^n pieces add into one
+    dict, sorted once (pairwise sums re-sort at every new key)."""
+    acc = {}
+    for _, left, right in coproduct(b):
+        for k, c in tensor_product(F_splitting(left), F_splitting(right)).terms:
+            acc[k] = acc.get(k, 0) + c
+    return QSymTensor.of(acc)
 
 
 def random_building_sets(count: int, seed: int = 20250809, max_n: int = 4) -> list:

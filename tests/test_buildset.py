@@ -289,11 +289,21 @@ def test_compress_is_the_survivor_relabeling():
 
 
 def test_compress_tables_hold_compress():
-    for n in range(7):
+    for n in range(9):
         tables = compress_tables((1 << n) - 1)
         assert len(tables) == 1 << n
         for step, table in enumerate(tables):
             assert table == {t: compress(t, step) for t in submasks(step)}
+
+
+def test_compress_tables_share_one_read_only_prefix():
+    # The tables of n <= 6 are built once; every call starts from them.
+    shared = compress_tables(63)
+    assert compress_tables(63) is not shared  # callers get their own list
+    for full in (0, 1, 7, 63, 127, 255):
+        tables = compress_tables(full)
+        assert all(a is b for a, b in zip(tables, shared))
+    assert compress_tables(255)[64] is not compress_tables(255)[64]
 
 
 def _coproduct_by_minors(b):
@@ -470,6 +480,78 @@ def test_takeuchi_pinned_digests_at_n8():
         for kind, b in cases.items()
     }
     assert got == TAKEUCHI_DIGESTS_AT_8
+
+
+TAKEUCHI_DIGESTS_AT_9 = {
+    # sha256 of repr(takeuchi_antipode(b)) at n = 9, from the loop over
+    # every covered set (_takeuchi_by_covered_set)
+    "complete": "3109c375ca59e7ea47ff93cdcb8776a35549c889bb468f754a233e78220d321b",
+    "path": "bd00c4fed996ce41704cd52b3f45ffe70bde9a1b19269decf29dc6d29730c58e",
+    "cycle": "36469ebbfb52032896b5e98fce2b8e3191626203bc2c205a0e723a974b570dde",
+    "star": "9476cabc0f7c85496615b3123b17548e5caf88d1f3f2788f2c46bebcbf5c0a73",
+    "discrete": "b49b770c6e8815607c4574149d7e2586ebddec2fe89231f2e04b20ab14250f89",
+}
+
+
+def test_takeuchi_pinned_digests_at_n9():
+    cases = {kind: from_graph(family(kind, 9)) for kind in FAMILY_KINDS}
+    cases["discrete"] = discrete_building_set(9)
+    got = {
+        kind: hashlib.sha256(repr(takeuchi_antipode(b)).encode()).hexdigest()
+        for kind, b in cases.items()
+    }
+    assert got == TAKEUCHI_DIGESTS_AT_9
+
+
+def _takeuchi_by_covered_set(b):
+    """Oracle: one sum per covered set, each word sorted afresh, the terms
+    sorted by HopfElement.of (takeuchi_antipode shares the sums of equal
+    contractions and inserts ids by bisect)."""
+    if b.n == 0:
+        return hopf_monomial(BuildingSet(0, ()))
+    full = b.full_mask()
+    tables = compress_tables(full)
+    ids, rest = {}, [None] * full + [{(): 1}]
+    for done in range(full - 1, -1, -1):
+        acc = {}
+        left = sorted({s & ~done for s in b.sets} - {0})
+        for step in nonempty_submasks(full & ~done):
+            tab = tables[step]
+            key = (step.bit_count(), tuple([tab[t] for t in left if not t & ~step]))
+            i = ids.setdefault(key, len(ids))
+            for w, c in rest[done | step].items():
+                w = tuple(sorted(w + (i,)))
+                acc[w] = acc.get(w, 0) - c
+        rest[done] = {w: c for w, c in acc.items() if c}
+    factors = [BuildingSet(*key) for key in ids]
+    return HopfElement.of({hopf_word([factors[i] for i in w]): c for w, c in rest[0].items()})
+
+
+def test_takeuchi_matches_the_covered_set_loop():
+    families = [from_graph(family(kind, n)) for kind in FAMILY_KINDS for n in (7, 8)]
+    discrete = [discrete_building_set(n) for n in range(9)]
+    sample = random_building_sets(120, seed=3, max_n=7)
+    assert sum(b.n == 7 for b in sample) == 20
+    cases = families + discrete + sample
+    for b in cases:
+        got, want = takeuchi_antipode(b), _takeuchi_by_covered_set(b)
+        assert got == want and repr(got) == repr(want), b
+
+
+def test_takeuchi_sums_once_per_distinct_contraction(monkeypatch):
+    # Every contraction of these sets on k vertices is the same set on k
+    # vertices, so of the 2^6 - 1 proper covered sets, 6 run the step loop.
+    from nestoqsym import buildset
+
+    loops = []
+    counted = lambda m: loops.append(m) or nonempty_submasks(m)
+    monkeypatch.setattr(buildset, "nonempty_submasks", counted)
+    sets = [from_graph(family(k, 6)) for k in ("complete", "path", "cycle")]
+    sets.append(discrete_building_set(6))
+    for b in sets:
+        loops.clear()
+        assert takeuchi_antipode(b) == _takeuchi_by_covered_set(b)
+        assert sorted(m.bit_count() for m in loops) == [1, 2, 3, 4, 5, 6], b
 
 
 def test_takeuchi_memo_does_not_outlive_the_call():

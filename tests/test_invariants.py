@@ -18,12 +18,15 @@ from nestoqsym import invariants, qsym
 from nestoqsym.bitsets import bits, flag_walk, mask_of, nonempty_submasks
 from nestoqsym.buildset import (
     BuildingSet,
+    HopfElement,
     _components_in,
     building_set,
     components,
+    coproduct,
     discrete_building_set,
     from_graph,
     hopf_monomial,
+    hopf_word,
     is_connected,
     product,
     takeuchi_antipode,
@@ -1078,6 +1081,35 @@ def test_shared_hopf_memos_cold_and_warm_agree():
         cold.append((F_splitting(b), F_of_hopf(takeuchi_antipode(b))))
     warm = [(F_splitting(b), F_of_hopf(takeuchi_antipode(b))) for b in sample]
     assert warm == cold and repr(warm) == repr(cold)
+
+
+def test_coproduct_image_matches_the_pairwise_sum():
+    # hopf_morphism_check adds the 2^n pieces into one dict and sorts once;
+    # the sum one piece at a time is the oracle.
+    families = [from_graph(family(kind, n)) for kind in FAMILY_KINDS for n in range(3, 7)]
+    discrete = [discrete_building_set(n) for n in range(5)]
+    for b in families + discrete + random_building_sets(100, seed=13, max_n=6):
+        want = None
+        for _, left, right in coproduct(b):
+            piece = qsym.tensor_product(F_splitting(left), F_splitting(right))
+            want = piece if want is None else want + piece
+        got = invariants._coproduct_image(b)
+        assert got == want and repr(got) == repr(want), b
+
+
+def test_F_of_hopf_checks_the_recurrence_row_before_a_large_factor_runs(monkeypatch):
+    row = LIMITS["recurrence"].limit
+
+    def refuse(factor):
+        raise AssertionError(f"the recurrence ran on {factor.n} vertices")
+
+    with monkeypatch.context() as m:
+        m.setattr(invariants, "_factor_F", refuse)
+        with pytest.raises(CapacityError):
+            F_of_hopf(hopf_monomial(discrete_building_set(row + 1)))
+    half = discrete_building_set(row // 2 + 1)
+    with pytest.raises(CapacityError):
+        F_of_hopf(HopfElement.of({hopf_word([half, half]): 1}))
 
 
 def test_hopf_morphism_on_random_building_sets():

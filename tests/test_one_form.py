@@ -103,10 +103,12 @@ def test_one_flag_walk():
         # The memoized walk keeps every continuation.  On it, route 3 raised
         # the peak RSS of the `routes` benchmark from 23.2 to 37.5 MiB
         # (+62 %), since the benchmark worker keeps every result.  The
-        # Takeuchi antipode keeps its own submask loop, memoized on the
-        # covered mask like flag_walk's: its words are sorted multisets of
-        # per-call factor ids, which flag_walk's key sequences cannot hold,
-        # and each factor is read from the remainders listed once per mask.
+        # Takeuchi antipode keeps its own submask loop, one sum per distinct
+        # contraction of the covered mask, shared by every covered mask with
+        # that contraction (flag_walk memoizes on the mask itself): its words
+        # are sorted multisets of per-call factor ids, which flag_walk's key
+        # sequences cannot hold, and each factor is read from the remainders
+        # listed once per mask.
         ("buildset", "takeuchi_antipode"),
         ("invariants", "F_graph_colorings"),
         # X walks unordered partitions; on flag_walk it took 0.31 s over the
