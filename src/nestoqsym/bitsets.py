@@ -83,30 +83,29 @@ def nonempty_submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-def flag_walk(n: int, admissible, key, blocks=nonempty_submasks) -> dict:
+def flag_walk(n: int, admissible, key, blocks=nonempty_submasks) -> list:
     """Ordered set partitions of [n] whose blocks come from blocks(rest) and
-    pass admissible(done, block), listed by their sequence of key(block).
+    pass admissible(done, block), listed as their sequences of key(block).
 
     The continuations depend on the covered mask alone, so they are memoized
-    on it: each (done, block) pair is tested once, 3^n tests for all blocks.
-    key=int lists the partitions themselves, each counted once, and
-    blocks=singletons walks orderings.  Keys come in depth-first order,
-    blocks in the order blocks(rest) yields them.
+    on it, as lists: each (done, block) pair is tested once, 3^n tests for
+    all blocks.  Every sequence is listed once per partition, so key=int
+    lists the partitions themselves, and blocks=singletons with distinct
+    keys lists orderings.  Sequences come in depth-first order, blocks in
+    the order blocks(rest) yields them.
     """
     full = (1 << n) - 1
-    memo = {full: {(): 1}}
+    memo = {full: [()]}
 
-    def rest(done: int) -> dict:
+    def rest(done: int) -> list:
         hit = memo.get(done)
         if hit is None:
-            hit = {}
-            for blk in blocks(full & ~done):
-                if admissible(done, blk):
-                    k = (key(blk),)
-                    for seq, c in rest(done | blk).items():
-                        seq = k + seq
-                        hit[seq] = hit.get(seq, 0) + c
-            memo[done] = hit
+            hit = memo[done] = [
+                (key(blk),) + seq
+                for blk in blocks(full & ~done)
+                if admissible(done, blk)
+                for seq in rest(done | blk)
+            ]
         return hit
 
     out = rest(0)

@@ -188,7 +188,7 @@ def components(g: Graph) -> list:
 
 def is_q_connected(g: Graph, q: int) -> bool:
     """Connected after deleting any q-1 vertices."""
-    if not 1 <= q <= g.n:
+    if not 1 <= check_int(q, "q") <= g.n:
         raise InputError(f"need 1 <= q <= n, got q={q}, n={g.n}")
     full, cuts = (1 << g.n) - 1, combinations(range(g.n), q - 1)
     return all(len(_components_within(g, full & ~mask_of(S))) == 1 for S in cuts)
@@ -339,7 +339,7 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> list:
     with its subtree.  Representatives are the numerically smallest edge
     codes, listed in increasing order.
     """
-    if n < 1:
+    if check_int(n, "class enumeration size") < 1:
         raise InputError(f"class enumeration needs n >= 1, got {n}")
     check_limit("enumeration", n)
     slots = [(i, j) for j in range(n) for i in range(j)]

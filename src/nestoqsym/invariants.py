@@ -18,7 +18,7 @@ runs it on every factor of a word of building sets, with a component of the
 building set in place of the graph's (which graphs._lowest_component reads
 off a neighbourhood table).  Its memo is per call.  F and X of an induced
 subgraph depend only on that subgraph, so both also go in one memo shared
-by every call (`_SUBGRAPHS`), held under a byte budget and keyed on the
+by every call (`_SUBGRAPHS`), capped at 8,192 entries and keyed on the
 subgraph's edge code in the labels of the graph (graphs._pairs_within): a
 sweep over classes computes a small subgraph once, not once per class.  X
 counts block sizes packed into one integer.
@@ -242,8 +242,8 @@ def _f_shape(code: str) -> int:
 def F_tree(tree) -> QSymElement:
     """Enumerator of strictly root-increasing maps on a tree or forest."""
     if isinstance(tree, TreeShape):
-        check_limit("tree enumerators", tree.size)
         shapes = (_one_tree(tree),)
+        check_limit("tree enumerators", tree.size)
     else:
         shapes = forest_shapes(_forest(tree, "tree enumerators"))
     return QSymElement("M", _terms(*_fold((_f_shape(sh.code), sh.size) for sh in shapes)))
@@ -288,37 +288,20 @@ def F_graph_colorings(g: Graph) -> QSymElement:
     return qsym.element("M", acc)
 
 
-class _SubgraphMemo:
-    """F and X of induced subgraphs, shared by every call; oldest out first.
-
-    Both depend only on the subgraph, so a value found in one graph serves
-    every graph that induces the same labeled subgraph.  Values are stored
-    bare; `used` counts each one's own size (8 bytes per 64-bit slot of a
-    packed F, 16 per entry of an X dict) and never exceeds `budget`.
-    """
-
-    def __init__(self, budget: int):
-        self.budget, self.used = budget, 0
-        self.values = OrderedDict()
-        self.get = self.values.get
-
-    @staticmethod
-    def size(value) -> int:
-        return value.bit_length() >> 3 if type(value) is int else 16 * len(value)
-
-    def put(self, key, value):
-        size = self.size(value)
-        self.values[key] = value
-        self.used += size
-        while self.used > self.budget:
-            self.used -= self.size(self.values.popitem(last=False)[1])
-
-    def clear(self):
-        self.values.clear()
-        self.used = 0
+# F and X of induced subgraphs, shared by every call (see _recurrence and
+# _block_counts): both depend only on the subgraph, so a value found in one
+# graph serves every graph that induces the same labeled subgraph.
+_SUBGRAPHS = OrderedDict()
+_SUBGRAPHS_MAXSIZE = 8192  # full: 3.0 MiB (F, n = 8) to 5.8 MiB (X, n = 11), tracemalloc
 
 
-_SUBGRAPHS = _SubgraphMemo(3 << 19)  # 1.5 MiB
+def _remember(key, value):
+    """Store value in _SUBGRAPHS, dropping the oldest entry past the cap."""
+    _SUBGRAPHS[key] = value
+    if len(_SUBGRAPHS) > _SUBGRAPHS_MAXSIZE:
+        _SUBGRAPHS.popitem(last=False)
+
+
 _SHARED_W = 6  # F is shared on at most 6 vertices, at most 256 bytes a value
 
 
@@ -341,7 +324,7 @@ def _recurrence(n: int, first, code: int | None = None) -> int:
     top, pairs = 0, None
     if code is not None:
         top, pairs = min(n - 2, _SHARED_W), _pairs_within(n)
-    shared, remember = _SUBGRAPHS.get, _SUBGRAPHS.put
+    shared = _SUBGRAPHS.get
 
     def rec(mask: int) -> int:
         hit = memo.get(mask)
@@ -363,7 +346,7 @@ def _recurrence(n: int, first, code: int | None = None) -> int:
                         left ^= low
                     hit = _shift(hit, w - 1)
                     if key:
-                        remember(key, hit)
+                        _remember(key, hit)
             memo[mask] = hit
         return hit
 
@@ -505,7 +488,7 @@ def _block_counts(g: Graph) -> dict:
                             sizes += inc
                             hit[sizes] = hit.get(sizes, 0) + c
                 if left != full:
-                    _SUBGRAPHS.put(key, hit)
+                    _remember(key, hit)
             memo[left] = hit
         return hit
 
@@ -629,7 +612,7 @@ def _family(kind: str):
 def family_F(kind: str, n: int) -> QSymElement:
     """Enumerator of the n-vertex member of a classical family, by recurrence."""
     kind = _family(kind).polytope
-    if n < 0:
+    if check_int(n, "family index") < 0:
         raise InputError("family index must be >= 0")
     check_limit("family", n)
     return QSymElement("M", _terms(_family_packed(kind, n), n))
@@ -666,7 +649,7 @@ def family_recurrence_check(kind: str, n: int) -> bool:
 
 def family_vertex_counts(n: int) -> tuple:
     """(p_n, a_n, c_n, s_n) closed forms; the chi(-1) route must agree."""
-    if n < 1:
+    if check_int(n, "family index") < 1:
         raise InputError(f"family counts need n >= 1, got {n}")
     check_limit("family", n)
     p = factorial(n)
@@ -694,7 +677,7 @@ def tree_matrix_kernel(n: int) -> tuple:
     written in the monomial basis; the kernel rows are primitive integer
     dependence relations among them (empty when independent).
     """
-    check_limit("kernel", n)
+    check_limit("kernel", check_int(n, "kernel size"))
     shapes = enumerate_tree_shapes(n)  # refuses n < 1
     rows = []
     for sh in shapes:

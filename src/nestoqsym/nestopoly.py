@@ -292,11 +292,13 @@ class TreeShape:
 
 
 def _one_tree(shape: TreeShape) -> TreeShape:
-    """shape, once its code is checked to be one tree: parentheses whose
-    depth returns to 0 at the end and nowhere before."""
-    depths = list(accumulate(1 if c == "(" else -1 for c in shape.code))
-    if set(shape.code) <= set("()") and depths[-1:] == [0] and min(depths[:-1], default=1) > 0:
-        return shape
+    """shape, once its code is checked to be one tree: a string of
+    parentheses whose depth returns to 0 at the end and nowhere before."""
+    code = shape.code
+    if type(code) is str and set(code) <= set("()"):
+        depths = list(accumulate(1 if c == "(" else -1 for c in code))
+        if depths[-1:] == [0] and min(depths[:-1], default=1) > 0:
+            return shape
     raise InputError(f"tree shape code {shape.code!r} is not one rooted tree")
 
 
@@ -363,7 +365,7 @@ def enumerate_tree_shapes(n: int) -> tuple:
     """All unlabeled rooted trees on n nodes, each once, sorted: a root over
     each forest on n - 1 nodes, forests being nondecreasing tuples of tree
     codes (a tree t on k nodes, then a forest on m - k nodes of trees >= t)."""
-    if n < 1:
+    if check_int(n, "tree shape size") < 1:
         raise InputError(f"tree shapes need n >= 1, got {n}")
     check_limit("tree shapes", n)
     trees, forests = [[], ["()"]], [[()]]  # at index m: the codes, the forests on m nodes
@@ -396,7 +398,7 @@ def _descending_labels(tree: BTree) -> list:
     return omega
 
 
-def _extensions(tree: BTree, labels) -> dict:
+def _extensions(tree: BTree, labels) -> list:
     """Orderings of the vertices placing every child before its parent, each
     read as its sequence of labels[v]: the flag walk over singletons, which
     admits a vertex once its children are placed."""
@@ -416,7 +418,7 @@ def _extensions(tree: BTree, labels) -> dict:
 def extension_listings(tree: BTree) -> list:
     """All orderings of the vertices placing every child before its parent,
     in lexicographic order."""
-    return list(_extensions(_forest(tree, "extensions"), range(tree.n)))
+    return _extensions(_forest(tree, "extensions"), range(tree.n))
 
 
 def linear_extensions(tree: BTree) -> list:

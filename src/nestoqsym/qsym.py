@@ -461,11 +461,13 @@ def principal_specialization(F: QSymElement, m: int) -> int:
     """ps_m(F): substitute 1 for the first m variables, 0 for the rest."""
     if F.basis != "M":
         raise InputError("principal specialization expects the M basis")
+    check_int(m, "number of variables")
     return sum(c * binomial(m, len(alpha)) for alpha, c in F.terms)
 
 
 def vertex_count(F: QSymElement, n: int) -> int:
     """(-1)^n ps_{-1}(F) for F homogeneous of degree n; must be >= 0."""
+    check_int(n, "degree")
     if any(sum(a) != n for a, _ in F.terms):
         raise InputError(f"element is not homogeneous of degree {n}")
     v = (-1) ** n * principal_specialization(F, -1)

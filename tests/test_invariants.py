@@ -15,7 +15,7 @@ from hypothesis import given, settings
 
 from conftest import graphs, naive_components
 from nestoqsym import invariants, qsym
-from nestoqsym.bitsets import bits, flag_walk, mask_of, nonempty_submasks
+from nestoqsym.bitsets import bits, flag_walk, mask_of, nonempty_submasks, singletons
 from nestoqsym.buildset import (
     BuildingSet,
     HopfElement,
@@ -72,6 +72,7 @@ from nestoqsym.nestopoly import (
     forest_shapes,
     linear_extensions,
     maximal_nested_sets,
+    shape_tree,
     tree_multiset,
 )
 from nestoqsym.qsym import (
@@ -237,10 +238,78 @@ def test_F_splitting_terms_are_the_code_table_compositions():
         assert all(alpha is by_code[code_of[alpha]] for alpha, _ in F.terms)
 
 
+def dict_flag_walk(n: int, admissible, key, blocks=nonempty_submasks) -> dict:
+    """bitsets.flag_walk as it was before it listed: each covered set's
+    continuations counted by key sequence in a dict.  The oracle of the
+    listing walk and of the packed counts (route 1, the ordered colorings).
+
+    Ordered set partitions of [n] whose blocks come from blocks(rest) and
+    pass admissible(done, block), listed by their sequence of key(block).
+
+    The continuations depend on the covered mask alone, so they are memoized
+    on it: each (done, block) pair is tested once, 3^n tests for all blocks.
+    key=int lists the partitions themselves, each counted once, and
+    blocks=singletons walks orderings.  Keys come in depth-first order,
+    blocks in the order blocks(rest) yields them.
+    """
+    full = (1 << n) - 1
+    memo = {full: {(): 1}}
+
+    def rest(done: int) -> dict:
+        hit = memo.get(done)
+        if hit is None:
+            hit = {}
+            for blk in blocks(full & ~done):
+                if admissible(done, blk):
+                    k = (key(blk),)
+                    for seq, c in rest(done | blk).items():
+                        seq = k + seq
+                        hit[seq] = hit.get(seq, 0) + c
+            memo[done] = hit
+        return hit
+
+    out = rest(0)
+    memo.clear()  # rest's closure is a cycle, so the memo would outlive the call
+    return out
+
+
 def dict_walk_types(b):
     """Route 1's former walk, the oracle of the packed count: splitting
     chains counted by their step sizes in a dict per covered set."""
-    return flag_walk(b.n, invariants._discrete_step(b), key=int.bit_count)
+    return dict_flag_walk(b.n, invariants._discrete_step(b), key=int.bit_count)
+
+
+def assert_walks_agree(n, admissible, key, blocks=nonempty_submasks):
+    """flag_walk lists the dict walk's keys, in its order, each once."""
+    counts = dict_flag_walk(n, admissible, key, blocks)
+    assert set(counts.values()) <= {1}
+    assert flag_walk(n, admissible, key, blocks) == list(counts)
+
+
+def test_flag_walk_lists_the_dict_walk_in_order():
+    cases = [from_graph(family_graph(kind, n)) for kind in ("pe", "as", "cy", "st") for n in range(9)]
+    cases += [discrete_building_set(n) for n in range(9)]
+    cases += random_building_sets(300, seed=7, max_n=6)
+    for b in cases:
+        assert_walks_agree(b.n, invariants._discrete_step(b), int)
+
+
+def test_flag_walk_lists_extensions_as_the_dict_walk():
+    trees = [shape_tree(sh) for k in range(1, 9) for sh in enumerate_tree_shapes(k)]
+    trees += [
+        BTree(6, (None,) * 6),
+        BTree(7, (None, 0, 0, None, 3, None, 5)),
+        BTree(8, (None, 0, 1, 1, None, 4, 4, None)),
+    ]
+    for tree in trees:
+        children = [0] * tree.n
+        for v, p in enumerate(tree.parent):
+            if p is not None:
+                children[p] |= 1 << v
+        placed = lambda done, blk: children[blk.bit_length() - 1] & ~done == 0
+        # vertex order (extension_listings) and a reversed labeling
+        for label in (int.bit_length, lambda blk: -blk.bit_length()):
+            assert_walks_agree(tree.n, placed, label, singletons)
 
 
 ROUTE_1_CASES = (
@@ -268,7 +337,7 @@ def test_ordered_colorings_match_the_dict_walk():
         graph_from_edges(5, [(0, 1), (2, 3)]),
     ]:
         independent = lambda done, blk: all(g.adj[v] & blk == 0 for v in bits(blk))
-        assert ordered_colorings_by_type(g) == flag_walk(g.n, independent, key=int.bit_count)
+        assert ordered_colorings_by_type(g) == dict_flag_walk(g.n, independent, key=int.bit_count)
 
 
 def test_F_splitting_multiplicative_over_components():
@@ -499,6 +568,7 @@ def test_subgraph_memo_cold_and_warm_agree():
 
 
 def test_subgraph_memo_stays_within_its_budget():
+    # the budget is the cap on entries
     memo = invariants._SUBGRAPHS
     memo.clear()
     graphs = [family(kind, 14) for kind in ("path", "cycle", "star", "complete")]
@@ -508,16 +578,25 @@ def test_subgraph_memo_stays_within_its_budget():
     small = [family(kind, 8) for kind in ("path", "cycle", "star", "complete")]
     for g in small:
         chromatic_symmetric(g)
-    assert 0 < memo.used <= memo.budget
-    assert memo.used == sum(memo.size(value) for value in memo.values.values())
+    assert 0 < len(memo) <= invariants._SUBGRAPHS_MAXSIZE
     # no whole-graph value: a sweep never meets the same graph twice
     whole = {edge_code(g) for g in graphs}
     whole |= {(g.n, (1 << g.n) - 1, edge_code(g)) for g in small}
-    assert not whole & memo.values.keys()
+    assert not whole & memo.keys()
 
 
 def test_subgraph_memo_budget_is_finite():
-    assert type(invariants._SUBGRAPHS.budget) is int and invariants._SUBGRAPHS.budget > 0
+    cap = invariants._SUBGRAPHS_MAXSIZE
+    assert type(cap) is int and cap > 0
+    memo = invariants._SUBGRAPHS
+    memo.clear()
+    try:
+        for i in range(cap + 5):
+            invariants._remember(("probe", i), i)
+            assert len(memo) == min(i + 1, cap)
+        assert list(memo) == [("probe", i) for i in range(5, cap + 5)]
+    finally:
+        memo.clear()
 
 
 def test_connected_terms_end_in_1():

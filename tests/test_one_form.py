@@ -117,10 +117,11 @@ def test_one_flag_walk():
         ("invariants", "_block_counts"),
         # The counting walk of route 1, zeta and the ordered colorings:
         # one packed integer per covered set (a 64-bit slot per composition
-        # code), where flag_walk keeps a dict of step-size sequences.  Over
-        # the 13,620 F_splitting calls of 180 seed-1 `hopf` jobs, the dict
-        # walk took 0.62-0.86 s and the packed count 0.41-0.46 s; flag_walk
-        # keeps the two listings (splitting chains, linear extensions).
+        # code), where flag_walk keeps a list of key sequences.  Over the
+        # 13,620 F_splitting calls of 180 seed-1 `hopf` jobs, the former
+        # dict walk (now test_invariants.dict_flag_walk) took 0.62-0.86 s
+        # and the packed count 0.41-0.46 s; flag_walk keeps the two
+        # listings (splitting chains, linear extensions).
         ("invariants", "_flag_counts"),
         # Not a walk over set partitions: _nested's root-block decomposition
         # (whose blocks come in as a parameter), counting sizes instead of
@@ -229,3 +230,110 @@ def _body_callers() -> list:
 def test_one_renderer():
     # QSym elements and symmetric functions print through qsym.render alone
     assert _body_callers() == [("qsym", "render")]
+
+
+# ---------------------------------------------------------------------------
+# every module-level memo has a stated bound
+
+MEMO_MAKERS = {"lru_cache", "cache", "_small_terms"}
+MUTATORS = {"append", "extend", "insert", "update", "setdefault", "pop", "popitem", "add", "move_to_end"}
+
+
+def _name(node) -> str | None:
+    """The name a decorator or call is made with: f, f(...), mod.f(...)."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _memos() -> list:
+    """(module, name) for each module-level memo: a function decorated with
+    lru_cache or _small_terms, an lru_cache(...)(fn) assignment, and a
+    module-level container that the module binds twice or that a function
+    writes into (item assignment or a mutating method)."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = []
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef) and any(
+                _name(d) in MEMO_MAKERS for d in top.decorator_list
+            ):
+                out.add((path.stem, top.name))
+            if isinstance(top, ast.Assign) and len(top.targets) == 1:
+                target = top.targets[0]
+                if isinstance(target, ast.Name):
+                    value = top.value
+                    if isinstance(value, ast.Call) and _name(value.func) in MEMO_MAKERS:
+                        out.add((path.stem, target.id))
+                    bound.append(target.id)
+        out |= {(path.stem, name) for name in bound if bound.count(name) > 1}
+        written = set()
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
+                    targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+                    written |= {
+                        t.value.id
+                        for t in targets
+                        if isinstance(t, ast.Subscript) and isinstance(t.value, ast.Name)
+                    }
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in MUTATORS
+                    and isinstance(node.func.value, ast.Name)
+                ):
+                    written.add(node.func.value.id)
+        out |= {(path.stem, name) for name in written & set(bound)}
+    return sorted(out)
+
+
+# Each module-level memo with its bound: an entry count (its lru_cache
+# maxsize, the cap it evicts past, or the length of a table filled at
+# import), or the errors.LIMITS row that bounds its keys.
+MEMOS = {
+    ("bitsets", "_SHARED_TABLES"): 64,  # compress_tables for n <= 6, read only
+    ("graphs", "_pairs_within"): "recurrence",
+    ("invariants", "_SUBGRAPHS"): 8192,
+    ("invariants", "_descents"): "fundamental",
+    ("invariants", "_f_shape"): "tree enumerators",
+    ("invariants", "_factor_memo"): 1024,
+    ("invariants", "_family_packed"): "family",
+    ("invariants", "_partitions"): "chromatic",
+    ("invariants", "_product"): 1024,
+    ("invariants", "_splitting_memo"): 1024,
+    ("nestopoly", "enumerate_tree_shapes"): "tree shapes",
+    ("qsym", "_body"): 1024,
+    ("qsym", "_coarsenings"): 256,
+    ("qsym", "_deconcatenations"): 1024,
+    # The one unbounded memo.  Keyed on pairs of compositions, it held
+    # 5,558 entries, 68 of 75 MiB traced, after F_graph_recurrence(path:14);
+    # a maxsize of 256 made that call 1.8 times as slow.
+    ("qsym", "_quasi_shuffle"): None,
+    ("qsym", "_refinements"): 256,
+    ("qsym", "_term_slots"): "refinements",
+    ("qsym", "code_table"): "refinements",
+    ("qsym", "compositions_of"): "refinements",
+}
+
+
+def test_module_memos_are_listed():
+    import importlib
+
+    from nestoqsym.errors import LIMITS
+
+    assert _memos() == sorted(MEMOS)
+    for (module, name), bound in MEMOS.items():
+        mod = importlib.import_module(f"nestoqsym.{module}")
+        memo = getattr(mod, name)
+        if hasattr(memo, "cache_info"):
+            maxsize = memo.cache_info().maxsize
+            assert maxsize == (None if type(bound) is str else bound), (module, name)
+            assert type(bound) is not str or bound in LIMITS
+        elif isinstance(memo, dict):
+            assert getattr(mod, f"{name}_MAXSIZE") == bound
+        else:
+            assert len(memo) == bound

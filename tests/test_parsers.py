@@ -15,7 +15,15 @@ from hypothesis import given, settings
 from nestoqsym import qsym
 from nestoqsym.buildset import building_set, parse_building_set
 from nestoqsym.errors import CapacityError, InputError
-from nestoqsym.graphs import parse_graph
+from nestoqsym.graphs import enumerate_graphs, family, is_q_connected, parse_graph
+from nestoqsym.invariants import (
+    F_tree,
+    collision_search,
+    family_F,
+    family_vertex_counts,
+    tree_matrix_kernel,
+)
+from nestoqsym.nestopoly import TreeShape, enumerate_tree_shapes
 
 KEYS = ("n", "edges", "sets", "basis", "terms", "comp", "coeff")
 
@@ -66,3 +74,37 @@ def test_constructors_refuse_non_integers(build, bad):
     # an int-like value is refused, not truncated or stored as it is
     with pytest.raises(InputError, match="must be an integer"):
         build(bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: enumerate_graphs(2.0),
+        lambda: enumerate_tree_shapes(2.0),
+        lambda: enumerate_tree_shapes(True),
+        lambda: tree_matrix_kernel(3.0),
+        lambda: collision_search(3.0),
+        lambda: family_F("pe", 2.0),
+        lambda: family_F("pe", True),
+        lambda: family_vertex_counts(2.5),
+        lambda: family_vertex_counts(True),
+        lambda: is_q_connected(family("complete", 3), 1.5),
+        lambda: qsym.principal_specialization(qsym.monomial((1,)), 1.5),
+        lambda: qsym.vertex_count(qsym.monomial((1,)), 1.0),
+    ],
+    ids=["enumerate_graphs", "tree shapes float", "tree shapes bool", "tree_matrix_kernel",
+         "collision_search", "family_F float", "family_F bool", "family_vertex_counts float",
+         "family_vertex_counts bool", "is_q_connected", "principal_specialization",
+         "vertex_count"],
+)
+def test_counts_refuse_non_integers(call):
+    # a float raised TypeError, True was read as 1, and the two
+    # specializations returned the float 1.0
+    with pytest.raises(InputError, match="must be an integer"):
+        call()
+
+
+def test_tree_shape_code_must_be_a_string():
+    # raised AttributeError
+    with pytest.raises(InputError, match="not one rooted tree"):
+        F_tree(TreeShape(5))
