@@ -102,7 +102,9 @@ def building_set(n: int, sets) -> BuildingSet:
 
 
 def discrete_building_set(n: int) -> BuildingSet:
-    return BuildingSet(n, tuple(1 << v for v in range(n)))
+    """The singletons of [n], on at most the ground row's vertices."""
+    check_limit("ground", check_int(n, "ground set size"))
+    return validate((), n)
 
 
 def is_discrete(b: BuildingSet) -> bool:

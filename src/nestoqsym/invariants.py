@@ -9,8 +9,8 @@ The four routes to the same quasisymmetric function:
   * F_graph_colorings -- counts ordered colorings of the graph,
   * F_graph_recurrence -- vertex-deletion recurrence with a shift.
 
-Routes 1, 2 and 4, the family recurrences and F_of_hopf hold F as one int,
-a 64-bit slot per composition code (qsym.code_table, see `_terms`): the shift
+All four routes, the family recurrences and F_of_hopf hold F as one int, a
+64-bit slot per composition code (qsym.code_table, see `_terms`): the shift
 is a bit shift (`_shift`), and products go through one bounded memo shared
 by every call (`_product`).  The recurrence (`_recurrence`) needs only one
 component of each restriction, so it serves building sets too: F_of_hopf
@@ -25,8 +25,8 @@ counts block sizes packed into one integer.
 
 A Hopf check meets the same small minors again and again, so route 1 and
 F_of_hopf's recurrence per factor each keep one bounded memo shared by every
-call, on building sets of at most _SHARED_W vertices; the two stay apart, so
-that the antipode side still sets the recurrence against route 1.
+call, on building sets of at most _SHARED_W vertices (qsym._gated_memo);
+the two stay apart, so that the antipode side is not route 1.
 
 The fundamental expansion (F_fundamental) counts the descent compositions
 of the linear extensions of every B-tree.  By Stanley's P-partition theory
@@ -94,12 +94,11 @@ from .nestopoly import (
 from .qsym import (
     QSymElement,
     QSymTensor,
+    _gated_memo,
     _mul_d,
-    _term_slots,
     antipode,
     code_table,
     compositions_of,
-    descent_composition,
     mul,
     refinements,
     tensor_product,
@@ -149,20 +148,20 @@ def zeta(b: BuildingSet, alpha) -> int:
 
 def F_splitting(b: BuildingSet) -> QSymElement:
     """Monomial expansion by splitting chains, counted by the flag condition
-    and read out of the packed count in term order; memoized on at most
-    _SHARED_W vertices."""
+    and read out of the packed count in term order."""
     check_limit("splitting", b.n)
-    return (_splitting_memo if b.n <= _SHARED_W else _splitting)(b)
+    return _splitting(b)
 
 
-def _splitting(b: BuildingSet) -> QSymElement:
-    return QSymElement("M", _terms(_flag_counts(b.n, _discrete_step(b)), b.n))
+_SHARED_W = 6  # F is shared on at most 6 vertices, at most 256 bytes a value
 
 
 # Keyed on (n, sets): over the 2,000 seed-1 `hopf` inputs, 151,280 calls on
 # 4,274 distinct sets, 96 % hits.  An entry holds at most 63 members and 32
 # terms, about 4 KB; full, 0.8 MiB after those inputs (tracemalloc).
-_splitting_memo = lru_cache(maxsize=1024)(_splitting)
+@_gated_memo(lambda b: b.n <= _SHARED_W, 1024)
+def _splitting(b: BuildingSet) -> QSymElement:
+    return QSymElement("M", _terms(_flag_counts(b.n, _discrete_step(b)), b.n))
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +172,10 @@ def _terms(value: int, w: int) -> tuple:
     64-bit slot i holding the coefficient of the composition with code i
     (qsym.code_table).  A coefficient counts ordered set partitions of one
     type, so it is at most w! < 2^64, as code_table refuses w > 17: slots
-    never carry.  The nonzero slots are read in the order of
-    qsym._term_slots, so an element built on the pairs needs no sort."""
+    never carry.  The nonzero slots are read in code_table's term order,
+    so an element built on the pairs needs no sort."""
     slots = memoryview(value.to_bytes(8 << max(w - 1, 0), sys.byteorder)).cast("Q")
-    return tuple([(alpha, c) for i, alpha in _term_slots(w) if (c := slots[i])])
+    return tuple([(alpha, c) for i, alpha in code_table(w)[2] if (c := slots[i])])
 
 
 def _shift(value: int, w: int) -> int:
@@ -265,13 +264,14 @@ def F_graph_colorings(g: Graph) -> QSymElement:
     """Enumerator of ordered colorings: each color class is discrete after
     contracting all smaller color classes."""
     check_limit("colorings", g.n)
-    full = (1 << g.n) - 1
-    acc = {}
+    n = g.n
+    count = [0] * (1 << max(n - 1, 0))  # ordered colorings by composition code
 
-    def rec(adj: tuple, remaining: int, sizes: tuple):
+    def rec(adj: tuple, remaining: int, code: int):
         if remaining == 0:
-            acc[sizes] = acc.get(sizes, 0) + 1
+            count[code] += 1
             return
+        code |= 1 << n - remaining.bit_count() >> 1  # bit s - 1 for s colored, none at s = 0
         for blk in nonempty_submasks(remaining):
             if any(adj[v] & blk for v in bits(blk)):
                 continue  # not independent in the contracted graph
@@ -282,10 +282,10 @@ def F_graph_colorings(g: Graph) -> QSymElement:
                 for w in bits(adj[u] & blk):
                     extra |= adj[w]
                 new_adj[u] = (adj[u] | extra) & rest & ~(1 << u)
-            rec(tuple(new_adj), rest, sizes + (blk.bit_count(),))
+            rec(tuple(new_adj), rest, code)
 
-    rec(g.adj, full, ())
-    return qsym.element("M", acc)
+    rec(g.adj, (1 << n) - 1, 0)
+    return QSymElement("M", _terms(sum([c << 64 * code for code, c in enumerate(count)]), n))
 
 
 # F and X of induced subgraphs, shared by every call (see _recurrence and
@@ -300,9 +300,6 @@ def _remember(key, value):
     _SUBGRAPHS[key] = value
     if len(_SUBGRAPHS) > _SUBGRAPHS_MAXSIZE:
         _SUBGRAPHS.popitem(last=False)
-
-
-_SHARED_W = 6  # F is shared on at most 6 vertices, at most 256 bytes a value
 
 
 def _recurrence(n: int, first, code: int | None = None) -> int:
@@ -380,10 +377,10 @@ def _descents(code: str) -> int:
     shape, counted and packed as in _terms (one slot per composition code).
     By Stanley's P-partition theory that multiset depends only on the
     shape, so one tree serves every B-tree of the shape.  The fundamental
-    row bounds the memo: 85 shapes on at most 7 nodes."""
-    tree = shape_tree(TreeShape(code))
-    code_of = code_table(tree.n)[1]
-    return sum(1 << 64 * code_of[descent_composition(w)] for w in linear_extensions(tree))
+    row bounds the memo: 85 shapes on at most 7 nodes.  A word's descents
+    are its descent composition's partial sums, so they are its code."""
+    words = linear_extensions(shape_tree(TreeShape(code)))
+    return sum(1 << 64 * sum([1 << i for i in range(len(w) - 1) if w[i] > w[i + 1]]) for w in words)
 
 
 def F_fundamental(b: BuildingSet) -> QSymElement:
@@ -618,19 +615,21 @@ def family_F(kind: str, n: int) -> QSymElement:
     return QSymElement("M", _terms(_family_packed(kind, n), n))
 
 
-@lru_cache(maxsize=None)
 def _family_packed(kind: str, n: int) -> int:
-    """family_F packed, by each family's shift recurrence."""
-    if n == 0:
-        return 1
-    if kind == "associahedron":
-        F = [_family_packed(kind, k) for k in range(n)]
-        return _shift(sum(_product(F[k], k, F[n - 1 - k], n - 1 - k) for k in range(n)), n - 1)
-    if kind == "stellohedron":  # M_(1) is packed as 1 on one vertex
-        power = _fold([(1, 1)] * (n - 1))[0]
-        return _shift((n - 1) * _family_packed(kind, n - 1) + power, n - 1)
-    below = _family_packed("associahedron" if kind == "cyclohedron" else kind, n - 1)
-    return n * _shift(below, n - 1)
+    """family_F packed, by each family's shift recurrence: the values on
+    0, ..., n vertices filled in order, each from the ones below it."""
+    if kind == "cyclohedron":  # n times the associahedron below, shifted
+        return n * _shift(_family_packed("associahedron", n - 1), n - 1) if n else 1
+    F = [1]  # the point
+    for m in range(1, n + 1):
+        if kind == "associahedron":
+            below = sum(_product(F[k], k, F[m - 1 - k], m - 1 - k) for k in range(m))
+        elif kind == "stellohedron":  # M_(1) is packed as 1 on one vertex
+            below = (m - 1) * F[m - 1] + _fold([(1, 1)] * (m - 1))[0]
+        else:  # permutohedron
+            below = m * F[m - 1]
+        F.append(_shift(below, m - 1))
+    return F[n]
 
 
 def family_graph(kind: str, n: int) -> Graph:
@@ -679,10 +678,10 @@ def tree_matrix_kernel(n: int) -> tuple:
     """
     check_limit("kernel", check_int(n, "kernel size"))
     shapes = enumerate_tree_shapes(n)  # refuses n < 1
-    rows = []
+    rows, cols = [], compositions_of(n)
     for sh in shapes:
         coeff = dict(_terms(_f_shape(sh.code), n))
-        rows.append([coeff.get(alpha, 0) for alpha in compositions_of(n)])
+        rows.append([coeff.get(alpha, 0) for alpha in cols])
     return _integer_kernel(rows)
 
 
@@ -787,8 +786,7 @@ def F_of_hopf(h: HopfElement) -> QSymElement:
             a = by_factor.get(factor)
             if a is None:
                 check_limit("recurrence", factor.n)
-                recur = _factor_memo if factor.n <= _SHARED_W else _factor_F
-                a = by_factor[factor] = recur(factor)
+                a = by_factor[factor] = _factor_F(factor)
             pairs.append((a, factor.n))
         check_limit("recurrence", sum([u for _, u in pairs]))
         key = _fold(pairs)
@@ -800,14 +798,12 @@ def F_of_hopf(h: HopfElement) -> QSymElement:
     return QSymElement.of(acc, basis="M")
 
 
+# Apart from _splitting's memo, so that the antipode side is not route 1;
+# gated like it (44,553 lookups on 4,273 distinct factors, 86 % hits).
+@_gated_memo(lambda factor: factor.n <= _SHARED_W, 1024)
 def _factor_F(factor: BuildingSet) -> int:
     """Packed F of one factor, by the recurrence over its components."""
     return _recurrence(factor.n, lambda mask: next(_components_in(factor, mask)))
-
-
-# Apart from _splitting_memo, so that the antipode side is not route 1;
-# gated like it (44,553 lookups on 4,273 distinct factors, 86 % hits).
-_factor_memo = lru_cache(maxsize=1024)(_factor_F)
 
 
 def hopf_morphism_check(b: BuildingSet) -> dict:
@@ -852,6 +848,8 @@ def random_building_sets(count: int, seed: int = 20250809, max_n: int = 4) -> li
     that bring no new set is 10,000 times as long as the list so far.
     Collecting all 434 for max_n = 4 (seeds 1, 7 and 20250809) took runs
     of at most 95,342 such draws."""
+    if check_int(count, "count") < 0:
+        raise InputError(f"count must be >= 0, got {count}")
     if check_int(max_n, "max_n") < 2:
         raise InputError(f"max_n must be >= 2, got {max_n}")
     rng = random.Random(seed)

@@ -84,19 +84,16 @@ def coarsenings(alpha) -> set:
     return {_composition(sub, sum(alpha)) for sub in submasks(_code(alpha))}
 
 
-def _small_terms(parts):
-    """Memoize a per-term table in one lru_cache of 256 entries, but only
-    for the terms alpha whose table holds at most parts(alpha) <= 2^12
-    parts; a larger one is built afresh on every call.  A table of 2^16
-    compositions holds 7.5 MiB, while a kept one holds at most about 37 KB
-    (sys.getsizeof), so a full memo stays under 10 MiB.  Every term of
-    weight <= 8 is kept."""
+def _gated_memo(keep, maxsize: int):
+    """Memoize a one-argument function in an lru_cache of maxsize entries,
+    but only the calls on x with keep(x); any other x is computed afresh.
+    The wrapper carries the cache's cache_info and cache_clear."""
 
     def wrap(build):
-        memo = lru_cache(maxsize=256)(build)
+        memo = lru_cache(maxsize=maxsize)(build)
 
-        def table(alpha) -> tuple:
-            return memo(alpha) if parts(alpha) <= 1 << 12 else build(alpha)
+        def table(x):
+            return memo(x) if keep(x) else build(x)
 
         table.cache_info, table.cache_clear = memo.cache_info, memo.cache_clear
         return wraps(build)(table)
@@ -104,24 +101,27 @@ def _small_terms(parts):
     return wrap
 
 
-@_small_terms(lambda alpha: len(alpha) << len(alpha) >> 1)  # 2^(l - 1) of l parts or fewer
+# The per-term tables keep the terms alpha whose table holds at most 2^12
+# parts (2^(l - 1) coarsenings or 2^(w - l) refinements, each of at most l
+# or w parts), in 256 entries: a table of 2^16 compositions holds 7.5 MiB,
+# while a kept one holds at most about 37 KB (sys.getsizeof), so a full memo
+# stays under 10 MiB.  Every term of weight <= 8 is kept.
+@_gated_memo(lambda alpha: len(alpha) << len(alpha) >> 1 <= 1 << 12, 256)
 def _coarsenings(alpha) -> tuple:
     """coarsenings(alpha) as a tuple.  One bounded memo serves every
     M-basis antipode, so equal terms share their keys."""
     return tuple(coarsenings(alpha))
 
 
-@lru_cache(maxsize=None)
 def compositions_of(n: int) -> tuple:
     """All compositions of n in canonical term order."""
-    if n < 0:
-        raise InputError(f"negative weight {n}")
-    return tuple(sorted(code_table(n)[0], key=term_key))
+    return tuple([alpha for _, alpha in code_table(n)[2]])
 
 
 @lru_cache(maxsize=None)
 def code_table(w: int) -> tuple:
-    """(compositions of w indexed by code, {composition: code}).
+    """(compositions of w indexed by code, {composition: code}, the
+    (code, composition) pairs in canonical term order).
 
     The code of a composition of w is its set of partial sums below w, as a
     bit mask over [w - 1]: bit s - 1 is set iff the first parts sum to s.
@@ -129,19 +129,13 @@ def code_table(w: int) -> tuple:
     part 1 to a composition of w sets bit w - 1, so the codes of (alpha, 1)
     fill the top half of the table at weight w + 1.
     """
+    if check_int(w, "weight") < 0:
+        raise InputError(f"negative weight {w}")
     check_limit("weight", w)
     check_limit("refinements", w - 1)
     by_code = tuple(_composition(code, w) for code in range(1 << max(w - 1, 0)))
-    return by_code, {alpha: code for code, alpha in enumerate(by_code)}
-
-
-@lru_cache(maxsize=None)
-def _term_slots(w: int) -> tuple:
-    """(code, composition) for each composition of w, in canonical term order:
-    reading a packed value's slots in this order yields sorted terms.  Bounded
-    by code_table's rows, like it."""
-    code_of = code_table(w)[1]
-    return tuple([(code_of[alpha], alpha) for alpha in compositions_of(w)])
+    in_order = sorted(enumerate(by_code), key=lambda pair: term_key(pair[1]))
+    return by_code, {alpha: code for code, alpha in enumerate(by_code)}, tuple(in_order)
 
 
 def refinements(alpha) -> tuple:
@@ -149,7 +143,7 @@ def refinements(alpha) -> tuple:
     return _refinements(composition(alpha))
 
 
-@_small_terms(lambda alpha: sum(alpha) << sum(alpha) - len(alpha))  # 2^(w - l) of w parts or fewer
+@_gated_memo(lambda alpha: sum(alpha) << sum(alpha) - len(alpha) <= 1 << 12, 256)
 def _refinements(alpha) -> tuple:
     """alpha's code joined with each set of the cut positions it leaves free,
     in term order, so the basis changes hand their sort near-sorted sums:
@@ -212,6 +206,7 @@ class Combination:
 
     def scale(self, c: int):
         """c times the combination; the terms keep their order."""
+        check_int(c, "scalar")
         terms = tuple([(k, c * v) for k, v in self.terms]) if c else ()
         return replace(self, terms=terms)
 
@@ -230,6 +225,8 @@ class QSymElement(Combination):
     sort_key = staticmethod(term_key)
 
     def __add__(self, other):
+        if not isinstance(other, QSymElement):
+            raise InputError(f"cannot add {other!r} to a quasisymmetric function")
         if self.basis != other.basis:
             raise InputError(
                 f"basis mismatch: {self.basis} vs {other.basis}; convert first"
@@ -243,9 +240,9 @@ class QSymElement(Combination):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return mul(self, other)
+        if isinstance(other, QSymElement):
+            return mul(self, other)
+        return self.scale(other)
 
     __rmul__ = __mul__
 
@@ -403,7 +400,7 @@ def from_fundamental(F: QSymElement) -> QSymElement:
 
 def descent_composition(pi) -> Composition:
     """Lengths of the maximal increasing runs of a permutation word."""
-    word = tuple(pi)
+    word = tuple(check_int(x, "permutation letter") for x in pi)
     if sorted(word) != list(range(1, len(word) + 1)):
         raise InputError(f"not a permutation of 1..{len(word)}: {word}")
     if not word:

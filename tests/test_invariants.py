@@ -234,8 +234,9 @@ def test_F_splitting_terms_are_the_code_table_compositions():
         # the old construction: every composition built and checked afresh
         old = element("M", dict_walk_types(b))
         assert F == old and render(F) == render(old)
-        by_code, code_of = qsym.code_table(b.n)
+        by_code, code_of, in_order = qsym.code_table(b.n)
         assert all(alpha is by_code[code_of[alpha]] for alpha, _ in F.terms)
+        assert [alpha for alpha, _ in F.terms] == [a for _, a in in_order if a in F.as_dict()]
 
 
 def dict_flag_walk(n: int, admissible, key, blocks=nonempty_submasks) -> dict:
@@ -708,6 +709,17 @@ def test_shape_descents_count_the_linear_extensions():
             assert total == factorial(n) // prod(sizes(sh.code)), sh
 
 
+def test_shape_descents_by_code_match_the_descent_compositions():
+    # _descents reads each extension's descent set as its code; building
+    # each descent composition and looking up its code is the oracle
+    for n in range(1, 9):
+        code_of = qsym.code_table(n)[1]
+        for sh in enumerate_tree_shapes(n):
+            words = linear_extensions(shape_tree(sh))
+            want = sum(1 << 64 * code_of[descent_composition(w)] for w in words)
+            assert invariants._descents.__wrapped__(sh.code) == want, sh
+
+
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
 def test_fundamental_route_at_n8_matches_the_recurrence(kind, monkeypatch):
     row = LIMITS["fundamental"]
@@ -1109,13 +1121,13 @@ def test_F_of_hopf_ignores_a_wrong_value_in_route_1s_memo(monkeypatch):
     b = from_graph(family("path", 4))
     s = takeuchi_antipode(b)
     factors = {f for word, _ in s.terms for f in word}
-    memos = (invariants._splitting_memo, invariants._factor_memo)
+    memos = (invariants._splitting, invariants._factor_F)
     for memo in memos:
         memo.cache_clear()
     expected = F_of_hopf(s)
-    invariants._factor_memo.cache_clear()  # the last F_of_hopf recomputes
+    invariants._factor_F.cache_clear()  # the last F_of_hopf recomputes
     true = {f: F_splitting(f) for f in factors}
-    invariants._splitting_memo.cache_clear()
+    invariants._splitting.cache_clear()
     flag_counts = invariants._flag_counts
     monkeypatch.setattr(invariants, "_flag_counts", lambda n, step: 2 * flag_counts(n, step))
     try:
@@ -1130,7 +1142,7 @@ def test_F_of_hopf_ignores_a_wrong_value_in_route_1s_memo(monkeypatch):
 
 
 def test_shared_hopf_memos_are_bounded_and_hold_small_sets_only():
-    memos = (invariants._splitting_memo, invariants._factor_memo)
+    memos = (invariants._splitting, invariants._factor_F)
     assert [m.cache_info().maxsize for m in memos] == [1024, 1024]
     large = [from_graph(family("complete", 8)), from_graph(family("path", 8))]
 
@@ -1152,7 +1164,7 @@ def test_shared_hopf_memos_are_bounded_and_hold_small_sets_only():
 
 def test_shared_hopf_memos_cold_and_warm_agree():
     sample = random_building_sets(60, seed=5, max_n=6)
-    memos = (invariants._splitting_memo, invariants._factor_memo)
+    memos = (invariants._splitting, invariants._factor_F)
     cold = []
     for b in sample:
         for memo in memos:

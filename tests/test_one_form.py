@@ -181,28 +181,33 @@ def test_recursive_closures_skip_states():
 # ---------------------------------------------------------------------------
 # one arithmetic for enumerators
 
-ELEMENT_ARITHMETIC = {"mul", "shift1", "_mul_d"}
+ELEMENT_ARITHMETIC = {"mul", "shift1", "_mul_d", "element"}
+
+
+def _name(node) -> str | None:
+    """The name a decorator or call is made with: f, f(...), mod.f(...)."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
 
 
 def _element_arithmetic_callers(module: str) -> list:
-    """(top-level function, callee) for each call of mul, shift1 or _mul_d."""
+    """(top-level function, callee) for each call of mul, shift1, _mul_d or
+    element, by name or as an attribute (qsym.element)."""
     out = []
     for fn in ast.parse((SRC / f"{module}.py").read_text()).body:
         if isinstance(fn, ast.FunctionDef):
             for node in ast.walk(fn):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id in ELEMENT_ARITHMETIC
-                ):
-                    out.append((fn.name, node.func.id))
+                if isinstance(node, ast.Call) and _name(node) in ELEMENT_ARITHMETIC:
+                    out.append((fn.name, _name(node)))
     return sorted(set(out))
 
 
 def test_enumerators_are_packed():
     # Every enumerator in invariants is a packed integer combined by
-    # _product, _shift and integer arithmetic; only _product multiplies
-    # terms, and hopf_morphism_check checks the public product.
+    # _product, _shift and integer arithmetic, and read out through _terms,
+    # never built term by term through qsym.element; only _product
+    # multiplies terms, and hopf_morphism_check checks the public product.
     assert _element_arithmetic_callers("invariants") == [
         ("_product", "_mul_d"),
         ("hopf_morphism_check", "mul"),
@@ -235,20 +240,13 @@ def test_one_renderer():
 # ---------------------------------------------------------------------------
 # every module-level memo has a stated bound
 
-MEMO_MAKERS = {"lru_cache", "cache", "_small_terms"}
+MEMO_MAKERS = {"lru_cache", "cache", "_gated_memo"}
 MUTATORS = {"append", "extend", "insert", "update", "setdefault", "pop", "popitem", "add", "move_to_end"}
-
-
-def _name(node) -> str | None:
-    """The name a decorator or call is made with: f, f(...), mod.f(...)."""
-    if isinstance(node, ast.Call):
-        node = node.func
-    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
 
 
 def _memos() -> list:
     """(module, name) for each module-level memo: a function decorated with
-    lru_cache or _small_terms, an lru_cache(...)(fn) assignment, and a
+    lru_cache or _gated_memo, an lru_cache(...)(fn) assignment, and a
     module-level container that the module binds twice or that a function
     writes into (item assignment or a mutating method)."""
     out = set()
@@ -300,11 +298,10 @@ MEMOS = {
     ("invariants", "_SUBGRAPHS"): 8192,
     ("invariants", "_descents"): "fundamental",
     ("invariants", "_f_shape"): "tree enumerators",
-    ("invariants", "_factor_memo"): 1024,
-    ("invariants", "_family_packed"): "family",
+    ("invariants", "_factor_F"): 1024,
     ("invariants", "_partitions"): "chromatic",
     ("invariants", "_product"): 1024,
-    ("invariants", "_splitting_memo"): 1024,
+    ("invariants", "_splitting"): 1024,
     ("nestopoly", "enumerate_tree_shapes"): "tree shapes",
     ("qsym", "_body"): 1024,
     ("qsym", "_coarsenings"): 256,
@@ -314,9 +311,7 @@ MEMOS = {
     # a maxsize of 256 made that call 1.8 times as slow.
     ("qsym", "_quasi_shuffle"): None,
     ("qsym", "_refinements"): 256,
-    ("qsym", "_term_slots"): "refinements",
     ("qsym", "code_table"): "refinements",
-    ("qsym", "compositions_of"): "refinements",
 }
 
 

@@ -13,14 +13,15 @@ import pytest
 from hypothesis import given, settings
 
 from nestoqsym import qsym
-from nestoqsym.buildset import building_set, parse_building_set
-from nestoqsym.errors import CapacityError, InputError
+from nestoqsym.buildset import building_set, discrete_building_set, parse_building_set
+from nestoqsym.errors import LIMITS, CapacityError, InputError
 from nestoqsym.graphs import enumerate_graphs, family, is_q_connected, parse_graph
 from nestoqsym.invariants import (
     F_tree,
     collision_search,
     family_F,
     family_vertex_counts,
+    random_building_sets,
     tree_matrix_kernel,
 )
 from nestoqsym.nestopoly import TreeShape, enumerate_tree_shapes
@@ -102,6 +103,44 @@ def test_counts_refuse_non_integers(call):
     # specializations returned the float 1.0
     with pytest.raises(InputError, match="must be an integer"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: random_building_sets(2.0, max_n=3),
+        lambda: random_building_sets(3.5, max_n=3),
+        lambda: random_building_sets(True, max_n=3),
+        lambda: random_building_sets(-1, max_n=3),
+        lambda: qsym.compositions_of(True),
+        lambda: qsym.compositions_of(2.0),
+        lambda: qsym.code_table(2.0),
+        lambda: discrete_building_set(2.0),
+        lambda: discrete_building_set(-1),
+        lambda: qsym.monomial((1,)).scale(1.5),
+        lambda: qsym.monomial((1,)).scale(True),
+        lambda: qsym.monomial((1,)) * 1.5,
+        lambda: 1.5 * qsym.monomial((1,)),
+        lambda: qsym.monomial((1,)) + 3,
+        lambda: qsym.descent_composition((1.0, 2)),
+    ],
+    ids=["random float", "random fraction", "random bool", "random negative",
+         "compositions_of bool", "compositions_of float", "code_table float",
+         "discrete float", "discrete negative", "scale float", "scale bool",
+         "times float", "float times", "plus int", "descent float letter"],
+)
+def test_counts_and_coefficients_refuse_bad_values(call):
+    # each was read silently (2.0 sets, True as 1, -1 as none, 1.5 as a
+    # float coefficient, 1.0 as the letter 1) or raised TypeError or
+    # AttributeError
+    with pytest.raises(InputError):
+        call()
+
+
+def test_discrete_building_set_checks_the_ground_row():
+    # returned a building set on 40 vertices, past the bit-mask row
+    with pytest.raises(CapacityError, match="ground set"):
+        discrete_building_set(LIMITS["ground"].limit + 1)
 
 
 def test_tree_shape_code_must_be_a_string():

@@ -104,9 +104,12 @@ def test_refinements_inverse_of_coarsening():
 
 def test_code_table_lists_each_composition_once():
     for w in range(0, 11):
-        by_code, code_of = code_table(w)
+        by_code, code_of, in_order = code_table(w)
         assert sorted(by_code) == sorted(compositions_of(w))
         assert all(code_of[alpha] == code for code, alpha in enumerate(by_code))
+        # the third item pairs each code with its composition, in term order
+        assert [alpha for _, alpha in in_order] == sorted(by_code, key=term_key)
+        assert all(by_code[code] is alpha for code, alpha in in_order)
 
 
 def test_code_of_appending_a_one_sets_the_top_bit():
@@ -670,8 +673,7 @@ def test_render_body_cache_is_bounded():
 
 def test_per_term_memos_keep_small_terms_only():
     memos = (qsym._refinements, qsym._coarsenings)
-    for memo in memos:
-        assert memo.cache_info().maxsize is not None
+    assert [memo.cache_info().maxsize for memo in memos] == [256, 256]
     before = [memo.cache_info().currsize for memo in memos]
     # 2^16 refinements and 2^16 coarsenings: built afresh, never kept
     assert len(to_fundamental(monomial((17,))).terms) == 1 << 16
