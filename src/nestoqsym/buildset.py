@@ -47,6 +47,11 @@ class BuildingSet:
         """The maximal members (see maximal_members)."""
         return frozenset(maximal_members(self))
 
+    @cached_property
+    def mu_inside(self) -> dict:
+        """I -> mu(B|I), the number of members inside I, counted on lookup."""
+        return _CountsInside(self.sets)
+
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
@@ -56,6 +61,20 @@ class BuildingSet:
 
     def __str__(self):
         return serialize_building_set(self)
+
+
+class _CountsInside(dict):
+    """mu(B|I) per mask I, counted on its first lookup by a scan of the
+    members up to I (a member inside I is no larger) and kept."""
+
+    def __init__(self, sets: tuple):
+        super().__init__()
+        self.sets = sets
+
+    def __missing__(self, I: int) -> int:
+        sets = self.sets
+        count = self[I] = sum([not s & ~I for s in sets[: bisect(sets, I)]])
+        return count
 
 
 def _set_name(mask: int) -> str:
@@ -70,6 +89,7 @@ def validate(sets, n: int, add_singletons: bool = True) -> BuildingSet:
     """
     if check_int(n, "ground set size") < 0:
         raise InputError(f"ground set size must be >= 0, got {n}")
+    check_limit("ground", n)  # before any mask is built
     full = (1 << n) - 1
     masks = set()
     for s in sets:
@@ -103,7 +123,6 @@ def building_set(n: int, sets) -> BuildingSet:
 
 def discrete_building_set(n: int) -> BuildingSet:
     """The singletons of [n], on at most the ground row's vertices."""
-    check_limit("ground", check_int(n, "ground set size"))
     return validate((), n)
 
 

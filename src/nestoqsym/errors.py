@@ -67,7 +67,9 @@ LIMITS = {
     "tree shapes": Limit(14, "tree shapes", "rooted trees grow about 2.96^n"),
     "extensions": Limit(9, "linear extensions", "up to n! orderings"),
     # routes and checks
-    "splitting": Limit(9, "splitting-chain route", "3^n block tests"),
+    "splitting": Limit(
+        11, "splitting-chain route", "blocks meet each component at most once, 3^n if discrete"
+    ),
     "splitting chains": Limit(8, "splitting chains", "as many as ordered set partitions"),
     "tree enumerators": Limit(15, "tree enumerators", "2^(n - 1) terms per enumerator"),
     "colorings": Limit(8, "ordered-coloring route", "one walk step per ordered coloring"),

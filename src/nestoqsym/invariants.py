@@ -2,9 +2,10 @@
 
 The four routes to the same quasisymmetric function:
 
-  * F_splitting       -- counts splitting chains of the building set by the
-                         flag condition, packed (_flag_counts; bitsets.flag_walk
-                         lists them for splitting_chains),
+  * F_splitting       -- counts splitting chains of the building set, packed,
+                         each last block meeting each component at most once
+                         (_flag_counts; bitsets.flag_walk lists them for
+                         splitting_chains by the flag condition),
   * F_btree_route     -- sums tree enumerators over the B-trees at vertices,
   * F_graph_colorings -- counts ordered colorings of the graph,
   * F_graph_recurrence -- vertex-deletion recurrence with a shift.
@@ -35,9 +36,9 @@ tree_multiset, each times one packed listing per shape (_descents), memoized
 like the shapes' tree enumerators; no vertex's tree is listed.
 
 Disconnected inputs reduce to component products everywhere (the enumerator
-is multiplicative); splitting chains are enumerated by the verbatim flag
-condition, which agrees with the component product without a connectedness
-hypothesis.
+is multiplicative); splitting chains are listed by the verbatim flag
+condition and counted by its component form, which agree with the
+component product without a connectedness hypothesis.
 
 Everything is pure and exact (no floating point anywhere).
 """
@@ -53,7 +54,7 @@ from itertools import combinations
 from math import comb, factorial, gcd, prod
 
 from . import qsym
-from .bitsets import bits, flag_walk, mask_of, nonempty_submasks, submasks
+from .bitsets import bits, flag_walk, mask_of, nonempty_submasks, singletons, submasks
 from .buildset import (
     BuildingSet,
     HopfElement,
@@ -113,7 +114,8 @@ def _discrete_step(b: BuildingSet):
     """The flag condition as admissible(done, block): (B restricted to
     done | block) / done is discrete iff no member inside done | block meets
     block in two or more vertices.  Members of two or more vertices are
-    scanned smallest first; a one-vertex block passes without a scan."""
+    scanned smallest first; a one-vertex block passes without a scan.
+    splitting_chains' predicate; the count reads components (_splitting_ends)."""
     wide = sorted((s for s in b.sets if s & (s - 1)), key=int.bit_count)
 
     def admissible(done: int, block: int) -> bool:
@@ -126,6 +128,34 @@ def _discrete_step(b: BuildingSet):
         return True
 
     return admissible
+
+
+def _splitting_ends(b: BuildingSet):
+    """ends(U) of route 1 for _flag_counts.  A member inside U lies in one
+    component of B|U, and the components are members, so U's last block
+    meets each component in at most one vertex: one or none of each
+    component of two or more vertices (the rests are U minus each such
+    choice) and any subset of the one-vertex components (free).  low[U],
+    the component of B|U holding U's lowest vertex, is U when U is a
+    member, else the largest low[U - v] over U's other vertices v."""
+    low = [0] * (1 << b.n)
+    for s in b.sets:
+        low[s] = s
+    for U in range(1, 1 << b.n):
+        low[U] = low[U] or max([low[U ^ v] for v in singletons(U & U - 1)])
+
+    def ends(U: int) -> tuple:
+        rests, free, left = [U], 0, U
+        while left:
+            c = low[left]
+            left ^= c
+            if c & c - 1:
+                rests = [r ^ v for r in rests for v in (0, *singletons(c))]
+            else:
+                free |= c
+        return rests, free
+
+    return ends
 
 
 def splitting_chains(b: BuildingSet) -> list:
@@ -143,7 +173,7 @@ def zeta(b: BuildingSet, alpha) -> int:
         raise InputError(f"composition weighs {sum(alpha)}, ground set has {b.n}")
     check_limit("splitting", b.n)
     slot = code_table(b.n)[1][alpha]
-    return _flag_counts(b.n, _discrete_step(b)) >> 64 * slot & (1 << 64) - 1
+    return _flag_counts(b.n, _splitting_ends(b)) >> 64 * slot & (1 << 64) - 1
 
 
 def F_splitting(b: BuildingSet) -> QSymElement:
@@ -161,7 +191,7 @@ _SHARED_W = 6  # F is shared on at most 6 vertices, at most 256 bytes a value
 # terms, about 4 KB; full, 0.8 MiB after those inputs (tracemalloc).
 @_gated_memo(lambda b: b.n <= _SHARED_W, 1024)
 def _splitting(b: BuildingSet) -> QSymElement:
-    return QSymElement("M", _terms(_flag_counts(b.n, _discrete_step(b)), b.n))
+    return QSymElement("M", _terms(_flag_counts(b.n, _splitting_ends(b)), b.n))
 
 
 # ---------------------------------------------------------------------------
@@ -184,22 +214,21 @@ def _shift(value: int, w: int) -> int:
     return value << 64 * (1 << w >> 1)
 
 
-def _flag_counts(n: int, admissible) -> int:
-    """The ordered set partitions of [n] whose steps pass admissible(done,
-    block), counted by step sizes and packed as in _terms, forward over the
-    covered sets: a block appended to w vertices is _shift(value, w), since
-    the new part's partial sum is w whatever its size.  3^n (done, block)
-    tests; each set's count is complete when reached and dropped when passed on."""
-    full = (1 << n) - 1
-    count = [0] * (full + 1)
-    count[0] = 1
-    for done in range(full):
-        value = _shift(count[done], done.bit_count())
-        count[done] = 0
-        for blk in nonempty_submasks(full ^ done):
-            if admissible(done, blk):
-                count[done | blk] += value
-    return count[full]
+def _flag_counts(n: int, ends) -> int:
+    """The ordered set partitions of [n] that a route admits, counted by
+    step sizes and packed as in _terms.  ends(U) gives the sets covered
+    before U's last block as rest - f, over its rests and the submasks f
+    of free (inside every rest).  Counts fill in increasing order of U,
+    each the sum of those sets' counts shifted by their sizes: a block
+    appended to w vertices is _shift(value, w), whatever its size.  The
+    empty block (rest U, f 0) reads U's own slot, still 0."""
+    shifted = [1] + [0] * ((1 << n) - 1)  # shifted[U]: U's count, shifted by |U|
+    value = 1
+    for U in range(1, 1 << n):
+        rests, free = ends(U)
+        value = sum([shifted[r ^ f] for r in rests for f in submasks(free)])
+        shifted[U] = _shift(value, U.bit_count())
+    return value
 
 
 @lru_cache(maxsize=1024)
@@ -495,10 +524,17 @@ def _block_counts(g: Graph) -> dict:
 
 
 def ordered_colorings_by_type(g: Graph) -> dict:
-    """Proper-coloring ordered set partitions counted by size sequence."""
+    """Proper-coloring ordered set partitions counted by size sequence:
+    any independent set may end U.  U's independent subsets are those
+    without its top vertex t and t joined to those missing t's neighbours."""
     check_limit("chromatic", g.n)
-    independent = lambda done, blk: all(g.adj[v] & blk == 0 for v in bits(blk))
-    return dict(_terms(_flag_counts(g.n, independent), g.n))
+    indep = [[0]]  # indep[U]: the independent subsets of U
+    for U in range(1, 1 << g.n):
+        t = U.bit_length() - 1
+        below = U ^ 1 << t
+        indep.append(indep[below] + [s | 1 << t for s in indep[below & ~g.adj[t]]])
+    ends = lambda U: ([U ^ s for s in indep[U]], 0)
+    return dict(_terms(_flag_counts(g.n, ends), g.n))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ directly: members of B_max are excluded from nested sets, and
 cross-component unions are never in B, so the complex is the join of the
 component complexes (faces of product polytopes multiply).
 
-Each vertex's B-tree and coordinates come from one cover map (`_vertex`).
+Each vertex's B-tree and coordinates come from one cover map (`_vertex`)
+and mu(B|I) from the building set's table (`BuildingSet.mu_inside`).
 Only `b_tree` and `vertex_coordinates` validate a family (a caller's); the
 loops over maximal_nested_sets in `tree_multiset`, `_all_coordinates` and
 `realization_failures` call `_vertex` directly.  The f-vector counts on the
@@ -208,11 +209,6 @@ def _vertex(b: BuildingSet, family) -> tuple:
     return BTree(b.n, parent), tuple(sorted(nodes, key=label.get))
 
 
-def _mu_inside(b: BuildingSet, masks) -> dict:
-    """I -> mu(B|_I), the number of members inside I."""
-    return {I: sum(1 for s in b.sets if s & ~I == 0) for I in masks}
-
-
 def _coordinates(tree: BTree, member, mu_inside) -> tuple:
     """x_{i_I} = mu(B|_I) - sum of mu(B|_J) over the children J of I."""
     x = [mu_inside[I] for I in member]
@@ -224,8 +220,7 @@ def _coordinates(tree: BTree, member, mu_inside) -> tuple:
 
 def _all_coordinates(b: BuildingSet) -> list:
     """Coordinates of every vertex, in maximal_nested_sets order."""
-    mu_inside = _mu_inside(b, b.sets)
-    return [_coordinates(*_vertex(b, fam), mu_inside) for fam in maximal_nested_sets(b)]
+    return [_coordinates(*_vertex(b, fam), b.mu_inside) for fam in maximal_nested_sets(b)]
 
 
 def b_tree(b: BuildingSet, family) -> BTree:
@@ -240,15 +235,14 @@ def vertex_coordinates(b: BuildingSet, family) -> tuple:
     coordinates sum to mu(B).
     """
     tree, member = _vertex(b, _checked_family(b, family))
-    return _coordinates(tree, member, _mu_inside(b, member))
+    return _coordinates(tree, member, b.mu_inside)
 
 
 def realization_failures(b: BuildingSet) -> list:
     """Vertices violating a facet inequality or the predicted tight set."""
     check_limit("realization", b.n)
     failures = []
-    full = b.full_mask()
-    mu_inside = _mu_inside(b, b.sets)
+    full, mu_inside = b.full_mask(), b.mu_inside
     for fam in maximal_nested_sets(b):
         x = _coordinates(*_vertex(b, fam), mu_inside)
         if sum(x) != b.mu:

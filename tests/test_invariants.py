@@ -314,13 +314,16 @@ def test_flag_walk_lists_extensions_as_the_dict_walk():
 
 
 ROUTE_1_CASES = (
-    [from_graph(family_graph(kind, n)) for kind in ("pe", "as", "cy", "st") for n in range(9)]
+    [from_graph(family_graph(kind, n)) for kind in ("pe", "as", "cy", "st") for n in range(10)]
+    + [discrete_building_set(n) for n in range(10)]
     + random_building_sets(300, seed=7, max_n=6)
     + [product(from_graph(family("cycle", 4)), from_graph(family("star", 4)))]
 )
 
 
 def test_packed_route_1_matches_the_dict_walk():
+    # the count reads the components of B|U (_splitting_ends); the dict
+    # walk tests every block by the flag condition (_discrete_step)
     for b in ROUTE_1_CASES:
         types = dict_walk_types(b)
         F, old = F_splitting(b), element("M", types)
@@ -330,6 +333,19 @@ def test_packed_route_1_matches_the_dict_walk():
         alphas = qsym.compositions_of(b.n)
         for alpha in alphas[:: max(1, len(alphas) // 8)]:
             assert zeta(b, alpha) == types.get(alpha, 0), (b, alpha)
+
+
+def test_route_1_count_never_runs_the_flag_predicate(monkeypatch):
+    b = from_graph(family("star", 5))
+    types = dict_walk_types(b)
+
+    def refuse(*args):
+        raise AssertionError("the count ran _discrete_step")
+
+    monkeypatch.setattr(invariants, "_discrete_step", refuse)
+    invariants._splitting.cache_clear()
+    assert F_splitting(b) == element("M", types)
+    assert zeta(b, (1, 3, 1)) == types[(1, 3, 1)]
 
 
 def test_ordered_colorings_match_the_dict_walk():
@@ -1129,7 +1145,7 @@ def test_F_of_hopf_ignores_a_wrong_value_in_route_1s_memo(monkeypatch):
     true = {f: F_splitting(f) for f in factors}
     invariants._splitting.cache_clear()
     flag_counts = invariants._flag_counts
-    monkeypatch.setattr(invariants, "_flag_counts", lambda n, step: 2 * flag_counts(n, step))
+    monkeypatch.setattr(invariants, "_flag_counts", lambda n, ends: 2 * flag_counts(n, ends))
     try:
         for f in factors:
             F_splitting(f)  # stores twice the true F

@@ -110,8 +110,9 @@ def test_row_refuses_one_past_its_limit(name):
 
 # Calls that had rows of their own, one past the old limits: each is now
 # refused by the row of the kernel it runs.
+PAST_SPLITTING = LIMITS["splitting"].limit + 1
 FOLDED = {
-    "zeta": (lambda: zeta(discrete(10), (1,) * 10), "splitting"),
+    "zeta": (lambda: zeta(discrete(PAST_SPLITTING), (1,) * PAST_SPLITTING), "splitting"),
     "family check": (
         lambda: family_recurrence_check("associahedron", LIMITS["family"].limit + 1),
         "family",
@@ -144,7 +145,7 @@ def test_below_range_sizes_are_input_errors():
 
 CAPACITY_ARGV = [
     ("invariant", "--graph", f"cycle:{LIMITS['recurrence'].limit + 1}"),
-    ("invariant", "--graph", "cycle:10", "--route", "splitting"),
+    ("invariant", "--graph", f"cycle:{PAST_SPLITTING}", "--route", "splitting"),
     ("invariant", "--graph", "cycle:9", "--route", "trees"),
     ("invariant", "--graph", "cycle:9", "--route", "colorings"),
     ("invariant", "--graph", "cycle:9", "--route", "all"),

@@ -389,11 +389,17 @@ def test_check_realization_examples():
     assert realization_failures(L4) == []
 
 
+def _mu_by_scan(b):
+    """Oracle of b.mu_inside: I -> mu(B|_I) for every member I, by a scan
+    of all members per member."""
+    return {I: sum(1 for s in b.sets if s & ~I == 0) for I in b.sets}
+
+
 def _realization_failures_by_facet_sums(b):
     """Oracle: realization_failures summing x over each facet's vertices."""
     failures = []
     full = b.full_mask()
-    mu_inside = nestopoly._mu_inside(b, b.sets)
+    mu_inside = _mu_by_scan(b)
     for fam in maximal_nested_sets(b):
         x = nestopoly._coordinates(*nestopoly._vertex(b, fam), mu_inside)
         if sum(x) != b.mu:
@@ -418,6 +424,16 @@ def _realization_failures_by_facet_sums(b):
 REALIZATION_CASES = [
     from_graph(family_graph(kind, n)) for kind in ("pe", "as", "cy", "st") for n in range(7)
 ] + [b for b in random_building_sets(60, seed=7, max_n=6) if bs_connected(b)]
+
+
+def test_mu_inside_matches_the_member_scan():
+    for b in REALIZATION_CASES + [from_graph(family("complete", 8))]:
+        fresh = BuildingSet(b.n, b.sets)  # an empty table, filled in this order
+        assert {I: fresh.mu_inside[I] for I in reversed(b.sets)} == _mu_by_scan(b)
+    for b in REALIZATION_CASES:
+        fresh = BuildingSet(b.n, b.sets)
+        for I in range(b.full_mask() + 1):  # non-members too
+            assert fresh.mu_inside[I] == sum(1 for s in b.sets if s & ~I == 0)
 
 
 def test_realization_failures_match_the_facet_sum_oracle():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 from nestoqsym import qsym
-from nestoqsym.buildset import building_set, discrete_building_set, parse_building_set
+from nestoqsym.buildset import building_set, discrete_building_set, parse_building_set, validate
 from nestoqsym.errors import LIMITS, CapacityError, InputError
 from nestoqsym.graphs import enumerate_graphs, family, is_q_connected, parse_graph
 from nestoqsym.invariants import (
@@ -141,6 +141,19 @@ def test_discrete_building_set_checks_the_ground_row():
     # returned a building set on 40 vertices, past the bit-mask row
     with pytest.raises(CapacityError, match="ground set"):
         discrete_building_set(LIMITS["ground"].limit + 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda n: building_set(n, []), lambda n: validate([], n)],
+    ids=["building_set", "validate"],
+)
+def test_building_set_checks_the_ground_row(build):
+    # returned a building set on 40 (33) vertices, past the bit-mask row
+    with pytest.raises(CapacityError, match="ground set"):
+        build(40)
+    with pytest.raises(CapacityError, match="ground set"):
+        build(LIMITS["ground"].limit + 1)
 
 
 def test_tree_shape_code_must_be_a_string():
