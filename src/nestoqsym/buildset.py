@@ -9,7 +9,9 @@ Restriction and contraction relabel the surviving vertices to an initial
 segment with the order-preserving map (`bitsets.compress`); the coproduct
 and the Takeuchi antipode read it from one table per vertex set
 (`bitsets.compress_tables`).  Callers that need the original labels (the
-CLI does) keep the vertex list on the side.
+CLI does) keep the vertex list on the side.  The components of B|U come
+from one table per building set (`BuildingSet.lowest`, read by
+`components_within`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bitsets import bits, compress, compress_tables, mask_of, nonempty_submasks
+from .bitsets import bits, compress, compress_tables, mask_of, nonempty_submasks, singletons
 from .errors import InputError, NotABuildingSetError, ParseError, check_int, check_limit
 from .graphs import Graph, _lowest_component, json_int, load_json
 from .qsym import Combination
@@ -51,6 +53,20 @@ class BuildingSet:
     def mu_inside(self) -> dict:
         """I -> mu(B|I), the number of members inside I, counted on lookup."""
         return _CountsInside(self.sets)
+
+    @cached_property
+    def lowest(self) -> list:
+        """lowest[U]: the component of B|U holding U's lowest vertex (0 at
+        U = 0), 2^n entries, so only bounded rows read it.  The components
+        are the members inside U and inside no other: disjoint (two that
+        meet have their union in B) and covering U.  lowest[U] is U for a member, else
+        the largest lowest[U - v] over U's other vertices v."""
+        low = [0] * (1 << self.n)
+        for s in self.sets:
+            low[s] = s
+        for U in range(1, 1 << self.n):
+            low[U] = low[U] or max([low[U ^ v] for v in singletons(U & U - 1)])
+        return low
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -162,29 +178,29 @@ def contraction(b: BuildingSet, I: int) -> BuildingSet:
     return _minor(b, b.full_mask(), _vertex_mask(b, I))
 
 
-def _components_in(b: BuildingSet, mask: int):
-    """Yield the components of b restricted to mask: the members inside
-    mask and inside no other such member, in decreasing mask order.
-
-    They are pairwise disjoint (two that meet have their union in b, and
-    inside mask), and every other member inside mask lies in one of them.
-    A member's proper supersets are larger masks, so the scan of the
-    members by decreasing mask meets each component before anything inside
-    it: keeping each member inside mask that misses all those kept so far
-    keeps exactly the components; the singletons make them cover mask.
-    """
-    covered = 0
-    for s in reversed(b.sets):
-        if not s & ~mask and not s & covered:
-            yield s
-            covered |= s
-            if covered == mask:
-                return
+def components_within(b: BuildingSet, mask: int):
+    """Yield the components of b restricted to mask (see
+    BuildingSet.lowest), by increasing lowest vertex."""
+    low = b.lowest
+    while mask:
+        c = low[mask]
+        yield c
+        mask ^= c
 
 
 def maximal_members(b: BuildingSet) -> list:
-    """Members inside no other member, in mask order: the components of b."""
-    return list(_components_in(b, b.full_mask()))[::-1]
+    """Members inside no other member, in mask order: the components of b.
+    A member's proper supersets are larger masks, so the scan by decreasing
+    mask meets each before anything inside it.  No 2^n table: this runs up
+    to the ground row."""
+    kept, covered, full = [], 0, b.full_mask()
+    for s in reversed(b.sets):
+        if covered == full:
+            break
+        if not s & covered:
+            kept.append(s)
+            covered |= s
+    return kept[::-1]
 
 
 def is_connected(b: BuildingSet) -> bool:

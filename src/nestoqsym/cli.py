@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import qsym
-from .bitsets import bits, mask_of
+from .bitsets import bits
 from .buildset import (
     BuildingSet,
     from_graph,
@@ -105,16 +105,17 @@ def _load_building_set(spec: str, add_singletons: bool) -> BuildingSet:
 
 
 def _parse_vertex_list(text: str, n: int) -> int:
-    verts = []
+    """The mask of a comma-separated list of distinct vertices of 1..n; an
+    empty token or a repeat is refused, not dropped."""
+    mask = 0
     for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        v = _natural(tok, "vertex")
+        v = _natural(tok.strip(), "vertex")
         if not 1 <= v <= n:
             raise InputError(f"vertex {v} out of range 1..{n}")
-        verts.append(v - 1)
-    return mask_of(verts)
+        if mask >> v - 1 & 1:
+            raise InputError(f"vertex {v} is listed twice in {text!r}")
+        mask |= 1 << v - 1
+    return mask
 
 
 ROUTES = {

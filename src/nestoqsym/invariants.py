@@ -4,8 +4,8 @@ The four routes to the same quasisymmetric function:
 
   * F_splitting       -- counts splitting chains of the building set, packed,
                          each last block meeting each component at most once
-                         (_flag_counts; bitsets.flag_walk lists them for
-                         splitting_chains by the flag condition),
+                         (BuildingSet.lowest; _flag_counts counts them and
+                         bitsets.flag_walk lists them for splitting_chains),
   * F_btree_route     -- sums tree enumerators over the B-trees at vertices,
   * F_graph_colorings -- counts ordered colorings of the graph,
   * F_graph_recurrence -- vertex-deletion recurrence with a shift.
@@ -15,9 +15,9 @@ All four routes, the family recurrences and F_of_hopf hold F as one int, a
 is a bit shift (`_shift`), and products go through one bounded memo shared
 by every call (`_product`).  The recurrence (`_recurrence`) needs only one
 component of each restriction, so it serves building sets too: F_of_hopf
-runs it on every factor of a word of building sets, with a component of the
-building set in place of the graph's (which graphs._lowest_component reads
-off a neighbourhood table).  Its memo is per call.  F and X of an induced
+runs it on every factor of a word of building sets, with the factor's
+component table (BuildingSet.lowest) in place of the graph's neighbourhood
+table (graphs._lowest_component).  Its memo is per call.  F and X of an induced
 subgraph depend only on that subgraph, so both also go in one memo shared
 by every call (`_SUBGRAPHS`), capped at 8,192 entries and keyed on the
 subgraph's edge code in the labels of the graph (graphs._pairs_within): a
@@ -36,9 +36,9 @@ tree_multiset, each times one packed listing per shape (_descents), memoized
 like the shapes' tree enumerators; no vertex's tree is listed.
 
 Disconnected inputs reduce to component products everywhere (the enumerator
-is multiplicative); splitting chains are listed by the verbatim flag
-condition and counted by its component form, which agree with the
-component product without a connectedness hypothesis.
+is multiplicative); splitting chains are listed and counted by the
+component form of the flag condition, which agrees with the component
+product without a connectedness hypothesis.
 
 Everything is pure and exact (no floating point anywhere).
 """
@@ -59,8 +59,8 @@ from .buildset import (
     BuildingSet,
     HopfElement,
     OrderedSetPartition,
-    _components_in,
     components,
+    components_within,
     coproduct,
     from_graph,
     is_connected,
@@ -110,39 +110,13 @@ from .qsym import (
 # ---------------------------------------------------------------------------
 # splitting chains
 
-def _discrete_step(b: BuildingSet):
-    """The flag condition as admissible(done, block): (B restricted to
-    done | block) / done is discrete iff no member inside done | block meets
-    block in two or more vertices.  Members of two or more vertices are
-    scanned smallest first; a one-vertex block passes without a scan.
-    splitting_chains' predicate; the count reads components (_splitting_ends)."""
-    wide = sorted((s for s in b.sets if s & (s - 1)), key=int.bit_count)
-
-    def admissible(done: int, block: int) -> bool:
-        if block & (block - 1):
-            inside = done | block
-            for s in wide:
-                meet = s & block
-                if meet & (meet - 1) and s & ~inside == 0:
-                    return False
-        return True
-
-    return admissible
-
-
 def _splitting_ends(b: BuildingSet):
     """ends(U) of route 1 for _flag_counts.  A member inside U lies in one
     component of B|U, and the components are members, so U's last block
     meets each component in at most one vertex: one or none of each
     component of two or more vertices (the rests are U minus each such
-    choice) and any subset of the one-vertex components (free).  low[U],
-    the component of B|U holding U's lowest vertex, is U when U is a
-    member, else the largest low[U - v] over U's other vertices v."""
-    low = [0] * (1 << b.n)
-    for s in b.sets:
-        low[s] = s
-    for U in range(1, 1 << b.n):
-        low[U] = low[U] or max([low[U ^ v] for v in singletons(U & U - 1)])
+    choice) and any subset of the one-vertex components (free)."""
+    low = b.lowest
 
     def ends(U: int) -> tuple:
         rests, free, left = [U], 0, U
@@ -159,9 +133,14 @@ def _splitting_ends(b: BuildingSet):
 
 
 def splitting_chains(b: BuildingSet) -> list:
-    """Every splitting chain, as the ordered set partition of its steps."""
+    """Every splitting chain, as the ordered set partition of its steps:
+    each block meets each component of B|(done | block) at most once."""
     check_limit("splitting chains", b.n)
-    chains = flag_walk(b.n, _discrete_step(b), key=int)
+
+    def admissible(done: int, block: int) -> bool:
+        return all((c & block).bit_count() < 2 for c in components_within(b, done | block))
+
+    chains = flag_walk(b.n, admissible, key=int)
     return [OrderedSetPartition(b.n, blocks) for blocks in chains]
 
 
@@ -807,7 +786,7 @@ def F_of_hopf(h: HopfElement) -> QSymElement:
 
     Each distinct factor runs the recurrence once per call (memoized across
     calls on at most _SHARED_W vertices), over the components of the
-    building set (the first that `_components_in` yields), and the factors
+    building set (the lowest, read off BuildingSet.lowest), and the factors
     multiply through the product memo the graph route uses.  Words with
     equal packed products add their coefficients first, so each distinct
     product is decoded once.  F of a word is F of the product building
@@ -839,7 +818,7 @@ def F_of_hopf(h: HopfElement) -> QSymElement:
 @_gated_memo(lambda factor: factor.n <= _SHARED_W, 1024)
 def _factor_F(factor: BuildingSet) -> int:
     """Packed F of one factor, by the recurrence over its components."""
-    return _recurrence(factor.n, lambda mask: next(_components_in(factor, mask)))
+    return _recurrence(factor.n, factor.lowest.__getitem__)
 
 
 def hopf_morphism_check(b: BuildingSet) -> dict:

@@ -5,10 +5,10 @@ the maximal ones; both come from one root-block decomposition (Postnikov,
 "Permutohedra, associahedra, and beyond", 2009, section 7).  A nested set
 of a connected B|S that leaves S out has top-level members covering S - R
 for a nonempty root block R, and those members are exactly the components
-of B|(S - R); see `_nested`.  Disconnected building sets are handled
-directly: members of B_max are excluded from nested sets, and
-cross-component unions are never in B, so the complex is the join of the
-component complexes (faces of product polytopes multiply).
+of B|(S - R) (`buildset.components_within`); see `_nested`.  Disconnected
+building sets are handled directly: members of B_max are excluded from
+nested sets, and cross-component unions are never in B, so the complex is
+the join of the component complexes (faces of product polytopes multiply).
 
 Each vertex's B-tree and coordinates come from one cover map (`_vertex`)
 and mu(B|I) from the building set's table (`BuildingSet.mu_inside`).
@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .bitsets import flag_walk, nonempty_submasks, singletons
-from .buildset import BuildingSet, _components_in, is_connected, maximal_members
+from .buildset import BuildingSet, components_within, is_connected, maximal_members
 from .errors import InputError, check_int, check_limit
 
 
@@ -86,7 +86,7 @@ def _nested(b: BuildingSet, blocks) -> list:
         below[S] = []
         for R in blocks(S):
             fams = [()]
-            for C in _components_in(b, S & ~R):
+            for C in components_within(b, S & ~R):
                 fams = [f + (C,) + g for f in fams for g in below[C]]
             below[S] += fams
     fams = [()]
@@ -118,7 +118,7 @@ def nested_sets_by_size(b: BuildingSet) -> tuple:
         below[S] = counts = [0] * S.bit_count()
         for R in nonempty_submasks(S):
             p = [1]
-            for C in _components_in(b, S & ~R):
+            for C in components_within(b, S & ~R):
                 p = _times(p, [0] + below[C])
             for k, c in enumerate(p):
                 counts[k] += c

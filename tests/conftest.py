@@ -70,6 +70,20 @@ def graphs(draw, max_n=6):
     return graph_from_edges(n, edges)
 
 
+def components_by_size(b, mask):
+    """Oracle of the components of building set b on mask: its members
+    inside mask by decreasing size, each kept if it misses those kept
+    before."""
+    kept, covered = [], 0
+    for s in sorted(b.sets, key=int.bit_count, reverse=True):
+        if not s & ~mask and not s & covered:
+            kept.append(s)
+            covered |= s
+            if covered == mask:
+                break
+    return kept
+
+
 def naive_components(g, mask):
     """Components of g on mask by a vertex-at-a-time search, lowest first."""
     comps, seen = [], set()

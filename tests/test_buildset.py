@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from conftest import graphs
+from conftest import components_by_size, graphs
 from nestoqsym.bitsets import (
     bits,
     compress,
@@ -21,10 +21,10 @@ from nestoqsym.bitsets import (
 from nestoqsym.buildset import (
     BuildingSet,
     HopfElement,
-    _components_in,
     _minor,
     building_set,
     components,
+    components_within,
     contraction,
     coproduct,
     discrete_building_set,
@@ -44,6 +44,7 @@ from nestoqsym.errors import InputError, NotABuildingSetError, ParseError
 from nestoqsym.graphs import (
     FAMILY_KINDS,
     _components_within,
+    _lowest_component,
     contract,
     enumerate_graphs,
     family,
@@ -139,19 +140,6 @@ def _minor_by_positions(b, inside, contracted):
     return BuildingSet(len(verts), tuple(sorted(out)))
 
 
-def _components_by_size(b, mask):
-    """Oracle: members inside mask by decreasing size, each kept if it
-    misses those kept before."""
-    kept, covered = [], 0
-    for s in sorted(b.sets, key=int.bit_count, reverse=True):
-        if not s & ~mask and not s & covered:
-            kept.append(s)
-            covered |= s
-            if covered == mask:
-                break
-    return kept
-
-
 MINOR_CASES = random_building_sets(40, max_n=5) + [
     from_graph(g) for n in range(1, 6) for g in enumerate_graphs(n)
 ]
@@ -169,12 +157,21 @@ def test_minor_matches_the_position_dict_oracle():
     assert len(MINOR_CASES) == 92 and pairs == 15_402
 
 
-def test_components_in_matches_the_size_order_oracle():
+def test_components_within_matches_the_size_order_oracle():
     for b in MINOR_CASES + [BuildingSet(0, ())]:
+        assert len(b.lowest) == 1 << b.n
         for mask in range(1 << b.n):
-            # the same components, listed by decreasing mask
-            oracle = sorted(_components_by_size(b, mask), reverse=True)
-            assert list(_components_in(b, mask)) == oracle
+            # the same components, listed by increasing lowest vertex
+            oracle = sorted(components_by_size(b, mask), key=lambda c: c & -c)
+            assert list(components_within(b, mask)) == oracle
+            assert b.lowest[mask] == (oracle[0] if mask else 0)
+
+
+def test_lowest_matches_the_graph_neighbourhood_table():
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            lowest = _lowest_component(g)
+            assert from_graph(g).lowest == [lowest(U) for U in range(1 << n)], g
 
 
 def test_components_examples():

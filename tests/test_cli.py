@@ -362,6 +362,12 @@ BAD_INPUTS = (
     ("buildset", "--sets", '{"n":2,"sets":[[1,"a"]]}'),
     ("buildset", "--sets", '{"n":3,"sets":[[1,2.5]]}'),
     ("buildset", "--sets", '{"n":2,"sets":[[1],[2]]}', "--restrict", "a"),
+    # an empty token or a repeated vertex is refused, not dropped
+    *(
+        ("buildset", "--sets", '{"n":2,"sets":[[1],[2]]}', flag, vertices)
+        for flag in ("--restrict", "--contract")
+        for vertices in ("1,,2", "2,2", "1,", "")
+    ),
     ("collide", "--n", "0"),
     ("trees", "--n", "0"),
     ("antipode", "--qsym", "M[,2]"),

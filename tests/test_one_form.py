@@ -120,11 +120,12 @@ def test_one_flag_walk():
         # code), where flag_walk keeps a list of key sequences.  Each route
         # hands it the last blocks of each covered set, and it walks the
         # submasks of their free part: route 1's blocks meet each
-        # component at most once, so it tests no block and reaches 3^n
-        # terms only on the discrete set (star:11 4.3 -> 0.02 s, and
-        # discrete:11 0.126 -> 0.088 s, against the flag predicate tested
-        # on every block); flag_walk keeps the two listings (splitting
-        # chains, linear extensions).
+        # component of B|U (BuildingSet.lowest) at most once, so it tests
+        # no block and reaches 3^n terms only on the discrete set (star:11
+        # 4.3 -> 0.02 s, and discrete:11 0.126 -> 0.088 s, against a member
+        # scan tested on every block); flag_walk keeps the two listings
+        # (splitting chains, which test each block on the same table, and
+        # linear extensions).
         ("invariants", "_flag_counts"),
         # Not a walk over set partitions: _nested's root-block decomposition
         # (whose blocks come in as a parameter), counting sizes instead of
