@@ -22,8 +22,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .bitsets import bits, compress, compress_tables, mask_of, nonempty_submasks, singletons
-from .errors import InputError, NotABuildingSetError, ParseError, check_int, check_limit
-from .graphs import Graph, _lowest_component, json_int, load_json
+from .errors import (
+    InputError, NotABuildingSetError, ParseError, check_int, check_limit, json_int, load_json
+)
+from .graphs import Graph, _lowest_component
 from .qsym import Combination
 
 

@@ -2,11 +2,12 @@
 
 The CLI maps the exceptions onto exit codes.  Every route is a sum over an
 exponentially large structure, so each runs only up to a limit on its size;
-LIMITS holds every such limit with what it caps and why it sits there, and
-check_limit is the one place that raises CapacityError.  check_int refuses
-the non-integers (floats, bools, strings) a public constructor is handed.
+LIMITS holds every such limit with what it caps and why, and check_limit is
+the one place that raises CapacityError.  check_int refuses a float, bool or
+string; load_json and json_int raise ParseError on JSON that does not parse.
 """
 
+import json
 from typing import NamedTuple
 
 
@@ -30,6 +31,28 @@ class NotABuildingSetError(InputError):
 
 class CapacityError(RuntimeError):
     """A limit of LIMITS was exceeded; names the limit, the value and why."""
+
+
+def load_json(text: str):
+    """json.loads whose every failure is a ParseError: malformed text, nesting
+    too deep for the decoder, integers past the interpreter's digit limit."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON: {e.msg}", e.pos) from e
+    except ValueError as e:
+        raise ParseError("invalid JSON: an integer has too many digits", 0) from e
+    except RecursionError as e:
+        raise ParseError("invalid JSON: nested too deeply", 0) from e
+
+
+def json_int(value, what: str, position) -> int:
+    """A JSON count or vertex: strings, fractions, booleans and negatives fail."""
+    if type(value) is not int or value < 0:
+        raise ParseError(
+            f"{what} must be a non-negative integer, got {json.dumps(value)}", position
+        )
+    return value
 
 
 def check_int(value, what: str) -> int:

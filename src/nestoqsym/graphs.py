@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .bitsets import bits, compress, mask_of
-from .errors import InputError, ParseError, check_int, check_limit
+from .errors import InputError, ParseError, check_int, check_limit, json_int, load_json
 
 
 @dataclass(frozen=True)
@@ -320,7 +320,9 @@ def canonical_form(g: Graph) -> CanonicalForm:
 
 
 def permuted(g: Graph, sigma) -> Graph:
-    """Relabel: vertex v becomes sigma[v]."""
+    """Relabel: vertex v becomes sigma[v], for sigma a permutation of range(n)."""
+    if sorted(check_int(s, "permutation entry") for s in sigma) != list(range(g.n)):
+        raise InputError(f"{list(sigma)} is not a permutation of range({g.n})")
     adj = [0] * g.n
     for v in range(g.n):
         for u in bits(g.adj[v]):
@@ -409,28 +411,6 @@ def from_graph6(s: str) -> Graph:
             elif bit:
                 raise ParseError("nonzero graph6 padding bits", idx + 1)
     return _graph_from_code(n, code)
-
-
-def load_json(text: str):
-    """json.loads whose every failure is a ParseError: malformed text, nesting
-    too deep for the decoder, integers past the interpreter's digit limit."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e.msg}", e.pos) from e
-    except ValueError as e:
-        raise ParseError("invalid JSON: an integer has too many digits", 0) from e
-    except RecursionError as e:
-        raise ParseError("invalid JSON: nested too deeply", 0) from e
-
-
-def json_int(value, what: str, position) -> int:
-    """A JSON count or vertex: strings, fractions, booleans and negatives fail."""
-    if type(value) is not int or value < 0:
-        raise ParseError(
-            f"{what} must be a non-negative integer, got {json.dumps(value)}", position
-        )
-    return value
 
 
 def parse_graph(text: str) -> Graph:

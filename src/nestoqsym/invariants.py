@@ -84,7 +84,7 @@ from .graphs import (
 from .nestopoly import (
     TreeShape,
     _forest,
-    _one_tree,
+    _read,
     child_codes,
     enumerate_tree_shapes,
     forest_shapes,
@@ -249,8 +249,8 @@ def _f_shape(code: str) -> int:
 def F_tree(tree) -> QSymElement:
     """Enumerator of strictly root-increasing maps on a tree or forest."""
     if isinstance(tree, TreeShape):
-        shapes = (_one_tree(tree),)
-        check_limit("tree enumerators", tree.size)
+        check_limit("tree enumerators", len(_read(tree)[0]))
+        shapes = (tree,)
     else:
         shapes = forest_shapes(_forest(tree, "tree enumerators"))
     return QSymElement("M", _terms(*_fold((_f_shape(sh.code), sh.size) for sh in shapes)))

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate
 
 from .bitsets import flag_walk, nonempty_submasks, singletons
 from .buildset import BuildingSet, components_within, is_connected, maximal_members
@@ -285,15 +283,27 @@ class TreeShape:
         return self.code.count("(")
 
 
-def _one_tree(shape: TreeShape) -> TreeShape:
-    """shape, once its code is checked to be one tree: a string of
-    parentheses whose depth returns to 0 at the end and nowhere before."""
+def _read(shape: TreeShape) -> tuple:
+    """(parent, span) of a shape code's vertices in preorder, in one pass:
+    each "(" opens a vertex under the innermost open one, and code[span[v]]
+    is v's own code.  Anything but one rooted tree is refused."""
     code = shape.code
-    if type(code) is str and set(code) <= set("()"):
-        depths = list(accumulate(1 if c == "(" else -1 for c in code))
-        if depths[-1:] == [0] and min(depths[:-1], default=1) > 0:
-            return shape
-    raise InputError(f"tree shape code {shape.code!r} is not one rooted tree")
+    if type(code) is str:
+        parent, span, v = [], [], None  # v: the innermost open vertex
+        for i, c in enumerate(code):
+            if c == "(" and (v is not None or i == 0):
+                parent.append(v)
+                v = len(span)
+                span.append(i)
+            elif c == ")" and v is not None:
+                span[v] = slice(span[v], i + 1)
+                v = parent[v]
+            else:
+                break
+        else:
+            if parent and v is None:
+                return tuple(parent), span
+    raise InputError(f"tree shape code {code!r} is not one rooted tree")
 
 
 def shape_of(tree: BTree) -> TreeShape:
@@ -315,30 +325,16 @@ def forest_shapes(tree: BTree) -> tuple:
 
 
 def child_codes(shape: TreeShape) -> list:
-    """Top-level subtree codes of a shape code."""
-    inner = shape.code[1:-1]
-    out, depth, start = [], 0, 0
-    for i, c in enumerate(inner):
-        depth += 1 if c == "(" else -1
-        if depth == 0:
-            out.append(inner[start : i + 1])
-            start = i + 1
-    return out
+    """Top-level subtree codes of a shape code, in order."""
+    parent, span = _read(shape)
+    return [shape.code[sp] for p, sp in zip(parent, span) if p == 0]
 
 
 def shape_tree(shape: TreeShape) -> BTree:
-    """A tree of the given shape: the root is vertex 0, and each child's
-    subtree follows its parent in child_codes order (preorder)."""
-    parent = []
-
-    def grow(code: str, up):
-        v = len(parent)
-        parent.append(up)
-        for kid in child_codes(TreeShape(code)):
-            grow(kid, v)
-
-    grow(shape.code, None)
-    return BTree(len(parent), tuple(parent))
+    """A tree of the given shape, its vertices in the preorder of the code:
+    the root is 0, and each child's subtree follows its parent in order."""
+    parent = _read(shape)[0]
+    return BTree(len(parent), parent)
 
 
 def tree_multiset(b: BuildingSet) -> Counter:
@@ -354,7 +350,6 @@ def tree_multiset(b: BuildingSet) -> Counter:
     return out
 
 
-@lru_cache(maxsize=None)
 def enumerate_tree_shapes(n: int) -> tuple:
     """All unlabeled rooted trees on n nodes, each once, sorted: a root over
     each forest on n - 1 nodes, forests being nondecreasing tuples of tree

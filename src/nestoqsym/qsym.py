@@ -25,8 +25,7 @@ from itertools import accumulate, combinations
 from math import factorial
 
 from .bitsets import bits, submasks
-from .errors import InputError, ParseError, check_int, check_limit
-from .graphs import json_int, load_json
+from .errors import InputError, ParseError, check_int, check_limit, json_int, load_json
 
 # A composition is a tuple of ints >= 1; () is the unique composition of 0.
 Composition = tuple

@@ -368,8 +368,10 @@ BAD_INPUTS = (
         for flag in ("--restrict", "--contract")
         for vertices in ("1,,2", "2,2", "1,", "")
     ),
+    ("buildset", "--sets", '{"n":5,"sets":[]}', "--restrict", "9"),
     ("collide", "--n", "0"),
     ("trees", "--n", "0"),
+    ("polytope", "--family", "pe", "--n", "-1"),
     ("antipode", "--qsym", "M[,2]"),
     ("antipode", "--qsym", "M[1,,2]"),
     ("antipode", "--qsym", '{"basis":"M","terms":[{"comp":["a"],"coeff":1}]}'),
@@ -378,6 +380,29 @@ BAD_INPUTS = (
     ("antipode", "--qsym", '{"basis":"M","terms":[{"comp":5,"coeff":1}]}'),
     ("antipode", "--qsym", '{"basis":"M","terms":[{"comp":[1.5],"coeff":1}]}'),
 )
+
+
+# (argv, the text of the file FILE names, exit code, stdout, stderr)
+FILE_INPUTS = (
+    (("invariant", "--graph", "FILE"), '{"n":3,"edges":[[1,2],[2,3]]}', 0,
+     "recurrence: M[2,1] + 6*M[1,1,1]\n", ""),
+    (("buildset", "--sets", "FILE"), '{"n":3,"sets":[[1,2],[1,2,3]]}', 0,
+     '{"n": 3, "sets": [[1], [2], [1, 2], [3], [1, 2, 3]]}\n', ""),
+    (("fvector", "--graph", "FILE"), "A_\nBw\n", 2,
+     "", "input error: fvector expects a single graph\n"),
+)
+
+
+@pytest.mark.parametrize(
+    "argv, text, want_code, want_out, want_err",
+    FILE_INPUTS,
+    ids=["invariant JSON graph file", "buildset file", "fvector two-graph file"],
+)
+def test_file_inputs(capsys, tmp_path, argv, text, want_code, want_out, want_err):
+    f = tmp_path / "input"
+    f.write_text(text)
+    got = run(capsys, *(str(f) if a == "FILE" else a for a in argv))
+    assert got == (want_code, want_out, want_err)
 
 
 def test_malformed_inputs_exit_cleanly(capsys, tmp_path):

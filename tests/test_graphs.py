@@ -240,6 +240,19 @@ def test_canonical_form_is_invariant(g, rnd):
     assert canonical_form(g) == canonical_form(permuted(g, sigma))
 
 
+@pytest.mark.parametrize(
+    "sigma",
+    [[0, 0, 1], [True, 0, 2], [0, 1], [0.0, 1, 2], [0, 1, 3]],
+    ids=["repeat", "bool", "short", "float", "out of range"],
+)
+def test_permuted_refuses_what_is_not_a_permutation(sigma):
+    # [0, 0, 1] gave a one-edge graph and [True, 0, 2] was read as [1, 0, 2];
+    # [0, 1] and [0, 1, 3] raised IndexError, [0.0, 1, 2] TypeError
+    assert permuted(family("path", 3), [1, 0, 2]).edges() == [(0, 1), (0, 2)]
+    with pytest.raises(InputError, match="permutation"):
+        permuted(family("path", 3), sigma)
+
+
 def _exhaustive_min_code(n, edges):
     """Oracle: the smallest column-major edge code over all n! relabelings."""
     best = 0 if not edges else None

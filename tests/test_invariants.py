@@ -401,12 +401,15 @@ def test_F_tree_caps_a_shape_like_a_tree():
     )
 
 
-@pytest.mark.parametrize("code", ["(()", "())", "()()", ")(", "", "(x)", "(()))("])
+@pytest.mark.parametrize("code", ["(()", "())", "()()", ")(", "", "(x)", "(()))(", "x", "(a)", 7])
 def test_F_tree_refuses_a_code_that_is_not_one_tree(code):
-    # "(()" was read as a 2-node tree, M[2]
+    # F_tree read "(()" as a 2-node tree, M[2]; shape_tree read "()()" as a
+    # chain and "" as one vertex, child_codes split "()()" into [")("], and
+    # both raised TypeError on 7
     assert F_tree(TreeShape("(()())")) == F_tree(BTree(3, (None, 0, 0)))
-    with pytest.raises(InputError, match="not one rooted tree"):
-        F_tree(TreeShape(code))
+    for read in (F_tree, shape_tree, child_codes):
+        with pytest.raises(InputError, match="not one rooted tree"):
+            read(TreeShape(code))
 
 
 def test_random_building_sets_refuses_max_n_below_2():

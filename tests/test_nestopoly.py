@@ -526,11 +526,10 @@ def oracle_tree_count(n):
 
 def test_tree_shape_and_face_tables_do_not_outlive_the_call():
     # The tables are a call's locals, in no reference cycle, so they are
-    # freed on return with the collector off.  enumerate_tree_shapes keeps
-    # its results, so its uncached body is measured.
+    # freed on return with the collector off.
     K8 = from_graph(family("complete", 8))
     calls = [
-        lambda: len(enumerate_tree_shapes.__wrapped__(12)) == 4766,
+        lambda: len(enumerate_tree_shapes(12)) == 4766,
         lambda: nested_sets_by_size(K8)[-1] == 40320,  # the permutohedron's 8! vertices
     ]
     for call in calls:

@@ -178,7 +178,6 @@ def test_recursive_closures_skip_states():
         ("invariants", "_recurrence.rec"),
         # Walks down one tree, each vertex once, with no memo.
         ("nestopoly", "forest_shapes.code"),
-        ("nestopoly", "shape_tree.grow"),
     ]
 
 
@@ -306,7 +305,6 @@ MEMOS = {
     ("invariants", "_partitions"): "chromatic",
     ("invariants", "_product"): 1024,
     ("invariants", "_splitting"): 1024,
-    ("nestopoly", "enumerate_tree_shapes"): "tree shapes",
     ("qsym", "_body"): 1024,
     ("qsym", "_coarsenings"): 256,
     ("qsym", "_deconcatenations"): 1024,
@@ -336,3 +334,27 @@ def test_module_memos_are_listed():
             assert getattr(mod, f"{name}_MAXSIZE") == bound
         else:
             assert len(memo) == bound
+
+
+# ---------------------------------------------------------------------------
+# the QSym kernel stands on bit sets and errors alone
+
+
+def _package_imports(module: str) -> set:
+    """The modules of the package that module imports, relatively or by name."""
+    out = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "nestoqsym" if node.level else ""
+            names = [".".join(filter(None, (base, node.module, a.name))) for a in node.names]
+        else:
+            continue
+        out |= {name.split(".")[1] for name in names if name.startswith("nestoqsym.")}
+    return out
+
+
+def test_qsym_imports_only_bitsets_and_errors():
+    # qsym imported graphs for its two JSON helpers, now in errors
+    assert _package_imports("qsym") == {"bitsets", "errors"}

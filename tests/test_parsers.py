@@ -13,9 +13,23 @@ import pytest
 from hypothesis import given, settings
 
 from nestoqsym import qsym
-from nestoqsym.buildset import building_set, discrete_building_set, parse_building_set, validate
+from nestoqsym.buildset import (
+    OrderedSetPartition,
+    building_set,
+    discrete_building_set,
+    parse_building_set,
+    validate,
+)
 from nestoqsym.errors import LIMITS, CapacityError, InputError
-from nestoqsym.graphs import enumerate_graphs, family, is_q_connected, parse_graph
+from nestoqsym.graphs import (
+    enumerate_graphs,
+    family,
+    from_graph6,
+    graph_from_edges,
+    is_q_connected,
+    parse_graph,
+    serialize_graph,
+)
 from nestoqsym.invariants import (
     F_tree,
     collision_search,
@@ -24,7 +38,14 @@ from nestoqsym.invariants import (
     random_building_sets,
     tree_matrix_kernel,
 )
-from nestoqsym.nestopoly import TreeShape, enumerate_tree_shapes
+from nestoqsym.nestopoly import (
+    BTree,
+    TreeShape,
+    b_tree,
+    enumerate_tree_shapes,
+    shape_of,
+    vertex_coordinates,
+)
 
 KEYS = ("n", "edges", "sets", "basis", "terms", "comp", "coeff")
 
@@ -160,3 +181,62 @@ def test_tree_shape_code_must_be_a_string():
     # raised AttributeError
     with pytest.raises(InputError, match="not one rooted tree"):
         F_tree(TreeShape(5))
+
+
+M, L = qsym.monomial((1,)), qsym.fundamental((1,))
+
+# Refusals the parsers never reach: each public call below refuses its
+# argument with this message.
+REFUSALS = {
+    "edge out of range": (lambda: graph_from_edges(2, [(0, 2)]), "edge (1,3) out of range 1..2"),
+    "loop edge": (lambda: graph_from_edges(2, [(1, 1)]), "loop edge at vertex 2"),
+    "graph6 multi-byte size": (
+        lambda: from_graph6("~??~"),
+        "multi-byte graph6 vertex counts are not supported (at position 0)",
+    ),
+    "graph format": (
+        lambda: serialize_graph(family("path", 2), "dot"), "unknown graph format 'dot'"
+    ),
+    "empty block": (
+        lambda: OrderedSetPartition(2, (0, 3)), "ordered set partition blocks must be nonempty"
+    ),
+    "overlapping blocks": (
+        lambda: OrderedSetPartition(2, (1, 3)), "ordered set partition blocks must be disjoint"
+    ),
+    "blocks short of the ground set": (
+        lambda: OrderedSetPartition(2, (1,)), "ordered set partition must cover the ground set"
+    ),
+    "negative weight": (lambda: qsym.code_table(-1), "negative weight -1"),
+    "plus int": (lambda: M + 1, "cannot add 1 to a quasisymmetric function"),
+    "plus other basis": (lambda: M + L, "basis mismatch: M vs L; convert first"),
+    "shift1 of L": (lambda: qsym.shift1(L), "shift1 is defined on the M basis"),
+    "coproduct of L": (lambda: qsym.coproduct(L), "coproduct is defined on the M basis"),
+    "tensor_product of L": (
+        lambda: qsym.tensor_product(L, M), "tensor_product requires M-basis operands"
+    ),
+    "to_fundamental of L": (
+        lambda: qsym.to_fundamental(L), "to_fundamental expects an M-basis element"
+    ),
+    "from_fundamental of M": (
+        lambda: qsym.from_fundamental(M), "from_fundamental expects an L-basis element"
+    ),
+    "coordinates of a disconnected set": (
+        lambda: vertex_coordinates(discrete_building_set(2), [1]),
+        "this computation requires a connected building set",
+    ),
+    "B-tree of a disconnected set": (
+        lambda: b_tree(discrete_building_set(2), [1]),
+        "this computation requires a connected building set",
+    ),
+    "shape of a forest": (
+        lambda: shape_of(BTree(2, (None, None))), "shape_of expects a single-rooted tree"
+    ),
+    "negative family index": (lambda: family_F("pe", -1), "family index must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS)
+def test_library_refusals(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message
