@@ -253,11 +253,12 @@ def hopf_word(factors) -> tuple:
     return tuple(sorted(factors, key=_bs_key))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, slots=True)
 class HopfElement(Combination):
     """Formal integer combination of product words of building sets."""
 
-    terms: tuple  # ((word, coeff), ...) sorted by word keys
+    keys: tuple  # words, sorted by their factors' keys
+    coeffs: tuple
 
     sort_key = staticmethod(lambda word: tuple(map(_bs_key, word)))
 
@@ -310,7 +311,10 @@ def takeuchi_antipode(b: BuildingSet) -> HopfElement:
     rank = {ids[key]: r for r, key in enumerate(keys)}
     words = {tuple(sorted([rank[i] for i in w])): c for w, c in rest[0].items()}
     factors = [BuildingSet(*key) for key in keys]
-    return HopfElement(tuple([(tuple([factors[r] for r in w]), words[w]) for w in sorted(words)]))
+    order = sorted(words)
+    return HopfElement(
+        tuple([tuple([factors[r] for r in w]) for w in order]), tuple([words[w] for w in order])
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -208,7 +208,7 @@ def cmd_chromatic(args) -> int:
         X = chromatic_symmetric(g)
         payload = {
             "graph": json.loads(serialize_graph(g)),
-            "terms": [{"mu": list(mu), "coeff": c} for mu, c in X.terms],
+            "terms": [{"mu": list(mu), "coeff": c} for mu, c in zip(X.keys, X.coeffs)],
         }
         _emit(args, [str(X)], payload)
     return 0

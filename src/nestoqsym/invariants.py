@@ -170,21 +170,26 @@ _SHARED_W = 6  # F is shared on at most 6 vertices, at most 256 bytes a value
 # terms, about 4 KB; full, 0.8 MiB after those inputs (tracemalloc).
 @_gated_memo(lambda b: b.n <= _SHARED_W, 1024)
 def _splitting(b: BuildingSet) -> QSymElement:
-    return QSymElement("M", _terms(_flag_counts(b.n, _splitting_ends(b)), b.n))
+    return QSymElement("M", *_terms(_flag_counts(b.n, _splitting_ends(b)), b.n))
 
 
 # ---------------------------------------------------------------------------
 # packed enumerators
 
 def _terms(value: int, w: int) -> tuple:
-    """The (composition, coeff) pairs of F on w vertices packed into one int,
-    64-bit slot i holding the coefficient of the composition with code i
+    """(keys, coeffs) of F on w vertices packed into one int, 64-bit slot i
+    holding the coefficient of the composition with code i
     (qsym.code_table).  A coefficient counts ordered set partitions of one
     type, so it is at most w! < 2^64, as code_table refuses w > 17: slots
     never carry.  The nonzero slots are read in code_table's term order,
-    so an element built on the pairs needs no sort."""
+    so an element built on the two tuples needs no sort, and its keys are
+    code_table's compositions."""
     slots = memoryview(value.to_bytes(8 << max(w - 1, 0), sys.byteorder)).cast("Q")
-    return tuple([(alpha, c) for i, alpha in code_table(w)[2] if (c := slots[i])])
+    order = code_table(w)[2]
+    # two passes, no transient (key, coeff) pairs: pairs transposed by zip
+    # left about 0.2 MiB of freed tuples on the interpreter's free lists
+    keys = tuple([alpha for i, alpha in order if slots[i]])
+    return keys, tuple([c for i, _ in order if (c := slots[i])])
 
 
 def _shift(value: int, w: int) -> int:
@@ -223,7 +228,7 @@ def _product(a: int, u: int, b: int, v: int) -> int:
     code_of = code_table(u + v)[1]
     packed = bytearray(8 * len(code_of))
     slots = memoryview(packed).cast("Q")
-    for alpha, c in _mul_d(_terms(a, u), _terms(b, v)).items():
+    for alpha, c in _mul_d(zip(*_terms(a, u)), zip(*_terms(b, v))).items():
         slots[code_of[alpha]] = c
     return int.from_bytes(packed, sys.byteorder)
 
@@ -253,7 +258,7 @@ def F_tree(tree) -> QSymElement:
         shapes = (tree,)
     else:
         shapes = forest_shapes(_forest(tree, "tree enumerators"))
-    return QSymElement("M", _terms(*_fold((_f_shape(sh.code), sh.size) for sh in shapes)))
+    return QSymElement("M", *_terms(*_fold((_f_shape(sh.code), sh.size) for sh in shapes)))
 
 
 def F_btree_route(b: BuildingSet) -> QSymElement:
@@ -262,7 +267,7 @@ def F_btree_route(b: BuildingSet) -> QSymElement:
         (sum(mult * _f_shape(sh.code) for sh, mult in tree_multiset(comp).items()), comp.n)
         for _, comp in components(b)
     ]
-    return QSymElement("M", _terms(*_fold(sums)))
+    return QSymElement("M", *_terms(*_fold(sums)))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +298,7 @@ def F_graph_colorings(g: Graph) -> QSymElement:
             rec(tuple(new_adj), rest, code)
 
     rec(g.adj, (1 << n) - 1, 0)
-    return QSymElement("M", _terms(sum([c << 64 * code for code, c in enumerate(count)]), n))
+    return QSymElement("M", *_terms(sum([c << 64 * code for code, c in enumerate(count)]), n))
 
 
 # F and X of induced subgraphs, shared by every call (see _recurrence and
@@ -368,7 +373,7 @@ def _packed_F(g: Graph) -> int:
 
 def F_graph_recurrence(g: Graph) -> QSymElement:
     """Vertex-deletion recurrence over the components of induced subgraphs."""
-    return QSymElement("M", _terms(_packed_F(g), g.n))
+    return QSymElement("M", *_terms(_packed_F(g), g.n))
 
 
 def F_graph(g: Graph) -> QSymElement:
@@ -402,7 +407,7 @@ def F_fundamental(b: BuildingSet) -> QSymElement:
     if b.n == 0:
         return qsym.one("L")  # one vertex, whose empty B-tree has no shape
     value = sum(mult * _descents(sh.code) for sh, mult in tree_multiset(b).items())
-    return QSymElement("L", _terms(value, b.n))
+    return QSymElement("L", *_terms(value, b.n))
 
 
 def F_star(b: BuildingSet) -> QSymElement:
@@ -413,11 +418,12 @@ def F_star(b: BuildingSet) -> QSymElement:
 # ---------------------------------------------------------------------------
 # chromatic symmetric function
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, slots=True)
 class SymElement(qsym.Combination):
     """Integer combination of monomial symmetric functions m_mu."""
 
-    terms: tuple  # ((partition, coeff), ...) canonical order
+    keys: tuple  # partitions, in canonical order
+    coeffs: tuple
 
     basis = "m"  # a class attribute, not a field: read by qsym.render
     sort_key = staticmethod(qsym.term_key)
@@ -448,9 +454,9 @@ def chromatic_symmetric(g: Graph) -> SymElement:
     term order, so the terms need no decoding and no sort.
     """
     whole = _block_counts(g)
-    return SymElement(
-        tuple([(mu, c * ways) for key, mu, ways in _partitions(g.n) if (c := whole.get(key))])
-    )
+    parts = _partitions(g.n)
+    keys = tuple([mu for key, mu, _ in parts if key in whole])
+    return SymElement(keys, tuple([whole[key] * ways for key, _, ways in parts if key in whole]))
 
 
 @lru_cache(maxsize=None)
@@ -513,7 +519,7 @@ def ordered_colorings_by_type(g: Graph) -> dict:
         below = U ^ 1 << t
         indep.append(indep[below] + [s | 1 << t for s in indep[below & ~g.adj[t]]])
     ends = lambda U: ([U ^ s for s in indep[U]], 0)
-    return dict(_terms(_flag_counts(g.n, ends), g.n))
+    return dict(zip(*_terms(_flag_counts(g.n, ends), g.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +633,7 @@ def family_F(kind: str, n: int) -> QSymElement:
     if check_int(n, "family index") < 0:
         raise InputError("family index must be >= 0")
     check_limit("family", n)
-    return QSymElement("M", _terms(_family_packed(kind, n), n))
+    return QSymElement("M", *_terms(_family_packed(kind, n), n))
 
 
 def _family_packed(kind: str, n: int) -> int:
@@ -695,7 +701,7 @@ def tree_matrix_kernel(n: int) -> tuple:
     shapes = enumerate_tree_shapes(n)  # refuses n < 1
     rows, cols = [], compositions_of(n)
     for sh in shapes:
-        coeff = dict(_terms(_f_shape(sh.code), n))
+        coeff = dict(zip(*_terms(_f_shape(sh.code), n)))
         rows.append([coeff.get(alpha, 0) for alpha in cols])
     return _integer_kernel(rows)
 
@@ -759,7 +765,7 @@ def collision_search(n: int, invariant: str = "F", connected_only: bool = False)
     for g in graphs:
         groups.setdefault(value(g), []).append(g)
     # Only shared values are rendered: the groups are listed in text order.
-    text = (lambda v: qsym.render(QSymElement("M", _terms(v, n)))) if invariant == "F" else str
+    text = (lambda v: qsym.render(QSymElement("M", *_terms(v, n)))) if invariant == "F" else str
     shared = {text(v): grp for v, grp in groups.items() if len(grp) > 1}
     collisions = tuple(tuple(to_graph6(g) for g in shared[t]) for t in sorted(shared))
     f_separates = None
@@ -795,7 +801,7 @@ def F_of_hopf(h: HopfElement) -> QSymElement:
     refused before it runs.
     """
     by_factor, by_product = {}, {}
-    for word, c in h.terms:
+    for word, c in zip(h.keys, h.coeffs):
         pairs = []
         for factor in word:
             a = by_factor.get(factor)
@@ -808,7 +814,7 @@ def F_of_hopf(h: HopfElement) -> QSymElement:
         by_product[key] = by_product.get(key, 0) + c
     acc = {}
     for key, c in by_product.items():
-        for alpha, x in _terms(*key):
+        for alpha, x in zip(*_terms(*key)):
             acc[alpha] = acc.get(alpha, 0) + c * x
     return QSymElement.of(acc, basis="M")
 
@@ -850,7 +856,8 @@ def _coproduct_image(b: BuildingSet) -> QSymTensor:
     dict, sorted once (pairwise sums re-sort at every new key)."""
     acc = {}
     for _, left, right in coproduct(b):
-        for k, c in tensor_product(F_splitting(left), F_splitting(right)).terms:
+        piece = tensor_product(F_splitting(left), F_splitting(right))
+        for k, c in zip(piece.keys, piece.coeffs):
             acc[k] = acc.get(k, 0) + c
     return QSymTensor.of(acc)
 

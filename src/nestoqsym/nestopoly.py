@@ -286,10 +286,13 @@ class TreeShape:
 def _read(shape: TreeShape) -> tuple:
     """(parent, span) of a shape code's vertices in preorder, in one pass:
     each "(" opens a vertex under the innermost open one, and code[span[v]]
-    is v's own code.  Anything but one rooted tree is refused."""
+    is v's own code.  Anything but one rooted tree is refused, and so is a
+    tree whose children's codes are not in the sorted order forest_shapes
+    writes, since one tree has one code."""
     code = shape.code
     if type(code) is str:
         parent, span, v = [], [], None  # v: the innermost open vertex
+        last = {}  # last[v]: the code of v's last closed child
         for i, c in enumerate(code):
             if c == "(" and (v is not None or i == 0):
                 parent.append(v)
@@ -297,7 +300,13 @@ def _read(shape: TreeShape) -> tuple:
                 span.append(i)
             elif c == ")" and v is not None:
                 span[v] = slice(span[v], i + 1)
-                v = parent[v]
+                own, v = code[span[v]], parent[v]
+                if own < last.get(v, ""):
+                    raise InputError(
+                        f"tree shape code {code!r} is not canonical: "
+                        f"child {own} sorts below its previous sibling {last[v]}"
+                    )
+                last[v] = own
             else:
                 break
         else:

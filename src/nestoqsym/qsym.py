@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache, wraps
 from itertools import accumulate, combinations
 from math import factorial
@@ -163,63 +163,81 @@ class Combination:
     """A finite integer combination of keys, in one canonical form.
 
     QSym elements, coproduct tensors, symmetric functions and words of
-    building sets are all frozen dataclasses on this base.  Their ``terms``
-    field is a tuple of (key, coeff) pairs ordered by the subclass's
-    ``sort_key``, with no zero coefficient, so equality, hashing and
-    rendering are byte-stable.  Any other field (a QSymElement's basis)
+    building sets are all frozen dataclasses on this base.  Their last two
+    fields are parallel tuples: ``keys``, ordered by the subclass's
+    ``sort_key`` with no repeat, and ``coeffs``, the nonzero coefficient of
+    each key.  So equality, hashing and rendering are byte-stable, and a
+    term costs two tuple slots (16 bytes) beside its key and coefficient,
+    not a (key, coeff) pair object.  Any other field (a QSymElement's basis)
     passes through every operation unchanged.
     """
 
     __slots__ = ()
 
     @classmethod
-    def of(cls, d: dict, **fields):
+    def of(cls, d: dict, **extra):
         """The combination of a {key: coeff} dict, in canonical form."""
-        return cls(terms=cls._canonical(d), **fields)
+        keys, coeffs = cls._canonical(d)
+        return cls(keys=keys, coeffs=coeffs, **extra)
 
     @classmethod
     def _canonical(cls, d: dict) -> tuple:
-        """The nonzero terms of d, sorted by one sort_key call per term."""
+        """(keys, coeffs) of the nonzero terms of d, the keys sorted by one
+        sort_key call each."""
         keys = sorted((k for k, c in d.items() if c), key=cls.sort_key)
-        return tuple([(k, d[k]) for k in keys])
+        return tuple(keys), tuple([d[k] for k in keys])
+
+    @property
+    def terms(self) -> tuple:
+        """The (key, coeff) pairs in canonical order: a view built per read."""
+        return tuple(zip(self.keys, self.coeffs))
 
     def as_dict(self) -> dict:
-        return dict(self.terms)
+        return dict(zip(self.keys, self.coeffs))
 
     def coeff(self, key) -> int:
         key = tuple(key)
-        return next((c for k, c in self.terms if k == key), 0)
+        return next((c for k, c in zip(self.keys, self.coeffs) if k == key), 0)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.keys
 
     def __add__(self, other):
-        acc = dict(self.terms)
+        acc = dict(zip(self.keys, self.coeffs))
         size = len(acc)
-        for k, c in other.terms:
+        for k, c in zip(other.keys, other.coeffs):
             acc[k] = acc.get(k, 0) + c
-        if len(acc) > size:
-            return replace(self, terms=self._canonical(acc))
-        # no new key, so acc keeps self's term order: only its zeros go
-        return replace(self, terms=tuple([(k, c) for k, c in acc.items() if c]))
+        if len(acc) == size and all(acc.values()):
+            # no new key and no zero: acc keeps self's keys, in their order
+            return replace(self, coeffs=tuple(acc.values()))
+        keys, coeffs = self._canonical(acc)
+        return replace(self, keys=keys, coeffs=coeffs)
 
     def scale(self, c: int):
-        """c times the combination; the terms keep their order."""
+        """c times the combination; the keys keep their order."""
         check_int(c, "scalar")
-        terms = tuple([(k, c * v) for k, v in self.terms]) if c else ()
-        return replace(self, terms=terms)
+        if not c:
+            return replace(self, keys=(), coeffs=())
+        return replace(self, coeffs=tuple([c * v for v in self.coeffs]))
+
+    def __repr__(self):
+        """The dataclass form, with the pairs in one terms=(...) field."""
+        shown = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)[:-2]]
+        shown.append(f"terms={tuple(zip(self.keys, self.coeffs))!r}")
+        return f"{type(self).__qualname__}({', '.join(shown)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, slots=True)
 class QSymElement(Combination):
     """Immutable linear combination of M_alpha or L_alpha basis functions.
 
-    ``terms`` pairs compositions with coefficients in canonical term order;
-    inhomogeneous combinations are allowed.
+    ``keys`` are compositions in canonical term order, ``coeffs`` their
+    coefficients; inhomogeneous combinations are allowed.
     """
 
     basis: str
-    terms: tuple
+    keys: tuple
+    coeffs: tuple
 
     sort_key = staticmethod(term_key)
 
@@ -230,7 +248,8 @@ class QSymElement(Combination):
             raise InputError(
                 f"basis mismatch: {self.basis} vs {other.basis}; convert first"
             )
-        return super().__add__(other)
+        # slots=True makes a new class, so a zero-argument super() fails here on 3.10 and 3.11
+        return Combination.__add__(self, other)
 
     def __neg__(self):
         return self.scale(-1)
@@ -266,11 +285,11 @@ def element(basis: str, terms) -> QSymElement:
 
 
 def zero(basis: str = "M") -> QSymElement:
-    return QSymElement(basis, ())
+    return QSymElement(basis, (), ())
 
 
 def one(basis: str = "M") -> QSymElement:
-    return QSymElement(basis, (((), 1),))
+    return QSymElement(basis, ((),), (1,))
 
 
 def monomial(alpha, coeff: int = 1) -> QSymElement:
@@ -311,7 +330,7 @@ def _mul_d(F_terms, G_terms) -> dict:
     Returns an unsorted dict, which may hold zero coefficients; callers that
     multiply repeatedly keep dicts and build one element at the end.
     """
-    acc = {}
+    acc, G_terms = {}, tuple(G_terms)  # read once per term of F
     for a, ca in F_terms:
         for b, cb in G_terms:
             c = ca * cb
@@ -324,21 +343,22 @@ def mul(F: QSymElement, G: QSymElement) -> QSymElement:
     """Product in the M basis (quasi-shuffle on basis elements)."""
     if F.basis != "M" or G.basis != "M":
         raise InputError("mul requires both operands in the M basis")
-    return _element("M", _mul_d(F.terms, G.terms))
+    return _element("M", _mul_d(zip(F.keys, F.coeffs), zip(G.keys, G.coeffs)))
 
 
 def shift1(F: QSymElement) -> QSymElement:
     """The shifting operator: M_alpha goes to M_(alpha,1), extended linearly."""
     if F.basis != "M":
         raise InputError("shift1 is defined on the M basis")
-    return _element("M", {a + (1,): c for a, c in F.terms})
+    return _element("M", {a + (1,): c for a, c in zip(F.keys, F.coeffs)})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, slots=True)
 class QSymTensor(Combination):
     """Two-slot tensor of monomial quasisymmetric functions, exact coefficients."""
 
-    terms: tuple  # (((alpha, beta), coeff), ...), left slot major
+    keys: tuple  # ((alpha, beta), ...), left slot major
+    coeffs: tuple
 
     # term_key of the left slot, then of the right, as one flat tuple
     sort_key = staticmethod(lambda k: (sum(a := k[0]), len(a), a, sum(b := k[1]), len(b), b))
@@ -357,7 +377,7 @@ def coproduct(F: QSymElement) -> QSymTensor:
     if F.basis != "M":
         raise InputError("coproduct is defined on the M basis")
     acc = {}
-    for a, c in F.terms:
+    for a, c in zip(F.keys, F.coeffs):
         for k in _deconcatenations(a):
             acc[k] = acc.get(k, 0) + c
     return QSymTensor.of(acc)
@@ -369,8 +389,8 @@ def tensor_product(F: QSymElement, G: QSymElement) -> QSymTensor:
     coefficients and QSymTensor's term order: the terms need no sort."""
     if F.basis != "M" or G.basis != "M":
         raise InputError("tensor_product requires M-basis operands")
-    terms = [(_deconcatenations(a + b)[len(a)], ca * cb) for a, ca in F.terms for b, cb in G.terms]
-    return QSymTensor(tuple(terms))
+    keys = tuple([_deconcatenations(a + b)[len(a)] for a in F.keys for b in G.keys])
+    return QSymTensor(keys, tuple([ca * cb for ca in F.coeffs for cb in G.coeffs]))
 
 
 def to_fundamental(F: QSymElement) -> QSymElement:
@@ -378,7 +398,7 @@ def to_fundamental(F: QSymElement) -> QSymElement:
     if F.basis != "M":
         raise InputError("to_fundamental expects an M-basis element")
     acc = {}
-    for alpha, c in F.terms:
+    for alpha, c in zip(F.keys, F.coeffs):
         k = len(alpha)
         for beta in _refinements(alpha):
             s = -1 if (len(beta) - k) % 2 else 1
@@ -391,7 +411,7 @@ def from_fundamental(F: QSymElement) -> QSymElement:
     if F.basis != "L":
         raise InputError("from_fundamental expects an L-basis element")
     acc = {}
-    for alpha, c in F.terms:
+    for alpha, c in zip(F.keys, F.coeffs):
         for beta in _refinements(alpha):
             acc[beta] = acc.get(beta, 0) + c
     return _element("M", acc)
@@ -431,12 +451,12 @@ def antipode(F: QSymElement) -> QSymElement:
     """
     acc = {}
     if F.basis == "M":
-        for alpha, c in F.terms:
+        for alpha, c in zip(F.keys, F.coeffs):
             s = -c if len(alpha) % 2 else c
             for beta in _coarsenings(alpha[::-1]):
                 acc[beta] = acc.get(beta, 0) + s
         return _element("M", acc)
-    for alpha, c in F.terms:
+    for alpha, c in zip(F.keys, F.coeffs):
         n = sum(alpha)
         beta = _composition(_free(_code(alpha), n), n)[::-1]
         acc[beta] = acc.get(beta, 0) + (-c if n % 2 else c)
@@ -458,13 +478,13 @@ def principal_specialization(F: QSymElement, m: int) -> int:
     if F.basis != "M":
         raise InputError("principal specialization expects the M basis")
     check_int(m, "number of variables")
-    return sum(c * binomial(m, len(alpha)) for alpha, c in F.terms)
+    return sum(c * binomial(m, len(alpha)) for alpha, c in zip(F.keys, F.coeffs))
 
 
 def vertex_count(F: QSymElement, n: int) -> int:
     """(-1)^n ps_{-1}(F) for F homogeneous of degree n; must be >= 0."""
     check_int(n, "degree")
-    if any(sum(a) != n for a, _ in F.terms):
+    if any(sum(a) != n for a in F.keys):
         raise InputError(f"element is not homogeneous of degree {n}")
     v = (-1) ** n * principal_specialization(F, -1)
     if v < 0:
@@ -484,10 +504,10 @@ def _body(letter: str, parts: tuple) -> str:
 
 def render(F: QSymElement) -> str:
     """Deterministic text form, e.g. '24*M[1,1,1,1] + 6*M[2,1,1]'."""
-    if not F.terms:
+    if not F.keys:
         return "0"
     chunks = []
-    for alpha, c in F.terms:
+    for alpha, c in zip(F.keys, F.coeffs):
         body = _body(F.basis, alpha)
         mag = body if abs(c) == 1 else f"{abs(c)}*{body}"
         if not chunks:
@@ -500,7 +520,7 @@ def render(F: QSymElement) -> str:
 def to_json(F: QSymElement) -> str:
     obj = {
         "basis": F.basis,
-        "terms": [{"comp": list(a), "coeff": c} for a, c in F.terms],
+        "terms": [{"comp": list(a), "coeff": c} for a, c in zip(F.keys, F.coeffs)],
     }
     return json.dumps(obj)
 

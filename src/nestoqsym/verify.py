@@ -218,18 +218,18 @@ def criterion_9():
 
 
 def _double_coproduct(F: QSymElement, left_first: bool) -> dict:
-    out = {}
-    for (a, b), c in coproduct(F).terms:
+    out, outer = {}, coproduct(F)
+    for (a, b), c in zip(outer.keys, outer.coeffs):
         inner = coproduct(monomial(a)) if left_first else coproduct(monomial(b))
-        for (x, y), d in inner.terms:
+        for (x, y), d in zip(inner.keys, inner.coeffs):
             key = (x, y, b) if left_first else (a, x, y)
             out[key] = out.get(key, 0) + c * d
     return {k: v for k, v in out.items() if v}
 
 
 def _convolve_antipode(F: QSymElement) -> QSymElement:
-    acc = qsym.zero("M")
-    for (a, b), c in coproduct(F).terms:
+    acc, outer = qsym.zero("M"), coproduct(F)
+    for (a, b), c in zip(outer.keys, outer.coeffs):
         acc = acc + mul(antipode(monomial(a)), monomial(b)).scale(c)
     return acc
 

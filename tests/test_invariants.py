@@ -236,8 +236,9 @@ def test_F_splitting_terms_are_the_code_table_compositions():
         old = element("M", dict_walk_types(b))
         assert F == old and render(F) == render(old)
         by_code, code_of, in_order = qsym.code_table(b.n)
-        assert all(alpha is by_code[code_of[alpha]] for alpha, _ in F.terms)
-        assert [alpha for alpha, _ in F.terms] == [a for _, a in in_order if a in F.as_dict()]
+        # the stored keys are code_table's compositions, not copies
+        assert all(alpha is by_code[code_of[alpha]] for alpha in F.keys)
+        assert list(F.keys) == [a for _, a in in_order if a in F.as_dict()]
 
 
 def dict_flag_walk(n: int, admissible, key, blocks=nonempty_submasks) -> dict:
@@ -410,6 +411,24 @@ def test_F_tree_refuses_a_code_that_is_not_one_tree(code):
     for read in (F_tree, shape_tree, child_codes):
         with pytest.raises(InputError, match="not one rooted tree"):
             read(TreeShape(code))
+
+
+def test_tree_shape_codes_are_read_iff_canonical():
+    # "(()(()))" was read as a shape unequal to ((())()), the code that
+    # forest_shapes writes for the same tree, and _f_shape memoized both
+    for read in (F_tree, shape_tree, child_codes):
+        with pytest.raises(InputError, match="is not canonical"):
+            read(TreeShape("(()(()))"))
+    for n in range(1, 8):
+        accepted = set()
+        for inner in iproduct("()", repeat=2 * n - 2):
+            code = "(" + "".join(inner) + ")"
+            try:
+                shape_tree(TreeShape(code))
+            except InputError:
+                continue
+            accepted.add(code)
+        assert accepted == {sh.code for sh in enumerate_tree_shapes(n)}, n
 
 
 def test_random_building_sets_refuses_max_n_below_2():
@@ -738,7 +757,7 @@ def test_shape_descents_count_the_linear_extensions():
     for n in range(1, 8):
         for sh in enumerate_tree_shapes(n):
             packed = invariants._descents(sh.code)
-            total = sum(c for _, c in invariants._terms(packed, n))
+            total = sum(invariants._terms(packed, n)[1])
             assert total == factorial(n) // prod(sizes(sh.code)), sh
 
 

@@ -232,6 +232,11 @@ REFUSALS = {
         lambda: shape_of(BTree(2, (None, None))), "shape_of expects a single-rooted tree"
     ),
     "negative family index": (lambda: family_F("pe", -1), "family index must be >= 0"),
+    # read as a shape unequal to ((())()), the canonical code of its tree
+    "non-canonical tree shape": (
+        lambda: F_tree(TreeShape("(()(()))")),
+        "tree shape code '(()(()))' is not canonical: child (()) sorts below its previous sibling ()",
+    ),
 }
 
 

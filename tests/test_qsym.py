@@ -393,6 +393,36 @@ def test_sums_are_the_canonical_form_of_the_merged_dict(cls, data):
     assert (a + a.scale(-1)).is_zero() and a + _of(cls, {}) == a
 
 
+def _nonzero(d: dict) -> dict:
+    return {k: c for k, c in d.items() if c}
+
+
+def _holds(x, d: dict) -> bool:
+    """x is d's nonzero terms as parallel tuples, keys strictly increasing."""
+    order = [type(x).sort_key(k) for k in x.keys]
+    return (
+        all(a < b for a, b in zip(order, order[1:]))
+        and len(x.keys) == len(x.coeffs)
+        and all(x.coeffs)
+        and x.terms == tuple(sorted(_nonzero(d).items(), key=lambda kc: type(x).sort_key(kc[0])))
+    )
+
+
+@pytest.mark.parametrize("cls", [qsym.QSymElement, qsym.QSymTensor, HopfElement])
+@given(data=st.data())
+def test_values_hold_parallel_key_and_coefficient_tuples(cls, data):
+    d = data.draw(st.dictionaries(_KEYS[cls], st.integers(-3, 3), max_size=6))
+    e = data.draw(st.dictionaries(_KEYS[cls], st.integers(-3, 3), max_size=6))
+    s = data.draw(st.integers(-3, 3))
+    a, b = _of(cls, d), _of(cls, e)
+    assert _holds(a, d)
+    assert _holds(a + b, {k: d.get(k, 0) + e.get(k, 0) for k in d.keys() | e.keys()})
+    assert _holds(a + a.scale(-1), {})
+    assert _holds(a.scale(s), {k: s * c for k, c in d.items()})
+    if cls is qsym.QSymElement:
+        assert _holds(-a, {k: -c for k, c in d.items()})
+
+
 def test_tensor_products_share_the_coproduct_keys():
     F = element("M", {(1, 2, 1): 3, (2, 2): -1, (4,): 2})
     keys = {k: k for k, _ in coproduct(F).terms}
