@@ -1,5 +1,5 @@
-"""Small helpers for subsets of [n] encoded as machine-word bit masks, and
-the one memoized walk over ordered set partitions built from them."""
+"""Small helpers for subsets of [n] encoded as machine-word bit masks: bit
+positions, submask walks and the order-preserving compression of minors."""
 
 from __future__ import annotations
 
@@ -81,33 +81,3 @@ def nonempty_submasks(mask: int):
     while sub:
         yield sub
         sub = (sub - 1) & mask
-
-
-def flag_walk(n: int, admissible, key, blocks=nonempty_submasks) -> list:
-    """Ordered set partitions of [n] whose blocks come from blocks(rest) and
-    pass admissible(done, block), listed as their sequences of key(block).
-
-    The continuations depend on the covered mask alone, so they are memoized
-    on it, as lists: each (done, block) pair is tested once, 3^n tests for
-    all blocks.  Every sequence is listed once per partition, so key=int
-    lists the partitions themselves, and blocks=singletons with distinct
-    keys lists orderings.  Sequences come in depth-first order, blocks in
-    the order blocks(rest) yields them.
-    """
-    full = (1 << n) - 1
-    memo = {full: [()]}
-
-    def rest(done: int) -> list:
-        hit = memo.get(done)
-        if hit is None:
-            hit = memo[done] = [
-                (key(blk),) + seq
-                for blk in blocks(full & ~done)
-                if admissible(done, blk)
-                for seq in rest(done | blk)
-            ]
-        return hit
-
-    out = rest(0)
-    memo.clear()  # rest's closure is a cycle, so the memo would outlive the call
-    return out

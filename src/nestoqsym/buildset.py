@@ -318,31 +318,6 @@ def takeuchi_antipode(b: BuildingSet) -> HopfElement:
 
 
 # ---------------------------------------------------------------------------
-# ordered set partitions (weak orders) of a ground set
-
-@dataclass(frozen=True)
-class OrderedSetPartition:
-    """Ordered disjoint nonempty blocks covering a ground mask."""
-
-    n: int
-    blocks: tuple  # masks, in order
-
-    def __post_init__(self):
-        seen = 0
-        for blk in self.blocks:
-            if blk == 0:
-                raise InputError("ordered set partition blocks must be nonempty")
-            if blk & seen:
-                raise InputError("ordered set partition blocks must be disjoint")
-            seen |= blk
-        if seen != (1 << self.n) - 1:
-            raise InputError("ordered set partition must cover the ground set")
-
-    def type(self) -> tuple:
-        return tuple(blk.bit_count() for blk in self.blocks)
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 def parse_building_set(text: str, add_singletons: bool = True) -> BuildingSet:

@@ -93,7 +93,6 @@ LIMITS = {
     "splitting": Limit(
         11, "splitting-chain route", "blocks meet each component at most once, 3^n if discrete"
     ),
-    "splitting chains": Limit(8, "splitting chains", "as many as ordered set partitions"),
     "tree enumerators": Limit(15, "tree enumerators", "2^(n - 1) terms per enumerator"),
     "colorings": Limit(8, "ordered-coloring route", "one walk step per ordered coloring"),
     "chromatic": Limit(11, "chromatic enumeration", "3^n block tests"),

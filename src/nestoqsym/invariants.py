@@ -4,8 +4,7 @@ The four routes to the same quasisymmetric function:
 
   * F_splitting       -- counts splitting chains of the building set, packed,
                          each last block meeting each component at most once
-                         (BuildingSet.lowest; _flag_counts counts them and
-                         bitsets.flag_walk lists them for splitting_chains),
+                         (BuildingSet.lowest; _flag_counts counts them),
   * F_btree_route     -- sums tree enumerators over the B-trees at vertices,
   * F_graph_colorings -- counts ordered colorings of the graph,
   * F_graph_recurrence -- vertex-deletion recurrence with a shift.
@@ -32,13 +31,14 @@ the two stay apart, so that the antipode side is not route 1.
 The fundamental expansion (F_fundamental) counts the descent compositions
 of the linear extensions of every B-tree.  By Stanley's P-partition theory
 that multiset depends only on the tree's shape, so it sums the shapes of
-tree_multiset, each times one packed listing per shape (_descents), memoized
-like the shapes' tree enumerators; no vertex's tree is listed.
+tree_multiset, each times one packed count per shape (_descents, a DP over
+placed sets), memoized like the shapes' tree enumerators; no extension is
+listed.
 
 Disconnected inputs reduce to component products everywhere (the enumerator
-is multiplicative); splitting chains are listed and counted by the
-component form of the flag condition, which agrees with the component
-product without a connectedness hypothesis.
+is multiplicative); splitting chains are counted by the component form of
+the flag condition, which agrees with the component product without a
+connectedness hypothesis.
 
 Everything is pure and exact (no floating point anywhere).
 """
@@ -54,13 +54,11 @@ from itertools import combinations
 from math import comb, factorial, gcd, prod
 
 from . import qsym
-from .bitsets import bits, flag_walk, mask_of, nonempty_submasks, singletons, submasks
+from .bitsets import bits, mask_of, nonempty_submasks, singletons, submasks
 from .buildset import (
     BuildingSet,
     HopfElement,
-    OrderedSetPartition,
     components,
-    components_within,
     coproduct,
     from_graph,
     is_connected,
@@ -88,7 +86,6 @@ from .nestopoly import (
     child_codes,
     enumerate_tree_shapes,
     forest_shapes,
-    linear_extensions,
     shape_tree,
     tree_multiset,
 )
@@ -130,18 +127,6 @@ def _splitting_ends(b: BuildingSet):
         return rests, free
 
     return ends
-
-
-def splitting_chains(b: BuildingSet) -> list:
-    """Every splitting chain, as the ordered set partition of its steps:
-    each block meets each component of B|(done | block) at most once."""
-    check_limit("splitting chains", b.n)
-
-    def admissible(done: int, block: int) -> bool:
-        return all((c & block).bit_count() < 2 for c in components_within(b, done | block))
-
-    chains = flag_walk(b.n, admissible, key=int)
-    return [OrderedSetPartition(b.n, blocks) for blocks in chains]
 
 
 def zeta(b: BuildingSet, alpha) -> int:
@@ -389,11 +374,28 @@ def _descents(code: str) -> int:
     """The descent compositions of the linear extensions of one tree of a
     shape, counted and packed as in _terms (one slot per composition code).
     By Stanley's P-partition theory that multiset depends only on the
-    shape, so one tree serves every B-tree of the shape.  The fundamental
-    row bounds the memo: 85 shapes on at most 7 nodes.  A word's descents
-    are its descent composition's partial sums, so they are its code."""
-    words = linear_extensions(shape_tree(TreeShape(code)))
-    return sum(1 << 64 * sum([1 << i for i in range(len(w) - 1) if w[i] > w[i + 1]]) for w in words)
+    shape, so one tree serves every B-tree of the shape, labeled by its
+    preorder index, which increases away from the root (shape_tree).
+    The fundamental row bounds the memo: 85 shapes on at most 7 nodes.
+
+    No extension is listed.  table[U][x] counts the orderings of a placed
+    set U (every child placed before its parent) that end at x; x can end U
+    iff U - x is such a set and holds x's children.  A word's descents are
+    its descent composition's partial sums, so they are its code: placing x
+    after v, with k vertices placed before it, sets code bit k - 1 when
+    v > x, the shift of route 1 (_shift)."""
+    tree = shape_tree(TreeShape(code))
+    kids = [mask_of(c) for c in tree.children()]
+    table = {0: {-1: 1}}
+    for U in range(1, 1 << tree.n):
+        k, row = U.bit_count() - 1, {}
+        for x in bits(U):
+            prev = table.get(U ^ 1 << x)
+            if prev is not None and kids[x] & ~U == 0:
+                row[x] = sum([_shift(c, k) if v > x else c for v, c in prev.items()])
+        if row:
+            table[U] = row
+    return sum(table[(1 << tree.n) - 1].values())
 
 
 def F_fundamental(b: BuildingSet) -> QSymElement:

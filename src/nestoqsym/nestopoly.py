@@ -16,6 +16,11 @@ Only `b_tree` and `vertex_coordinates` validate a family (a caller's); the
 loops over maximal_nested_sets in `tree_multiset`, `_all_coordinates` and
 `realization_failures` call `_vertex` directly.  The f-vector counts on the
 same decomposition and lists no nested set (`nested_sets_by_size`).
+
+`linear_extensions` lists a tree's orderings, children before parents, on
+one table filled from the full placed set down.  No route calls it: the
+fundamental route counts their descent sets without listing them
+(`invariants._descents`).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .bitsets import flag_walk, nonempty_submasks, singletons
+from .bitsets import bits, mask_of, nonempty_submasks, singletons
 from .buildset import BuildingSet, components_within, is_connected, maximal_members
 from .errors import InputError, check_int, check_limit
 
@@ -396,37 +401,27 @@ def _descending_labels(tree: BTree) -> list:
     return omega
 
 
-def _extensions(tree: BTree, labels) -> list:
-    """Orderings of the vertices placing every child before its parent, each
-    read as its sequence of labels[v]: the flag walk over singletons, which
-    admits a vertex once its children are placed."""
-    children = {1 << v: 0 for v in range(tree.n)}
-    for v, p in enumerate(tree.parent):
-        if p is not None:
-            children[1 << p] |= 1 << v
-    label = {1 << v: labels[v] for v in range(tree.n)}
-    return flag_walk(
-        tree.n,
-        lambda done, blk: children[blk] & ~done == 0,
-        key=label.__getitem__,
-        blocks=singletons,
-    )
-
-
-def extension_listings(tree: BTree) -> list:
-    """All orderings of the vertices placing every child before its parent,
-    in lexicographic order."""
-    return _extensions(_forest(tree, "extensions"), range(tree.n))
-
-
 def linear_extensions(tree: BTree) -> list:
     """Linear extensions as permutation words under the decreasing labeling,
-    sorted: the flag walk of `_extensions`, each step keyed by its label.
+    sorted: the tests' oracle of invariants._descents, called by no route.
 
     The tree is labeled so labels increase from each root toward the leaves;
     a listing of the vertices with children before parents then reads off a
     permutation of 1..n.  The multiset of descent compositions of these
-    words is independent of the labeling choice.
+    words is independent of the labeling choice.  The words are listed on a
+    table of continuations filled from the full placed set down, over the
+    placed sets that hold every child of a vertex they hold.
     """
-    tree = _forest(tree, "extensions")
-    return sorted(_extensions(tree, _descending_labels(tree)))
+    n = _forest(tree, "extensions").n
+    label, kids = _descending_labels(tree), [mask_of(c) for c in tree.children()]
+    full = (1 << n) - 1
+    rest = {full: [()]}
+    for done in range(full - 1, -1, -1):
+        if all(kids[v] & ~done == 0 for v in bits(done)):
+            rest[done] = [
+                (label[x],) + seq
+                for x in range(n)
+                if not done >> x & 1 and kids[x] & ~done == 0
+                for seq in rest[done | 1 << x]
+            ]
+    return sorted(rest[0])

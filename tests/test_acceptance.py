@@ -9,7 +9,9 @@ Malvenuto-Reutenauer and Ehrenborg.
 
 import time
 
-from nestoqsym.verify import CRITERIA
+from nestoqsym import invariants
+from nestoqsym.qsym import render
+from nestoqsym.verify import CRITERIA, EXAMPLE_62_L
 
 _BY_NUMBER = {num: (name, fn, budget) for num, name, fn, budget in CRITERIA}
 
@@ -34,6 +36,23 @@ def test_criterion_02_fundamental_and_pinned_antipode():
     # reversing it; that map is not an antipode (see
     # tests/test_qsym.py::test_descent_complement_is_not_an_antipode).
     _run(2)
+
+
+def test_criterion_02_fails_on_a_wrong_fundamental_route(monkeypatch):
+    # One slot dropped from every shape's descent counts: route 1's basis
+    # change is untouched, so only the fundamental route can see it.
+    counts = invariants._descents
+
+    def dropped(code):
+        value = counts(code)
+        slot = ((value & -value).bit_length() - 1) // 64
+        return value & ~((1 << 64) - 1 << 64 * slot)
+
+    monkeypatch.setattr(invariants, "_descents", dropped)
+    passed, detail = _BY_NUMBER[2][1]()
+    assert not passed
+    assert detail.startswith(f"F in L = {render(EXAMPLE_62_L)}; antipode = ")
+    assert "; fundamental route = 4*L[2,1,1] + 6*L[1,1,1,1]; expected " in detail
 
 
 def test_criterion_03_family_vertex_counts_three_ways():

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 
 from conftest import components_by_size, graphs, naive_components
 from nestoqsym import invariants, qsym
-from nestoqsym.bitsets import bits, flag_walk, mask_of, nonempty_submasks, singletons
+from nestoqsym.bitsets import bits, mask_of, nonempty_submasks
 from nestoqsym.buildset import (
     BuildingSet,
     HopfElement,
@@ -58,7 +58,6 @@ from nestoqsym.invariants import (
     hopf_morphism_check,
     ordered_colorings_by_type,
     random_building_sets,
-    splitting_chains,
     tree_matrix_kernel,
     zeta,
 )
@@ -75,6 +74,7 @@ from nestoqsym.nestopoly import (
     tree_multiset,
 )
 from nestoqsym.qsym import (
+    QSymElement,
     _mul_d,
     antipode,
     descent_composition,
@@ -86,6 +86,7 @@ from nestoqsym.qsym import (
     principal_specialization,
     render,
     shift1,
+    to_fundamental,
     vertex_count,
 )
 
@@ -115,8 +116,8 @@ def test_splitting_chains_types_match_F():
     graphical = [from_graph(g) for n in range(1, 6) for g in enumerate_graphs(n)]
     for b in graphical + random_building_sets(40, max_n=6):
         acc = {}
-        for chain in splitting_chains(b):
-            t = chain.type()
+        for chain in literal_splitting_chains(b):
+            t = tuple(blk.bit_count() for blk in chain)
             acc[t] = acc.get(t, 0) + 1
         assert element("M", acc) == F_splitting(b)
 
@@ -126,15 +127,15 @@ def test_splitting_chains_satisfy_flag_condition_verbatim():
     from nestoqsym.buildset import contraction, is_discrete, restriction
 
     for b in (K3B, L4B, discrete_building_set(3), from_graph(family("star", 4))):
-        chains = splitting_chains(b)
+        chains = literal_splitting_chains(b)
         for chain in chains:
             done = 0
-            for blk in chain.blocks:
+            for blk in chain:
                 step = contraction(restriction(b, done | blk), _relabel(done, done | blk))
                 assert is_discrete(step)
                 done |= blk
         # and completeness: every ordered set partition not produced fails
-        produced = {c.blocks for c in chains}
+        produced = set(chains)
         total = _count_ordered_set_partitions(b.n)
         assert len(produced) <= total
 
@@ -175,7 +176,7 @@ def literal_splitting_chains(b):
 
 
 def test_route_1_matches_literal_recursion():
-    # splitting_chains in order; F_splitting and zeta by the chain types
+    # F_splitting and zeta by the types of the literal recursion's chains
     oracle_sets = (
         [from_graph(g) for n in range(1, 6) for g in enumerate_graphs(n)]
         + random_building_sets(200, seed=7, max_n=5)
@@ -184,7 +185,6 @@ def test_route_1_matches_literal_recursion():
     )
     for b in oracle_sets:
         chains = literal_splitting_chains(b)
-        assert [c.blocks for c in splitting_chains(b)] == chains
         types = Counter(tuple(blk.bit_count() for blk in c) for c in chains)
         assert F_splitting(b) == element("M", types)
         for alpha, count in types.items():
@@ -242,9 +242,9 @@ def test_F_splitting_terms_are_the_code_table_compositions():
 
 
 def dict_flag_walk(n: int, admissible, key, blocks=nonempty_submasks) -> dict:
-    """bitsets.flag_walk as it was before it listed: each covered set's
+    """A memoized walk over ordered set partitions: each covered set's
     continuations counted by key sequence in a dict.  The oracle of the
-    listing walk and of the packed counts (route 1, the ordered colorings).
+    packed counts (route 1, the ordered colorings).
 
     Ordered set partitions of [n] whose blocks come from blocks(rest) and
     pass admissible(done, block), listed by their sequence of key(block).
@@ -281,8 +281,8 @@ def _discrete_step(b: BuildingSet):
     done | block) / done is discrete iff no member inside done | block meets
     block in two or more vertices.  Members of two or more vertices are
     scanned smallest first; a one-vertex block passes without a scan.
-    The dict walk's predicate; splitting_chains and the count read the
-    components of B|U (BuildingSet.lowest) instead."""
+    The dict walk's predicate; the count reads the components of B|U
+    (BuildingSet.lowest) instead."""
     wide = sorted((s for s in b.sets if s & (s - 1)), key=int.bit_count)
 
     def admissible(done: int, block: int) -> bool:
@@ -301,44 +301,6 @@ def dict_walk_types(b):
     """Route 1's former walk, the oracle of the packed count: splitting
     chains counted by their step sizes in a dict per covered set."""
     return dict_flag_walk(b.n, _discrete_step(b), key=int.bit_count)
-
-
-def assert_walks_agree(n, admissible, key, blocks=nonempty_submasks):
-    """flag_walk lists the dict walk's keys, in its order, each once."""
-    counts = dict_flag_walk(n, admissible, key, blocks)
-    assert set(counts.values()) <= {1}
-    assert flag_walk(n, admissible, key, blocks) == list(counts)
-
-
-def test_flag_walk_lists_the_dict_walk_in_order():
-    cases = [from_graph(family_graph(kind, n)) for kind in ("pe", "as", "cy", "st") for n in range(9)]
-    cases += [discrete_building_set(n) for n in range(9)]
-    cases += random_building_sets(300, seed=7, max_n=6)
-    for b in cases:
-        assert_walks_agree(b.n, _discrete_step(b), int)
-        # splitting_chains, on components, lists the walk on the flag
-        # predicate in order; not at n = 8, where a walk lists up to
-        # 545,835 chains and the two would add 4 s
-        if b.n < 8:
-            assert [c.blocks for c in splitting_chains(b)] == flag_walk(b.n, _discrete_step(b), int)
-
-
-def test_flag_walk_lists_extensions_as_the_dict_walk():
-    trees = [shape_tree(sh) for k in range(1, 9) for sh in enumerate_tree_shapes(k)]
-    trees += [
-        BTree(6, (None,) * 6),
-        BTree(7, (None, 0, 0, None, 3, None, 5)),
-        BTree(8, (None, 0, 1, 1, None, 4, 4, None)),
-    ]
-    for tree in trees:
-        children = [0] * tree.n
-        for v, p in enumerate(tree.parent):
-            if p is not None:
-                children[p] |= 1 << v
-        placed = lambda done, blk: children[blk.bit_length() - 1] & ~done == 0
-        # vertex order (extension_listings) and a reversed labeling
-        for label in (int.bit_length, lambda blk: -blk.bit_length()):
-            assert_walks_agree(tree.n, placed, label, singletons)
 
 
 ROUTE_1_CASES = (
@@ -762,14 +724,25 @@ def test_shape_descents_count_the_linear_extensions():
 
 
 def test_shape_descents_by_code_match_the_descent_compositions():
-    # _descents reads each extension's descent set as its code; building
-    # each descent composition and looking up its code is the oracle
-    for n in range(1, 9):
+    # _descents counts descent sets on its DP over placed sets; listing the
+    # extensions and building each one's descent composition is the oracle
+    for n in range(1, 10):
         code_of = qsym.code_table(n)[1]
         for sh in enumerate_tree_shapes(n):
             words = linear_extensions(shape_tree(sh))
             want = sum(1 << 64 * code_of[descent_composition(w)] for w in words)
             assert invariants._descents.__wrapped__(sh.code) == want, sh
+
+
+def test_shape_descents_match_the_tree_enumerators_past_listing():
+    # Stanley: a tree's enumerator is the sum of L over its extensions'
+    # descent compositions, so the basis change of F_tree is the oracle
+    # where the extensions are too many to list (11! on star:12)
+    shapes = [TreeShape("(" + "()" * 11 + ")"), TreeShape("(" * 12 + ")" * 12)]
+    shapes += random.Random(37).sample(enumerate_tree_shapes(10), 20)
+    for sh in shapes:
+        packed = invariants._descents.__wrapped__(sh.code)
+        assert QSymElement("L", *invariants._terms(packed, sh.size)) == to_fundamental(F_tree(sh)), sh
 
 
 @pytest.mark.parametrize("kind", FAMILY_KINDS)

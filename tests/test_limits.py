@@ -36,7 +36,6 @@ from nestoqsym.invariants import (
     family_recurrence_check,
     family_vertex_counts,
     hopf_morphism_check,
-    splitting_chains,
     tree_matrix_kernel,
     zeta,
 )
@@ -80,7 +79,6 @@ PROBES = {
     "tree shapes": lambda v: enumerate_tree_shapes(v),
     "extensions": lambda v: linear_extensions(forest(v)),
     "splitting": lambda v: F_splitting(discrete(v)),
-    "splitting chains": lambda v: splitting_chains(discrete(v)),
     "tree enumerators": lambda v: F_tree(forest(v)),
     "colorings": lambda v: F_graph_colorings(empty(v)),
     "chromatic": lambda v: chromatic_symmetric(empty(v)),

@@ -28,12 +28,12 @@ from nestoqsym.nestopoly import (
     BTree,
     _all_coordinates,
     _descending_labels,
+    _forest,
     TreeShape,
     b_tree,
     check_realization,
     child_codes,
     enumerate_tree_shapes,
-    extension_listings,
     forest_shapes,
     is_nested,
     linear_extensions,
@@ -584,6 +584,13 @@ def test_linear_extensions_examples():
     )
 
 
+def extension_listings(tree):
+    """Vertex orderings by the literal recursion, once nestopoly._forest
+    has checked the parent tuple on the extensions row, as
+    linear_extensions does."""
+    return literal_extension_listings(_forest(tree, "extensions"))
+
+
 @pytest.mark.parametrize("compute", [F_tree, linear_extensions, extension_listings])
 @pytest.mark.parametrize(
     "tree",
@@ -688,11 +695,11 @@ def test_extensions_match_literal_recursion():
         if bs_connected(b)
         for fam in maximal_nested_sets(b)
     ]
-    trees += [shape_tree(sh) for n in range(1, 8) for sh in enumerate_tree_shapes(n)]
+    trees += [shape_tree(sh) for n in range(1, 9) for sh in enumerate_tree_shapes(n)]
     trees += [BTree(n, (None,) * n) for n in range(0, 7)]
+    trees += [BTree(7, (None, 0, 0, None, 3, None, 5)), BTree(8, (None, 0, 1, 1, None, 4, 4, None))]
     for tree in trees:
         listings = literal_extension_listings(tree)
-        assert extension_listings(tree) == listings
         omega = _descending_labels(tree)
         words = sorted(tuple(omega[v] for v in listing) for listing in listings)
         assert linear_extensions(tree) == words

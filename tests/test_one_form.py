@@ -99,33 +99,32 @@ def _walks() -> list:
 
 def test_one_flag_walk():
     assert _walks() == [
-        ("bitsets", "flag_walk"),
-        # The memoized walk keeps every continuation.  On it, route 3 raised
-        # the peak RSS of the `routes` benchmark from 23.2 to 37.5 MiB
-        # (+62 %), since the benchmark worker keeps every result.  The
-        # Takeuchi antipode keeps its own submask loop, one sum per distinct
-        # contraction of the covered mask, shared by every covered mask with
-        # that contraction (flag_walk memoizes on the mask itself): its words
-        # are sorted multisets of per-call factor ids, which flag_walk's key
-        # sequences cannot hold, and each factor is read from the remainders
-        # listed once per mask.
+        # The Takeuchi antipode keeps its own submask loop, one sum per
+        # distinct contraction of the covered mask, shared by every covered
+        # mask with that contraction: its words are sorted multisets of
+        # per-call factor ids, which a packed count cannot hold, and each
+        # factor is read from the remainders listed once per mask.
         ("buildset", "takeuchi_antipode"),
+        # Route 3: on a memoized walk that keeps every continuation it
+        # raised the peak RSS of the `routes` benchmark from 23.2 to
+        # 37.5 MiB (+62 %), since the benchmark worker keeps every result.
         ("invariants", "F_graph_colorings"),
-        # X walks unordered partitions; on flag_walk it took 0.31 s over the
-        # 853 connected 7-vertex classes, against 0.13 s by its own walk
-        # (chromatic_symmetric reads the counts of this one).
+        # X walks unordered partitions; on the ordered listing walk it took
+        # 0.31 s over the 853 connected 7-vertex classes, against 0.13 s by
+        # its own walk (chromatic_symmetric reads the counts of this one).
         ("invariants", "_block_counts"),
         # The counting walk of route 1, zeta and the ordered colorings:
         # one packed integer per covered set (a 64-bit slot per composition
-        # code), where flag_walk keeps a list of key sequences.  Each route
-        # hands it the last blocks of each covered set, and it walks the
-        # submasks of their free part: route 1's blocks meet each
-        # component of B|U (BuildingSet.lowest) at most once, so it tests
-        # no block and reaches 3^n terms only on the discrete set (star:11
-        # 4.3 -> 0.02 s, and discrete:11 0.126 -> 0.088 s, against a member
-        # scan tested on every block); flag_walk keeps the two listings
-        # (splitting chains, which test each block on the same table, and
-        # linear extensions).
+        # code), not a list of key sequences.  Each route hands it the last
+        # blocks of each covered set, and it walks the submasks of their
+        # free part: route 1's blocks meet each component of B|U
+        # (BuildingSet.lowest) at most once, so it tests no block and
+        # reaches 3^n terms only on the discrete set (star:11 4.3 -> 0.02 s,
+        # and discrete:11 0.126 -> 0.088 s, against a member scan tested on
+        # every block).  No route lists anything: splitting chains are
+        # listed by the tests' oracles alone, and the fundamental route
+        # counts descent sets on a table of placed sets (_descents), of
+        # which linear_extensions, called by no route, is the oracle.
         ("invariants", "_flag_counts"),
         # Not a walk over set partitions: _nested's root-block decomposition
         # (whose blocks come in as a parameter), counting sizes instead of
@@ -164,13 +163,12 @@ def test_recursive_closures_skip_states():
     # clear its memo by hand.  Where every state is needed, a loop fills the
     # table in dependency order instead (_nested, nested_sets_by_size and
     # takeuchi_antipode by covered or member mask, enumerate_tree_shapes by
-    # node count).  Each recursion left has a reason:
+    # node count, _descents and linear_extensions by placed set).  Each
+    # recursion left has a reason:
     assert _recursive_closures() == [
-        # Admissibility leaves states unreached, and the depth-first order
-        # of splitting_chains is pinned by a test.
-        ("bitsets", "flag_walk.rest"),
-        # Route 3, the seed recursion over contracted adjacency tuples; on
-        # the shared walk it raised `routes`' peak RSS past its bound.
+        # Route 3, the seed recursion over contracted adjacency tuples; on a
+        # walk that keeps every continuation it raised `routes`' peak RSS
+        # past its bound.
         ("invariants", "F_graph_colorings.rec"),
         # A hit in the shared memo of induced subgraphs skips a whole
         # subtree: a warm `classes` job computes about 8 of 128 masks.
@@ -221,23 +219,32 @@ def test_enumerators_are_packed():
 # one renderer for combinations
 
 
-def _body_callers() -> list:
-    """(module, top-level function or class) for each call of qsym._body."""
+def _callers(callee: str) -> list:
+    """(module, top-level function or class) for each call of callee, by
+    name or as an attribute."""
     out = []
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Call) and (
-                    getattr(node.func, "id", None) == "_body"
-                    or getattr(node.func, "attr", None) == "_body"
-                ):
+                if isinstance(node, ast.Call) and _name(node) == callee:
                     out.append((path.stem, getattr(top, "name", "<module>")))
     return sorted(out)
 
 
 def test_one_renderer():
     # QSym elements and symmetric functions print through qsym.render alone
-    assert _body_callers() == [("qsym", "render")]
+    assert _callers("_body") == [("qsym", "render")]
+
+
+# ---------------------------------------------------------------------------
+# no route lists linear extensions
+
+
+def test_linear_extensions_stay_an_oracle():
+    # The fundamental route counts descent sets without listing
+    # (invariants._descents); linear_extensions lists the words its tests
+    # compare against, so no library function may call it.
+    assert _callers("linear_extensions") == []
 
 
 # ---------------------------------------------------------------------------

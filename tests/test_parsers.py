@@ -14,7 +14,6 @@ from hypothesis import given, settings
 
 from nestoqsym import qsym
 from nestoqsym.buildset import (
-    OrderedSetPartition,
     building_set,
     discrete_building_set,
     parse_building_set,
@@ -196,15 +195,6 @@ REFUSALS = {
     ),
     "graph format": (
         lambda: serialize_graph(family("path", 2), "dot"), "unknown graph format 'dot'"
-    ),
-    "empty block": (
-        lambda: OrderedSetPartition(2, (0, 3)), "ordered set partition blocks must be nonempty"
-    ),
-    "overlapping blocks": (
-        lambda: OrderedSetPartition(2, (1, 3)), "ordered set partition blocks must be disjoint"
-    ),
-    "blocks short of the ground set": (
-        lambda: OrderedSetPartition(2, (1,)), "ordered set partition must cover the ground set"
     ),
     "negative weight": (lambda: qsym.code_table(-1), "negative weight -1"),
     "plus int": (lambda: M + 1, "cannot add 1 to a quasisymmetric function"),
