@@ -26,13 +26,12 @@ from .buildset import (
 from .errors import CapacityError, InputError
 from .graphs import FAMILIES, FAMILY_KINDS, family, parse_graph, serialize_graph
 from .invariants import (
-    F_btree_route,
-    F_graph_colorings,
+    ROUTES,
     F_graph_recurrence,
-    F_splitting,
     chromatic_symmetric,
     collision_search,
     family_F,
+    family_graph,
     tree_matrix_kernel,
 )
 from .nestopoly import _all_coordinates, enumerate_tree_shapes, nested_sets_by_size
@@ -118,14 +117,6 @@ def _parse_vertex_list(text: str, n: int) -> int:
     return mask
 
 
-ROUTES = {
-    "splitting": lambda g: F_splitting(from_graph(g)),
-    "trees": lambda g: F_btree_route(from_graph(g)),
-    "colorings": F_graph_colorings,
-    "recurrence": F_graph_recurrence,
-}
-
-
 def _emit(args, text_lines, payload):
     if getattr(args, "json", False):
         print(json.dumps(payload))
@@ -187,8 +178,6 @@ def cmd_polytope(args) -> int:
         lines.append(str(v))
         payload["vertices"] = v
     else:
-        from .invariants import family_graph
-
         b = from_graph(family_graph(kind, n))
         if mode == "fvector":
             fv = nested_sets_by_size(b)
@@ -223,9 +212,8 @@ def cmd_antipode(args) -> int:
         _emit(args, [render(S)], json.loads(to_json(S)))
         return 0
     for g in _load_graphs(args.graph):
-        S = antipode(to_fundamental(F_graph_recurrence(g)))
-        if args.basis == "M":
-            S = from_fundamental(S)
+        F = F_graph_recurrence(g)
+        S = antipode(F if args.basis == "M" else to_fundamental(F))
         payload = {"graph": json.loads(serialize_graph(g))}
         payload.update(json.loads(to_json(S)))
         _emit(args, [render(S)], payload)
@@ -322,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--graph", required=True)
     sp.add_argument(
         "--route",
-        choices=("splitting", "trees", "colorings", "recurrence", "all"),
+        choices=(*ROUTES, "all"),
         default="recurrence",
     )
     sp.add_argument("--basis", choices=("M", "L"), default="M")

@@ -35,9 +35,6 @@ class Graph:
     def edges(self) -> list:
         return [(u, v) for u in range(self.n) for v in bits(self.adj[u]) if u < v]
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def __str__(self):
         return serialize_graph(self)
 
@@ -181,8 +178,6 @@ def is_connected(g: Graph) -> bool:
 
 def components(g: Graph) -> list:
     """Vertex masks of the connected components."""
-    if g.n == 0:
-        return []
     return _components_within(g, (1 << g.n) - 1)
 
 
@@ -435,10 +430,6 @@ def parse_graph(text: str) -> Graph:
     return from_graph6(s)
 
 
-def serialize_graph(g: Graph, fmt: str = "json") -> str:
-    if fmt == "json":
-        edges = [[u + 1, v + 1] for u, v in g.edges()]
-        return json.dumps({"n": g.n, "edges": edges})
-    if fmt == "graph6":
-        return to_graph6(g)
-    raise InputError(f"unknown graph format {fmt!r}")
+def serialize_graph(g: Graph) -> str:
+    edges = [[u + 1, v + 1] for u, v in g.edges()]
+    return json.dumps({"n": g.n, "edges": edges})

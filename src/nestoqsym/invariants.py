@@ -9,6 +9,8 @@ The four routes to the same quasisymmetric function:
   * F_graph_colorings -- counts ordered colorings of the graph,
   * F_graph_recurrence -- vertex-deletion recurrence with a shift.
 
+ROUTES names the four, each as a function of a graph.
+
 All four routes, the family recurrences and F_of_hopf hold F as one int, a
 64-bit slot per composition code (qsym.code_table, see `_terms`): the shift
 is a bit shift (`_shift`), and products go through one bounded memo shared
@@ -100,7 +102,6 @@ from .qsym import (
     mul,
     refinements,
     tensor_product,
-    vertex_count,
 )
 
 
@@ -131,13 +132,11 @@ def _splitting_ends(b: BuildingSet):
 
 def zeta(b: BuildingSet, alpha) -> int:
     """Number of splitting chains whose step sizes are alpha, in order: one
-    slot of the packed count."""
+    coefficient of F_splitting(b)."""
     alpha = qsym.composition(alpha)
     if sum(alpha) != b.n:
         raise InputError(f"composition weighs {sum(alpha)}, ground set has {b.n}")
-    check_limit("splitting", b.n)
-    slot = code_table(b.n)[1][alpha]
-    return _flag_counts(b.n, _splitting_ends(b)) >> 64 * slot & (1 << 64) - 1
+    return F_splitting(b).coeff(alpha)
 
 
 def F_splitting(b: BuildingSet) -> QSymElement:
@@ -361,9 +360,12 @@ def F_graph_recurrence(g: Graph) -> QSymElement:
     return QSymElement("M", *_terms(_packed_F(g), g.n))
 
 
-def F_graph(g: Graph) -> QSymElement:
-    """The graph invariant (recurrence route, the fastest)."""
-    return F_graph_recurrence(g)
+ROUTES = {
+    "splitting": lambda g: F_splitting(from_graph(g)),
+    "trees": lambda g: F_btree_route(from_graph(g)),
+    "colorings": F_graph_colorings,
+    "recurrence": F_graph_recurrence,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +672,7 @@ def family_recurrence_check(kind: str, n: int) -> bool:
 
 
 def family_vertex_counts(n: int) -> tuple:
-    """(p_n, a_n, c_n, s_n) closed forms; the chi(-1) route must agree."""
+    """(p_n, a_n, c_n, s_n) closed forms."""
     if check_int(n, "family index") < 1:
         raise InputError(f"family counts need n >= 1, got {n}")
     check_limit("family", n)
@@ -680,13 +682,7 @@ def family_vertex_counts(n: int) -> tuple:
     s = 1
     for k in range(2, n + 1):
         s = (k - 1) * s + 1
-    closed = (p, a, c, s)
-    via_chi = tuple(vertex_count(family_F(f.polytope, n), n) for f in FAMILIES)
-    if closed != via_chi:
-        raise InputError(
-            f"closed forms {closed} disagree with the chi(-1) route {via_chi}"
-        )
-    return closed
+    return p, a, c, s
 
 
 # ---------------------------------------------------------------------------

@@ -300,7 +300,7 @@ def fundamental(alpha, coeff: int = 1) -> QSymElement:
     return element("L", [(alpha, coeff)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16384)
 def _quasi_shuffle(a, b) -> tuple:
     """Quasi-shuffles of two compositions with multiplicity.
 
@@ -540,8 +540,6 @@ def parse(text: str) -> QSymElement:
     while pos < len(s):
         while pos < len(s) and s[pos].isspace():
             pos += 1
-        if pos >= len(s):
-            break
         m = _TERM_RE.match(s, pos)
         if not m:
             raise ParseError(f"expected a term like 3*M[1,2] in {s!r}", pos)

@@ -16,9 +16,8 @@ from . import qsym
 from .buildset import building_set, from_graph
 from .graphs import FAMILIES, FAMILY_KINDS, enumerate_graphs, family, graph_from_edges, induced
 from .invariants import (
-    F_btree_route,
+    ROUTES,
     F_fundamental,
-    F_graph_colorings,
     F_graph_recurrence,
     F_splitting,
     check_thm72,
@@ -61,14 +60,8 @@ EXAMPLE_62_STAR = element("L", {(4,): 14, (3, 1): 6, (2, 2): 4})
 def criterion_1():
     """Four routes on the 4-path give the pinned monomial expansion."""
     g = family("path", 4)
-    b = from_graph(g)
-    routes = {
-        "splitting": F_splitting(b),
-        "trees": F_btree_route(b),
-        "colorings": F_graph_colorings(g),
-        "recurrence": F_graph_recurrence(g),
-    }
-    bad = {k: render(v) for k, v in routes.items() if v != EXAMPLE_54}
+    values = {name: route(g) for name, route in ROUTES.items()}
+    bad = {k: render(v) for k, v in values.items() if v != EXAMPLE_54}
     if bad:
         return False, f"routes disagree with {render(EXAMPLE_54)}: {bad}"
     return True, f"all four routes = {render(EXAMPLE_54)}"
@@ -112,11 +105,8 @@ def criterion_4():
     checked = 0
     for n in (4, 5):
         for g in enumerate_graphs(n):
-            b = from_graph(g)
-            fs = F_splitting(b)
-            if not (
-                fs == F_btree_route(b) == F_graph_colorings(g) == F_graph_recurrence(g)
-            ):
+            first, *rest = (route(g) for route in ROUTES.values())
+            if any(v != first for v in rest):
                 return False, f"route mismatch on n={n} graph {g.edges()}"
             checked += 1
     return True, f"{checked} isomorphism classes (11 at n=4, 34 at n=5)"

@@ -9,9 +9,9 @@ Malvenuto-Reutenauer and Ehrenborg.
 
 import time
 
-from nestoqsym import invariants
-from nestoqsym.qsym import render
-from nestoqsym.verify import CRITERIA, EXAMPLE_62_L
+from nestoqsym import cli, invariants
+from nestoqsym.qsym import monomial, render
+from nestoqsym.verify import CRITERIA, EXAMPLE_54, EXAMPLE_62_L
 
 _BY_NUMBER = {num: (name, fn, budget) for num, name, fn, budget in CRITERIA}
 
@@ -28,6 +28,35 @@ def _run(num):
 
 def test_criterion_01_four_routes_pinned_expansion():
     _run(1)
+
+
+def test_criteria_01_and_04_fail_on_a_wrong_route(monkeypatch, capsys):
+    # Both criteria read their routes from invariants.ROUTES, so one wrong
+    # entry there (the recurrence plus M[n]) reaches both.
+    recurrence = invariants.ROUTES["recurrence"]
+    monkeypatch.setitem(
+        invariants.ROUTES, "recurrence", lambda g: recurrence(g) + monomial((g.n,))
+    )
+    wrong = render(EXAMPLE_54 + monomial((4,)))
+    detail_1 = f"routes disagree with {render(EXAMPLE_54)}: {{'recurrence': '{wrong}'}}"
+    assert _BY_NUMBER[1][1]() == (False, detail_1)
+    passed, detail_4 = _BY_NUMBER[4][1]()
+    assert not passed and detail_4.startswith("route mismatch on n=4 graph ")
+    assert cli.main(["verify", "--suite", "paper", "--criterion", "1", "--criterion", "4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line[:9] for line in lines] == ["FAIL   1 ", "FAIL   4 "]
+    assert lines[0].endswith(f"-- {detail_1}") and lines[1].endswith(f"-- {detail_4}")
+
+
+def test_a_criterion_that_raises_fails_the_suite(monkeypatch, capsys):
+    def raises(g):
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setitem(invariants.ROUTES, "trees", raises)
+    assert cli.main(["verify", "--suite", "paper", "--criterion", "1"]) == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("FAIL   1  four routes, 4-path, pinned expansion [")
+    assert line.endswith("] -- exception: ZeroDivisionError('planted')")
 
 
 def test_criterion_02_fundamental_and_pinned_antipode():
@@ -77,6 +106,22 @@ def test_criterion_07_tree_matrix_kernel():
 
 def test_criterion_08_hopf_morphism():
     _run(8)
+
+
+def test_criterion_08_fails_on_a_wrong_takeuchi_sign(monkeypatch):
+    # Every Takeuchi term's sign flipped: the first set, the point, fails
+    # on the antipode alone.
+    takeuchi = invariants.takeuchi_antipode
+
+    def flipped(b):
+        return takeuchi(b).scale(-1)
+
+    monkeypatch.setattr(invariants, "takeuchi_antipode", flipped)
+    passed, detail = _BY_NUMBER[8][1]()
+    assert not passed
+    assert detail.startswith(
+        "failed on (1,): {'product': True, 'coproduct': True, 'antipode': False"
+    )
 
 
 def test_criterion_09_qsym_property_suite():

@@ -576,7 +576,7 @@ def test_takeuchi_memo_does_not_outlive_the_call():
 
 def test_serialization_round_trip():
     b = bs(4, [1], [2], [3], [4], [1, 2], [1, 2, 3])
-    assert parse_building_set(serialize_building_set(b)) == b
+    assert parse_building_set(serialize_building_set(b)) == parse_building_set(str(b)) == b
     assert parse_building_set('{"n":2,"sets":[[1],[2],[1,2]]}').mu == 3
     with pytest.raises(ParseError):
         parse_building_set('{"n":2,"sets":[[0]]}')

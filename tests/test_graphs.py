@@ -441,8 +441,9 @@ def test_parse_graph_json():
 
 @given(graphs(max_n=6))
 def test_serialize_round_trip(g):
+    assert serialize_graph(g) == str(g)
     assert parse_graph(serialize_graph(g)).adj == g.adj
-    assert parse_graph(serialize_graph(g, "graph6")).adj == g.adj
+    assert parse_graph(to_graph6(g)).adj == g.adj
 
 
 def test_components_and_connectivity():

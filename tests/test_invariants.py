@@ -1233,6 +1233,33 @@ def test_hopf_morphism_on_random_building_sets():
         assert hopf_morphism_check(b)["passed"]
 
 
+def _flip_one_sign(b):
+    s = takeuchi_antipode(b)
+    return HopfElement(s.keys, (-s.coeffs[0], *s.coeffs[1:]))
+
+
+# One planted fault per side of the Hopf check, each on the name
+# hopf_morphism_check reads: one Takeuchi term with its sign flipped, the
+# coproduct without its I = {} piece, and the product with a discrete set in
+# place of the probe.
+PLANTED = {
+    "antipode": ("takeuchi_antipode", _flip_one_sign),
+    "coproduct": ("coproduct", lambda b: coproduct(b)[1:]),
+    "product": ("product", lambda b, probe: product(b, discrete_building_set(probe.n))),
+}
+
+
+@pytest.mark.parametrize("verdict", PLANTED)
+def test_each_hopf_verdict_fails_on_its_own_fault(monkeypatch, verdict):
+    b = from_graph(family("path", 3))
+    assert hopf_morphism_check(b)["passed"]
+    name, planted = PLANTED[verdict]
+    monkeypatch.setattr(invariants, name, planted)
+    r = hopf_morphism_check(b)
+    assert [k for k in PLANTED if not r[k]] == [verdict]
+    assert r["passed"] is False
+
+
 def test_product_intertwines_on_distinct_pairs():
     from nestoqsym.buildset import product
 

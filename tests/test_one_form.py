@@ -315,10 +315,11 @@ MEMOS = {
     ("qsym", "_body"): 1024,
     ("qsym", "_coarsenings"): 256,
     ("qsym", "_deconcatenations"): 1024,
-    # The one unbounded memo.  Keyed on pairs of compositions, it held
-    # 5,558 entries, 68 of 75 MiB traced, after F_graph_recurrence(path:14);
-    # a maxsize of 256 made that call 1.8 times as slow.
-    ("qsym", "_quasi_shuffle"): None,
+    # Keyed on pairs of compositions: the four family recurrence checks at
+    # 13 fill 10,583 entries, star:14 8,192, path:14 5,558 and each seed-1
+    # benchmark workload a few hundred, so no README measurement evicts;
+    # a maxsize of 256 made F_graph_recurrence(path:14) 1.8 times as slow.
+    ("qsym", "_quasi_shuffle"): 16384,
     ("qsym", "_refinements"): 256,
     ("qsym", "code_table"): "refinements",
 }

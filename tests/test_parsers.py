@@ -27,7 +27,6 @@ from nestoqsym.graphs import (
     graph_from_edges,
     is_q_connected,
     parse_graph,
-    serialize_graph,
 )
 from nestoqsym.invariants import (
     F_tree,
@@ -192,9 +191,6 @@ REFUSALS = {
     "graph6 multi-byte size": (
         lambda: from_graph6("~??~"),
         "multi-byte graph6 vertex counts are not supported (at position 0)",
-    ),
-    "graph format": (
-        lambda: serialize_graph(family("path", 2), "dot"), "unknown graph format 'dot'"
     ),
     "negative weight": (lambda: qsym.code_table(-1), "negative weight -1"),
     "plus int": (lambda: M + 1, "cannot add 1 to a quasisymmetric function"),

@@ -281,7 +281,7 @@ def test_mul_matches_polynomial_expansion(F, G):
 @given(small_qsym_elements, small_qsym_elements, small_qsym_elements)
 def test_mul_associative_commutative(A, B, C):
     assert mul(mul(A, B), C) == mul(A, mul(B, C))
-    assert mul(A, B) == mul(B, A)
+    assert mul(A, B) == mul(B, A) == B * A
     assert mul(one(), A) == A
 
 
@@ -692,7 +692,7 @@ def oracle_render(F):
 
 @given(qsym_elements)
 def test_render_matches_the_formatted_form(F):
-    assert render(F) == oracle_render(F)
+    assert render(F) == str(F) == oracle_render(F)
     L = element("L", F.terms)
     assert render(L) == oracle_render(L)
 
