@@ -10,8 +10,8 @@ building sets are handled directly: members of B_max are excluded from
 nested sets, and cross-component unions are never in B, so the complex is
 the join of the component complexes (faces of product polytopes multiply).
 
-Each vertex's B-tree and coordinates come from one cover map (`_vertex`)
-and mu(B|I) from the building set's table (`BuildingSet.mu_inside`).
+Each vertex's B-tree and coordinates come from one pass over its members
+(`_vertex`), mu(B|I) from the building set's table (`BuildingSet.mu_inside`).
 Only `b_tree` and `vertex_coordinates` validate a family (a caller's); the
 loops over maximal_nested_sets in `tree_multiset`, `_all_coordinates` and
 `realization_failures` call `_vertex` directly.  The f-vector counts on the
@@ -195,21 +195,20 @@ def _checked_family(b: BuildingSet, family) -> list:
 
 
 def _vertex(b: BuildingSet, family) -> tuple:
-    """(B-tree, member I at each label i_I) of a trusted maximal nested set.
-
-    Members containing I form a chain of growing masks, so the parent of I
-    is the first later member containing it; i_I is I minus its children.
-    """
-    nodes = sorted(family) + [b.full_mask()] if b.n else []
-    below = dict.fromkeys(nodes, 0)
-    cover = {}
-    for k, I in enumerate(nodes[:-1]):
-        cover[I] = next(J for J in nodes[k + 1 :] if J & I == I)
-        below[cover[I]] |= I
-    label = {I: (I & ~below[I]).bit_length() - 1 for I in nodes}
-    up = {label[I]: label[J] for I, J in cover.items()}
-    parent = tuple(up.get(v) for v in range(b.n))
-    return BTree(b.n, parent), tuple(sorted(nodes, key=label.get))
+    """(B-tree, member I at each label i_I) of a trusted maximal nested set,
+    in one pass by decreasing mask: owner[v], first [n], is the smallest
+    member seen that holds v.  Those holding v form a chain, so on reaching
+    I the owner of its lowest vertex is I's parent; at the end owner[v] is
+    the node labelled v, as i_I is I minus its children."""
+    owner = [b.full_mask()] * b.n
+    up = {}
+    for I in sorted(family, reverse=True):
+        up[I] = owner[(I & -I).bit_length() - 1]
+        for v in bits(I):
+            owner[v] = I
+    label = {I: v for v, I in enumerate(owner)}
+    parent = tuple(label.get(up.get(I)) for I in owner)  # [n] is not in up: None
+    return BTree(b.n, parent), tuple(owner)
 
 
 def _coordinates(tree: BTree, member, mu_inside) -> tuple:

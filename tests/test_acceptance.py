@@ -9,7 +9,7 @@ Malvenuto-Reutenauer and Ehrenborg.
 
 import time
 
-from nestoqsym import cli, invariants
+from nestoqsym import cli, invariants, nestopoly, verify
 from nestoqsym.qsym import monomial, render
 from nestoqsym.verify import CRITERIA, EXAMPLE_54, EXAMPLE_62_L
 
@@ -88,6 +88,25 @@ def test_criterion_03_family_vertex_counts_three_ways():
     _run(3)
 
 
+def test_criterion_03_fails_on_a_dropped_maximal_nested_set(monkeypatch, capsys):
+    # One vertex of each 7-vertex nestohedron missing from the listing: the
+    # closed form, chi and the recurrence still agree, so only the count of
+    # maximal nested sets can see it, at the last n the criterion reaches.
+    listing = verify.maximal_nested_sets
+
+    def dropped(b):
+        fams = listing(b)
+        return fams[1:] if b.n == 7 else fams
+
+    monkeypatch.setattr(verify, "maximal_nested_sets", dropped)
+    assert not verify.run_suite([3])
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("FAIL   3  family vertex counts n=1..7, three ways [")
+    assert line.endswith(
+        "] -- permutohedron n=7: closed 5040, chi 5040, nested 5039, recurrence 5040"
+    )
+
+
 def test_criterion_04_four_route_equality_all_classes():
     _run(4)
 
@@ -134,3 +153,22 @@ def test_criterion_10_coefficient_properties():
 
 def test_criterion_11_realization():
     _run(11)
+
+
+def test_criterion_11_fails_on_swapped_b_tree_parents(monkeypatch, capsys):
+    # The first and last labels trade parents in every B-tree: the coordinates
+    # still sum to mu(B), so the facet system has to catch it, first on the
+    # 2-vertex complete graph (n = 1 has one label, and nothing to swap).
+    vertex = nestopoly._vertex
+
+    def swapped(b, family):
+        tree, member = vertex(b, family)
+        parent = list(tree.parent)
+        parent[0], parent[-1] = parent[-1], parent[0]
+        return nestopoly.BTree(tree.n, tuple(parent)), member
+
+    monkeypatch.setattr(nestopoly, "_vertex", swapped)
+    assert not verify.run_suite([11])
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("FAIL  11  vertex-coordinate realization [")
+    assert line.endswith("] -- realization failed for complete n=2")

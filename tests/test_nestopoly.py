@@ -364,14 +364,18 @@ def rescan_vertex(b, fam):
     return tuple(parent), tuple(x)
 
 
-def test_b_trees_and_coordinates_match_rescan_oracle():
-    # every connected graphical building set n <= 5, then random ones n <= 6
+def _rescan_sample():
+    """Every connected graphical building set n <= 5, then random ones n <= 6."""
     sample = [
         from_graph(g)
         for n in range(1, 6)
         for g in enumerate_graphs(n, connected_only=True)
     ]
-    sample += [b for b in random_building_sets(300, seed=7, max_n=6) if bs_connected(b)]
+    return sample + [b for b in random_building_sets(300, seed=7, max_n=6) if bs_connected(b)]
+
+
+def test_b_trees_and_coordinates_match_rescan_oracle():
+    sample = _rescan_sample()
     vertices = 0
     for b in sample:
         for fam, x in zip(maximal_nested_sets(b), _all_coordinates(b), strict=True):
@@ -380,6 +384,35 @@ def test_b_trees_and_coordinates_match_rescan_oracle():
             assert vertex_coordinates(b, fam) == coords == x
             vertices += 1
     assert len(sample) == 246 and vertices == 13713
+
+
+def _vertex_by_covers(b, family):
+    """Oracle of nestopoly._vertex: members containing I form a chain of
+    growing masks, so the parent of I is the first later member containing
+    it, found by a scan of the later members; i_I is I minus its children."""
+    nodes = sorted(family) + [b.full_mask()] if b.n else []
+    below = dict.fromkeys(nodes, 0)
+    cover = {}
+    for k, I in enumerate(nodes[:-1]):
+        cover[I] = next(J for J in nodes[k + 1 :] if J & I == I)
+        below[cover[I]] |= I
+    label = {I: (I & ~below[I]).bit_length() - 1 for I in nodes}
+    up = {label[I]: label[J] for I, J in cover.items()}
+    parent = tuple(up.get(v) for v in range(b.n))
+    return BTree(b.n, parent), tuple(sorted(nodes, key=label.get))
+
+
+def test_one_pass_vertex_matches_the_cover_search():
+    sample = _rescan_sample()
+    sample += [from_graph(family_graph(kind, 7)) for kind in ("pe", "as", "cy", "st")]
+    sample += [from_graph(family_graph("pe", n)) for n in (0, 1)]
+    vertices = 0
+    for b in sample:
+        for fam in maximal_nested_sets(b):
+            assert nestopoly._vertex(b, fam) == _vertex_by_covers(b, fam)
+            vertices += 1
+    # 13,713 as above; 5,040 + 429 + 924 + 1,957 at n = 7; one each at n = 0, 1
+    assert vertices == 13713 + 5040 + 429 + 924 + 1957 + 2
 
 
 def test_check_realization_examples():
