@@ -170,11 +170,10 @@ def cmd_buildset(args) -> int:
 def cmd_polytope(args) -> int:
     kind = args.family
     n = args.n
-    F = family_F(kind, n)
     lines, payload = [], {"family": kind, "n": n}
     mode = "coords" if args.coords else "fvector" if args.fvector else "vertices"
     if mode == "vertices":
-        v = vertex_count(F, n)
+        v = vertex_count(family_F(kind, n), n)
         lines.append(str(v))
         payload["vertices"] = v
     else:

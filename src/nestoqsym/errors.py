@@ -3,8 +3,10 @@
 The CLI maps the exceptions onto exit codes.  Every route is a sum over an
 exponentially large structure, so each runs only up to a limit on its size;
 LIMITS holds every such limit with what it caps and why, and check_limit is
-the one place that raises CapacityError.  check_int refuses a float, bool or
-string; load_json and json_int raise ParseError on JSON that does not parse.
+the one place that raises CapacityError; a check or route that runs a
+capped walk is refused by the walk's row.  check_int refuses a float, bool
+or string; load_json and json_int raise ParseError on JSON that does not
+parse.
 """
 
 import json
@@ -86,7 +88,6 @@ LIMITS = {
     "coarsenings": Limit(16, "coarsenings of a term", "2^(l - 1) per term", "l - 1"),
     # nested sets and trees
     "nested": Limit(8, "nested-set enumeration", "one visit per nested set, 545,835 on K8"),
-    "realization": Limit(7, "realization check", "n! (2^n - 2) facet tests on K_n"),
     "tree shapes": Limit(14, "tree shapes", "rooted trees grow about 2.96^n"),
     "extensions": Limit(9, "linear extensions", "up to n! orderings"),
     # routes and checks
@@ -97,11 +98,8 @@ LIMITS = {
     "colorings": Limit(8, "ordered-coloring route", "one walk step per ordered coloring"),
     "chromatic": Limit(11, "chromatic enumeration", "3^n block tests"),
     "recurrence": Limit(14, "recurrence route", "2^n vertex masks in the memo"),
-    "fundamental": Limit(7, "fundamental route", "one B-tree shape per vertex, n! on K_n"),
-    "thm72": Limit(11, "coefficient checks", "C(n, q) separator sets per q"),
     "family": Limit(13, "family recurrences", "2^(n - 1) terms per enumerator"),
     "kernel": Limit(9, "kernel computation", "tree shapes times 2^(n - 1) compositions"),
-    "hopf": Limit(7, "Hopf checks", "Takeuchi antipode and coproduct of b"),
 }
 
 

@@ -378,7 +378,7 @@ def _descents(code: str) -> int:
     By Stanley's P-partition theory that multiset depends only on the
     shape, so one tree serves every B-tree of the shape, labeled by its
     preorder index, which increases away from the root (shape_tree).
-    The fundamental row bounds the memo: 85 shapes on at most 7 nodes.
+    The nested row bounds the memo: 200 shapes on at most 8 nodes.
 
     No extension is listed.  table[U][x] counts the orderings of a placed
     set U (every child placed before its parent) that end at x; x can end U
@@ -404,8 +404,7 @@ def F_fundamental(b: BuildingSet) -> QSymElement:
     """Positive fundamental expansion from linear extensions of B-trees:
     each shape of tree_multiset, times its multiplicity, adds its descent
     compositions (_descents).  The slots sum to F's coefficient of
-    M_(1^n), n!, so none carries."""
-    check_limit("fundamental", b.n)
+    M_(1^n), n!, so none carries; the nested row bounds b."""
     if not is_connected(b):
         raise InputError("fundamental route requires a connected building set")
     if b.n == 0:
@@ -540,10 +539,10 @@ def check_thm72(g: Graph) -> dict:
         component sizes); the weaker published phrasing, which sums only
         over q-sets leaving exactly k components, is reported alongside,
     (d) monotonicity under refinement,
-    (e) domination by the chromatic coefficients.
+    (e) domination by the chromatic coefficients, whose row bounds g.
     The ordered-coloring counts are F's, read from the recurrence route.
     """
-    check_limit("thm72", g.n)
+    check_limit("chromatic", g.n)
     n = g.n
     zd = F_graph_recurrence(g).as_dict()
 
@@ -624,18 +623,18 @@ def check_thm72(g: Graph) -> dict:
 _FAMILY_NAMES = {name: f for f in FAMILIES for name in (f.alias, f.polytope)}
 
 
-def _family(kind: str):
-    """The row of graphs.FAMILIES named by its alias or its polytope."""
+def _family(kind: str, n: int):
+    """The row of graphs.FAMILIES named by its alias or its polytope, at n >= 0."""
     if kind not in _FAMILY_NAMES:
         raise InputError(f"unknown polytope family {kind!r}")
+    if check_int(n, "family index") < 0:
+        raise InputError("family index must be >= 0")
     return _FAMILY_NAMES[kind]
 
 
 def family_F(kind: str, n: int) -> QSymElement:
     """Enumerator of the n-vertex member of a classical family, by recurrence."""
-    kind = _family(kind).polytope
-    if check_int(n, "family index") < 0:
-        raise InputError("family index must be >= 0")
+    kind = _family(kind, n).polytope
     check_limit("family", n)
     return QSymElement("M", *_terms(_family_packed(kind, n), n))
 
@@ -658,7 +657,7 @@ def _family_packed(kind: str, n: int) -> int:
 
 
 def family_graph(kind: str, n: int) -> Graph:
-    graph_kind = _family(kind).graph
+    graph_kind = _family(kind, n).graph
     if n == 0:
         return Graph(0, ())  # the point, which `family` refuses
     if graph_kind == "cycle" and n < 3:
@@ -833,13 +832,13 @@ def hopf_morphism_check(b: BuildingSet) -> dict:
     check sets F_of_hopf of the Takeuchi antipode (the recurrence, per
     factor) against the qsym antipode of F_splitting(b).
     """
-    check_limit("hopf", b.n)
+    S_image = F_of_hopf(takeuchi_antipode(b))  # first: the takeuchi row refuses b
     small = 2 * b.n <= LIMITS["splitting"].limit - 2
     probe = b if small else from_graph(family("complete", 2))
     Fb = F_splitting(b)
     product_ok = F_splitting(product(b, probe)) == mul(Fb, F_splitting(probe))
     coproduct_ok = qsym.coproduct(Fb) == _coproduct_image(b)
-    antipode_ok = F_of_hopf(takeuchi_antipode(b)) == antipode(Fb)
+    antipode_ok = S_image == antipode(Fb)
     return {
         "product": product_ok,
         "coproduct": coproduct_ok,

@@ -241,8 +241,8 @@ def vertex_coordinates(b: BuildingSet, family) -> tuple:
 
 
 def realization_failures(b: BuildingSet) -> list:
-    """Vertices violating a facet inequality or the predicted tight set."""
-    check_limit("realization", b.n)
+    """Vertices violating a facet inequality or the predicted tight set
+    (maximal_nested_sets holds b to the nested row)."""
     failures = []
     full, mu_inside = b.full_mask(), b.mu_inside
     for fam in maximal_nested_sets(b):

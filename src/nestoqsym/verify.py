@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import time
+from itertools import permutations
 
 from . import qsym
 from .buildset import building_set, from_graph
@@ -268,9 +269,7 @@ def criterion_11():
                 return False, f"realization failed for {kind} n={n}"
     k3 = from_graph(family("complete", 3))
     coords = sorted(_all_coordinates(k3))
-    from itertools import permutations as perms
-
-    expect = sorted(set(perms((1, 2, 4))))
+    expect = sorted(set(permutations((1, 2, 4))))
     if coords != expect:
         return False, f"triangle-family vertex set {coords} != permutations of (1,2,4)"
     return True, "families n <= 5 realized; K3 vertices are the permutations of (1,2,4)"

@@ -7,10 +7,15 @@ tests/test_qsym.py checks it against the M-basis formula of
 Malvenuto-Reutenauer and Ehrenborg.
 """
 
+import dataclasses
 import time
 
+import pytest
+
 from nestoqsym import cli, invariants, nestopoly, verify
-from nestoqsym.qsym import monomial, render
+from nestoqsym.buildset import discrete_building_set
+from nestoqsym.graphs import to_graph6
+from nestoqsym.qsym import QSymTensor, monomial, render
 from nestoqsym.verify import CRITERIA, EXAMPLE_54, EXAMPLE_62_L
 
 _BY_NUMBER = {num: (name, fn, budget) for num, name, fn, budget in CRITERIA}
@@ -172,3 +177,89 @@ def test_criterion_11_fails_on_swapped_b_tree_parents(monkeypatch, capsys):
     (line,) = capsys.readouterr().out.splitlines()
     assert line.startswith("FAIL  11  vertex-coordinate realization [")
     assert line.endswith("] -- realization failed for complete n=2")
+
+
+def _separates_nothing(search):
+    def planted(n, invariant="F", **kw):
+        report = search(n, invariant, **kw)
+        return dataclasses.replace(report, f_separates=False) if invariant == "X" else report
+
+    return planted
+
+
+def _without_empty_right(cop):
+    def planted(F):
+        t = cop(F)
+        return QSymTensor.of({k: c for k, c in zip(t.keys, t.coeffs) if k[1]})
+
+    return planted
+
+
+# One planted fault per verdict of criteria 5, 6, 7, 9 and 10, each on the
+# name the criterion reads: (criterion, module, name, original -> fault,
+# the start of the detail its FAIL line must carry).
+PLANTED = {
+    "5 F read as the edge count": (
+        5, invariants, "_packed_F", lambda f: lambda g: len(g.edges()),
+        "F collisions at n=5: CollisionReport(n=5, invariant='F', connected_only=False, "
+        "class_count=34, value_count=11, collisions=(('Do?', 'DK?'), ",
+    ),
+    "5 X read as the class": (
+        5, invariants, "chromatic_symmetric", lambda f: to_graph6,
+        "expected at least one chromatic collision at n=5",
+    ),
+    "5 F splits no X group": (
+        5, verify, "collision_search", _separates_nothing,
+        "F fails to separate an X collision: (('Dz_', 'Dto'),)",
+    ),
+    "6 one face more on {1,2,3}": (
+        6, verify, "nested_sets_by_size",
+        lambda f: lambda b: f(b)[:-1] + (f(b)[-1] + (0b0111 in b.sets),),
+        "face counts differ: (1, 4, 5) vs (1, 4, 4)",
+    ),
+    "6 F read off the vertex count": (
+        6, verify, "F_splitting", lambda f: lambda b: f(discrete_building_set(b.n)),
+        "enumerators unexpectedly equal",
+    ),
+    "7 elimination without the last shape": (
+        7, invariants, "_integer_kernel", lambda f: lambda rows: f(rows[:-1]),
+        "n=5: rank 7, kernel [(0, 1, -2, 0, 1, -1, 1, 0)]; n=4: rank 3; 9 shapes at n=5",
+    ),
+    "9 basis change doubled": (
+        9, verify, "from_fundamental", lambda f: lambda F: f(F).scale(2),
+        "basis round trip failed on 2*M[] - 4*M[2] + 4*M[1,2,1]",
+    ),
+    "9 product plus its left factor": (
+        9, verify, "mul", lambda f: lambda A, B: f(A, B) + A,
+        "quasi-shuffle associativity/commutativity failed",
+    ),
+    "9 product zero": (
+        9, verify, "mul", lambda f: lambda A, B: f(A, B).scale(0), "unit failed",
+    ),
+    "9 coproduct without its empty right parts": (
+        9, verify, "coproduct", _without_empty_right, "coassociativity failed on -2*M[1]",
+    ),
+    "9 antipode negated": (
+        9, verify, "antipode", lambda f: lambda F: f(F).scale(-1),
+        "antipode axiom failed on M[]",
+    ),
+    "9 specialization plus one": (
+        9, verify, "principal_specialization", lambda f: lambda F, m: f(F, m) + 1,
+        "ps_-2 not multiplicative",
+    ),
+    "10 one independent set more": (
+        10, invariants, "independence_fvector", lambda f: lambda g: f(g)[:-1] + (f(g)[-1] + 1,),
+        "coefficient checks failed on []: {'a': {'holds': False, "
+        "'cases': [{'k': 1, 'zeta': 1, 'expected': 2}]}, ",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", PLANTED)
+def test_criteria_fail_on_a_planted_fault(monkeypatch, capsys, fault):
+    num, module, name, plant, detail = PLANTED[fault]
+    monkeypatch.setattr(module, name, plant(getattr(module, name)))
+    assert not verify.run_suite([num])
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith(f"FAIL  {num:2d}  {_BY_NUMBER[num][0]} [")
+    assert line.split("] -- ", 1)[1].startswith(detail)

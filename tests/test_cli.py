@@ -188,6 +188,15 @@ def test_polytope_at_n0_is_the_point_in_every_mode(capsys):
     assert code == 2 and "family size must be >= 1" in err
 
 
+def test_polytope_negative_n_is_one_input_error_in_every_mode(capsys):
+    # --coords and --fvector build no enumerator, yet refuse --n -1 with
+    # the message --vertices gives
+    for kind in ("pe", "as", "cy", "st"):
+        for mode in ("--vertices", "--fvector", "--coords"):
+            got = run(capsys, "polytope", "--family", kind, "--n", "-1", mode)
+            assert got == (2, "", "input error: family index must be >= 0\n"), (kind, mode)
+
+
 def test_polytope_coords_pinned_digests(capsys):
     # sha256 of the sorted coordinate rows, one line per vertex
     pinned = {

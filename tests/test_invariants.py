@@ -746,9 +746,7 @@ def test_shape_descents_match_the_tree_enumerators_past_listing():
 
 
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
-def test_fundamental_route_at_n8_matches_the_recurrence(kind, monkeypatch):
-    row = LIMITS["fundamental"]
-    monkeypatch.setitem(LIMITS, "fundamental", row._replace(limit=max(row.limit, 8)))
+def test_fundamental_route_at_n8_matches_the_recurrence(kind):
     g = family(kind, 8)
     assert from_fundamental(F_fundamental(from_graph(g))) == F_graph_recurrence(g)
 
@@ -964,6 +962,23 @@ def test_thm72_separator_counts_match_rebuilt_graphs():
             assert got == rebuilt_separator_cases(g), g
             total += len(got)
     assert total == 103
+
+
+def test_thm72_parts_b_d_e_fail_on_a_planted_F(monkeypatch):
+    # F of path:4 plus 25 M[4]: one-block colorings of a graph with edges,
+    # more of them than of any refinement (4! of (1,1,1,1) at most) and
+    # than X's coefficient of m_(4), so (b), (d) and (e) each name M[4].
+    recurrence = invariants.F_graph_recurrence
+    monkeypatch.setattr(
+        invariants, "F_graph_recurrence", lambda g: recurrence(g) + monomial((4,), 25)
+    )
+    r = check_thm72(family("path", 4))
+    assert not r["passed"]
+    assert r["b"]["holds"] is r["d"]["holds"] is r["e"]["holds"] is False
+    assert r["b"]["violations"] == [{"q": 1, "alpha": (4,), "zeta": 25}]
+    finer = [(1, 3), (2, 2), (3, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 1, 1, 1)]
+    assert r["d"]["violations"] == [{"alpha": (4,), "beta": beta} for beta in finer]
+    assert r["e"]["violations"] == [{"alpha": (4,), "zeta": 25, "c_mu": 0}]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from nestoqsym.buildset import (
+    building_set,
     coproduct,
     discrete_building_set,
     from_graph,
@@ -61,6 +62,10 @@ def forest(n):
     return BTree(n, (None,) * n)
 
 
+def connected(n):
+    return building_set(n, [(1 << n) - 1])
+
+
 # row name -> a public call that is refused with value v for that row
 PROBES = {
     "ground": lambda v: graph_from_edges(v, []),
@@ -75,7 +80,6 @@ PROBES = {
     "refinements": lambda v: to_fundamental(monomial((v + 1,))),
     "coarsenings": lambda v: coarsenings((1,) * (v + 1)),
     "nested": lambda v: nested_sets(discrete(v)),
-    "realization": lambda v: check_realization(discrete(v)),
     "tree shapes": lambda v: enumerate_tree_shapes(v),
     "extensions": lambda v: linear_extensions(forest(v)),
     "splitting": lambda v: F_splitting(discrete(v)),
@@ -83,11 +87,8 @@ PROBES = {
     "colorings": lambda v: F_graph_colorings(empty(v)),
     "chromatic": lambda v: chromatic_symmetric(empty(v)),
     "recurrence": lambda v: F_graph_recurrence(empty(v)),
-    "fundamental": lambda v: F_fundamental(discrete(v)),
-    "thm72": lambda v: check_thm72(empty(v)),
     "family": lambda v: family_F("permutohedron", v),
     "kernel": lambda v: tree_matrix_kernel(v),
-    "hopf": lambda v: hopf_morphism_check(discrete(v)),
 }
 
 
@@ -95,41 +96,45 @@ def test_every_row_has_a_probe():
     assert set(PROBES) == set(LIMITS)
 
 
-@pytest.mark.parametrize("name", sorted(LIMITS))
-def test_row_refuses_one_past_its_limit(name):
+def assert_refused_one_past(call, name):
     row = LIMITS[name]
     value = row.limit + 1
     with pytest.raises(CapacityError) as exc:
-        PROBES[name](value)
+        call(value)
     assert str(exc.value) == (
         f"{row.what} capped at {row.size} <= {row.limit}, got {value} ({row.why})"
     )
 
 
-# Calls that had rows of their own, one past the old limits: each is now
-# refused by the row of the kernel it runs.
-PAST_SPLITTING = LIMITS["splitting"].limit + 1
+@pytest.mark.parametrize("name", sorted(LIMITS))
+def test_row_refuses_one_past_its_limit(name):
+    assert_refused_one_past(PROBES[name], name)
+
+
+# Calls that had rows of their own: each is now refused, one past the row
+# of the walk it runs, by that row, with its own n in the message.  The
+# nested row's callers get a connected set, since maximal_nested_sets
+# refuses a disconnected one first.
 FOLDED = {
-    "zeta": (lambda: zeta(discrete(PAST_SPLITTING), (1,) * PAST_SPLITTING), "splitting"),
-    "family check": (
-        lambda: family_recurrence_check("associahedron", LIMITS["family"].limit + 1),
-        "family",
-    ),
-    "collide": (lambda: collision_search(9, "F"), "enumeration"),
+    "zeta": ("splitting", lambda v: zeta(discrete(v), (1,) * v)),
+    "family check": ("family", lambda v: family_recurrence_check("associahedron", v)),
+    "collide": ("enumeration", lambda v: collision_search(v, "F")),
     "collide connected": (
-        lambda: collision_search(9, "F", connected_only=True),
         "enumeration",
+        lambda v: collision_search(v, "F", connected_only=True),
     ),
+    "realization": ("nested", lambda v: check_realization(connected(v))),
+    "fundamental": ("nested", lambda v: F_fundamental(connected(v))),
+    "hopf": ("takeuchi", lambda v: hopf_morphism_check(discrete(v))),
+    "thm72": ("chromatic", lambda v: check_thm72(empty(v))),
 }
 
 
 @pytest.mark.parametrize("old_row", sorted(FOLDED))
 def test_folded_rows_are_refused_by_their_kernel(old_row):
-    call, row = FOLDED[old_row]
+    name, call = FOLDED[old_row]
     assert old_row not in LIMITS
-    with pytest.raises(CapacityError) as exc:
-        call()
-    assert str(exc.value).startswith(f"{LIMITS[row].what} capped at ")
+    assert_refused_one_past(call, name)
 
 
 def test_below_range_sizes_are_input_errors():
@@ -143,7 +148,7 @@ def test_below_range_sizes_are_input_errors():
 
 CAPACITY_ARGV = [
     ("invariant", "--graph", f"cycle:{LIMITS['recurrence'].limit + 1}"),
-    ("invariant", "--graph", f"cycle:{PAST_SPLITTING}", "--route", "splitting"),
+    ("invariant", "--graph", f"cycle:{LIMITS['splitting'].limit + 1}", "--route", "splitting"),
     ("invariant", "--graph", "cycle:9", "--route", "trees"),
     ("invariant", "--graph", "cycle:9", "--route", "colorings"),
     ("invariant", "--graph", "cycle:9", "--route", "all"),

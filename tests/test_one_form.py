@@ -306,7 +306,7 @@ MEMOS = {
     ("bitsets", "_SHARED_TABLES"): 64,  # compress_tables for n <= 6, read only
     ("graphs", "_pairs_within"): "recurrence",
     ("invariants", "_SUBGRAPHS"): 8192,
-    ("invariants", "_descents"): "fundamental",
+    ("invariants", "_descents"): "nested",
     ("invariants", "_f_shape"): "tree enumerators",
     ("invariants", "_factor_F"): 1024,
     ("invariants", "_partitions"): "chromatic",
