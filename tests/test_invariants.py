@@ -465,6 +465,74 @@ def test_recurrence_matches_colorings_at_n7():
         assert F_graph_recurrence(g) == F_graph_colorings(g)
 
 
+def submask_colorings(g):
+    """Route 3 as it stood before it generated its blocks: every nonempty
+    submask of the remaining vertices, tested for independence in the
+    contracted graph, and a recursive call on the empty remainder to count
+    each coloring."""
+    n = g.n
+    count = [0] * (1 << max(n - 1, 0))
+
+    def rec(adj: tuple, remaining: int, code: int):
+        if remaining == 0:
+            count[code] += 1
+            return
+        code |= 1 << n - remaining.bit_count() >> 1
+        for blk in nonempty_submasks(remaining):
+            if any(adj[v] & blk for v in bits(blk)):
+                continue
+            rest = remaining & ~blk
+            new_adj = list(adj)
+            for u in bits(rest):
+                extra = 0
+                for w in bits(adj[u] & blk):
+                    extra |= adj[w]
+                new_adj[u] = (adj[u] | extra) & rest & ~(1 << u)
+            rec(tuple(new_adj), rest, code)
+
+    rec(g.adj, (1 << n) - 1, 0)
+    packed = sum([c << 64 * code for code, c in enumerate(count)])
+    return QSymElement("M", *invariants._terms(packed, n))
+
+
+def assert_matches_submask_colorings(g):
+    want, got = submask_colorings(g), F_graph_colorings(g)
+    assert got == want and repr(got) == repr(want), g.adj
+
+
+def test_colorings_match_the_submask_recursion_on_every_class_through_n6():
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            assert_matches_submask_colorings(g)
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_colorings_match_the_submask_recursion_on_families_through_n8(kind):
+    for n in range(1, 9):
+        assert_matches_submask_colorings(_family_or_edgeless(kind, n))
+
+
+@pytest.mark.parametrize("n, count", [(7, 32), (8, 8)])
+def test_colorings_match_the_submask_recursion_on_random_graphs(n, count):
+    # G(n, p) with p spread evenly over 0.2-0.8, from sparse to dense
+    rng = random.Random(41 + n)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for i in range(count):
+        p = 0.2 + 0.6 * i / (count - 1)
+        assert_matches_submask_colorings(
+            graph_from_edges(n, [e for e in pairs if rng.random() < p])
+        )
+
+
+@pytest.mark.parametrize("n, want", [(0, one("M")), (1, monomial((1,)))])
+def test_routes_agree_on_no_vertex_and_one(n, want):
+    # route 3 counts the class that colors every remaining vertex in place,
+    # so on no vertices the empty class must still count the one coloring
+    g = graph_from_edges(n, [])
+    got = {name: route(g) for name, route in invariants.ROUTES.items()}
+    assert got == dict.fromkeys(invariants.ROUTES, want)
+
+
 def dict_recurrence(n, components):
     """The deletion recurrence on {composition: coeff} dicts, as it stood
     before its memo moved onto lists indexed by composition code."""

@@ -105,10 +105,6 @@ def test_one_flag_walk():
         # per-call factor ids, which a packed count cannot hold, and each
         # factor is read from the remainders listed once per mask.
         ("buildset", "takeuchi_antipode"),
-        # Route 3: on a memoized walk that keeps every continuation it
-        # raised the peak RSS of the `routes` benchmark from 23.2 to
-        # 37.5 MiB (+62 %), since the benchmark worker keeps every result.
-        ("invariants", "F_graph_colorings"),
         # X walks unordered partitions; on the ordered listing walk it took
         # 0.31 s over the 853 connected 7-vertex classes, against 0.13 s by
         # its own walk (chromatic_symmetric reads the counts of this one).
@@ -166,9 +162,11 @@ def test_recursive_closures_skip_states():
     # node count, _descents and linear_extensions by placed set).  Each
     # recursion left has a reason:
     assert _recursive_closures() == [
-        # Route 3, the seed recursion over contracted adjacency tuples; on a
-        # walk that keeps every continuation it raised `routes`' peak RSS
-        # past its bound.
+        # Route 3, the recursion over contracted adjacency tuples; it walks
+        # no submasks, as it builds the independent sets of each contracted
+        # graph.  On a memoized walk that keeps every continuation it raised
+        # the peak RSS of the `routes` benchmark from 23.2 to 37.5 MiB
+        # (+62 %), since the benchmark worker keeps every result.
         ("invariants", "F_graph_colorings.rec"),
         # A hit in the shared memo of induced subgraphs skips a whole
         # subtree: a warm `classes` job computes about 8 of 128 masks.

@@ -1,5 +1,6 @@
 """The quasisymmetric kernel: exact values and algebraic laws."""
 
+import dataclasses
 import hashlib
 from itertools import accumulate
 
@@ -11,8 +12,10 @@ from conftest import compositions, qsym_elements, small_compositions, small_qsym
 from nestoqsym import qsym
 from nestoqsym.bitsets import submasks
 from nestoqsym.buildset import HopfElement, discrete_building_set, from_graph, hopf_word
+from nestoqsym.buildset import coproduct as bcoproduct
 from nestoqsym.errors import CapacityError, InputError, ParseError
 from nestoqsym.graphs import family
+from nestoqsym.invariants import F_splitting, chromatic_symmetric, random_building_sets
 from nestoqsym.qsym import (
     antipode,
     binomial,
@@ -391,6 +394,65 @@ def test_sums_are_the_canonical_form_of_the_merged_dict(cls, data):
     assert got == want and repr(got) == repr(want)
     assert all(c for _, c in got.terms)
     assert (a + a.scale(-1)).is_zero() and a + _of(cls, {}) == a
+
+
+def dict_sum(a, b):
+    """a + b as it stood before sums without a new key took one pass in
+    key order: one dict merge, then the canonical sort, whatever the keys."""
+    acc = dict(zip(a.keys, a.coeffs))
+    for k, c in zip(b.keys, b.coeffs):
+        acc[k] = acc.get(k, 0) + c
+    keys, coeffs = a._canonical(acc)
+    return dataclasses.replace(a, keys=keys, coeffs=coeffs)
+
+
+def assert_sums_match_the_dict_path(a, b):
+    for x, y in ((a, b), (b, a)):
+        got, want = x + y, dict_sum(x, y)
+        assert got == want and repr(got) == repr(want), (x, y)
+
+
+def test_coproduct_piece_sums_match_the_dict_path():
+    # the sums the `hopf` benchmark makes: F ⊗ F of each coproduct piece,
+    # added in turn; most bring no new key
+    for b in random_building_sets(60, seed=41, max_n=5):
+        pieces = [tensor_product(F_splitting(x), F_splitting(y)) for _, x, y in bcoproduct(b)]
+        total = pieces[0]
+        for piece in pieces[1:]:
+            assert_sums_match_the_dict_path(total, piece)
+            total = total + piece
+
+
+_BASE = {(1,): 1, (1, 1): 3, (1, 2): 5, (1, 1, 1): 2}  # in term order
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        {k: -c for k, c in _BASE.items()},  # cancels every term
+        {(1,): -1, (1, 2): 1},  # cancels the first term, changes another
+        {(1, 1): -3},  # cancels a middle term
+        {(1, 1, 1): -2, (1,): 4},  # cancels the last term
+        {(1, 1): 1, (1, 1, 1): 1},  # no new key, nothing cancels
+        {(): 7, (1, 2): 1},  # a new key at the front
+        {(2,): 7, (3,): -1},  # new keys in the middle
+        {(4,): 7, (1, 1): -3},  # a new key at the end, one term cancelled
+        {},
+    ],
+)
+def test_sums_match_the_dict_path(other):
+    assert_sums_match_the_dict_path(element("M", _BASE), element("M", other))
+
+
+def test_hopf_and_symmetric_sums_match_the_dict_path():
+    one_, two, p3 = _FACTORS
+    words = [hopf_word([one_]), hopf_word([two]), hopf_word([one_, two]), hopf_word([p3])]
+    a = HopfElement.of({words[0]: 1, words[2]: -2, words[3]: 4})
+    assert_sums_match_the_dict_path(a, HopfElement.of({words[2]: 2, words[3]: 1}))
+    assert_sums_match_the_dict_path(a, HopfElement.of({words[1]: 5, words[0]: -1}))
+    X = chromatic_symmetric(family("path", 4))
+    assert_sums_match_the_dict_path(X, chromatic_symmetric(family("star", 4)))
+    assert_sums_match_the_dict_path(X, X.scale(-1) + chromatic_symmetric(family("path", 2)))
 
 
 def _nonzero(d: dict) -> dict:
