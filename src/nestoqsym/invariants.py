@@ -265,10 +265,13 @@ def F_graph_colorings(g: Graph) -> QSymElement:
     contracted graph on the remaining vertices, built one vertex at a time
     (no other block is tested), contracts it and goes on; the class that
     colors every remaining vertex is counted in place.  The contracted
-    graphs are not memoized, so each step holds only its own."""
+    graph is fixed by the remaining set alone (uncolored u ~ w iff some
+    u-w path in g has only colored inner vertices), so one per-call table
+    holds it per remaining set and each is contracted once."""
     check_limit("colorings", g.n)
     n = g.n
     count = [0] * (1 << max(n - 1, 0))  # ordered colorings by composition code
+    contracted = {}  # remaining set -> its contracted adjacency tuple
 
     def rec(adj: tuple, remaining: int, code: int):
         code |= 1 << n - remaining.bit_count() >> 1  # bit s - 1 for s colored, none at s = 0
@@ -280,16 +283,28 @@ def F_graph_colorings(g: Graph) -> QSymElement:
                 count[code] += 1
             elif blk:
                 rest = remaining ^ blk
-                new_adj = list(adj)
-                for u in bits(rest):
-                    extra = 0
-                    for w in bits(adj[u] & blk):
-                        extra |= adj[w]
-                    new_adj[u] = (adj[u] | extra) & rest & ~(1 << u)
-                rec(tuple(new_adj), rest, code)
+                new_adj = contracted.get(rest)
+                if new_adj is None:
+                    new_adj = contracted[rest] = _contracted(adj, blk, rest)
+                rec(new_adj, rest, code)
 
     rec(g.adj, (1 << n) - 1, 0)
+    del rec  # rec's closure is a cycle; the table goes with the call
     return QSymElement("M", *_terms(sum([c << 64 * code for code, c in enumerate(count)]), n))
+
+
+def _contracted(adj: tuple, blk: int, rest: int) -> tuple:
+    """Route 3's graph on rest = remaining - blk, blk an independent class
+    of adj: u ~ w if adjacent in adj or both adjacent to one vertex of
+    blk.  A colored vertex keeps no neighbours, so the tuple depends on
+    rest alone."""
+    out = [0] * len(adj)
+    for u in bits(rest):
+        nbrs = adj[u]
+        for w in bits(adj[u] & blk):
+            nbrs |= adj[w]
+        out[u] = nbrs & rest & ~(1 << u)
+    return tuple(out)
 
 
 # F and X of induced subgraphs, shared by every call (see _recurrence and
@@ -352,7 +367,7 @@ def _recurrence(n: int, first, code: int | None = None) -> int:
         return hit
 
     out = rec((1 << n) - 1)
-    memo.clear()  # rec's closure is a cycle, so the memo would outlive the call
+    del rec  # rec's closure is a cycle; the memo goes with the call
     return out
 
 
@@ -514,7 +529,7 @@ def _block_counts(g: Graph) -> dict:
         return hit
 
     whole = rest(full)
-    memo.clear()  # rest's closure is a cycle, so the memo would outlive the call
+    del rest  # rest's closure is a cycle; the memo goes with the call
     return whole
 
 

@@ -1,5 +1,6 @@
 """The enumerator routes, coefficient theorems, families, collisions, Hopf checks."""
 
+import gc
 import os
 import random
 import subprocess
@@ -531,6 +532,79 @@ def test_routes_agree_on_no_vertex_and_one(n, want):
     g = graph_from_edges(n, [])
     got = {name: route(g) for name, route in invariants.ROUTES.items()}
     assert got == dict.fromkeys(invariants.ROUTES, want)
+
+
+def contracted_by_paths(g, colored):
+    """Route 3's contracted graph once the vertices of colored are colored,
+    read off g alone: uncolored u ~ w iff some u-w path in g has every
+    inner vertex colored.  Colored vertices keep no neighbours."""
+    adj = [0] * g.n
+    for u in bits(((1 << g.n) - 1) & ~colored):
+        reach, stack = 0, [u]
+        while stack:  # path ends reached from u through colored vertices
+            for y in bits(g.adj[stack.pop()] & ~reach & ~(1 << u)):
+                reach |= 1 << y
+                if colored >> y & 1:
+                    stack.append(y)
+        adj[u] = reach & ~colored
+    return tuple(adj)
+
+
+def assert_contractions_follow_the_paths(g):
+    # every remaining set the walk reaches, and every independent class that
+    # leaves some vertex uncolored: the contraction of the parent graph is
+    # the path graph of the child set, whatever the parent and the class
+    full = (1 << g.n) - 1
+    assert contracted_by_paths(g, 0) == g.adj
+    seen, todo = {full}, [full]
+    while todo:
+        remaining = todo.pop()
+        adj = contracted_by_paths(g, full ^ remaining)
+        for blk in nonempty_submasks(remaining):
+            if blk == remaining or any(adj[v] & blk for v in bits(blk)):
+                continue
+            rest = remaining ^ blk
+            want = contracted_by_paths(g, full ^ rest)
+            assert invariants._contracted(adj, blk, rest) == want, (g.adj, remaining, blk)
+            if rest not in seen:
+                seen.add(rest)
+                todo.append(rest)
+
+
+def test_contracted_graphs_follow_the_paths_on_every_class_through_n6():
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            assert_contractions_follow_the_paths(g)
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_contracted_graphs_follow_the_paths_on_families_at_n7(kind):
+    assert_contractions_follow_the_paths(family(kind, 7))
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        F_graph_colorings,
+        F_graph_recurrence,
+        chromatic_symmetric,
+        lambda g: F_splitting(from_graph(g)),
+    ],
+    ids=["colorings", "recurrence", "chromatic", "splitting"],
+)
+def test_routes_leave_no_cyclic_garbage(route):
+    # A recursive closure is a reference cycle; each call breaks its own,
+    # so with the collector off nothing is left for it to find.
+    for kind in ("cycle", "path", "star"):
+        g = family(kind, 8)
+        gc.collect()
+        gc.disable()
+        try:
+            route(g)
+            left = gc.collect()
+        finally:
+            gc.enable()
+        assert left == 0, kind
 
 
 def dict_recurrence(n, components):

@@ -155,18 +155,22 @@ def _recursive_closures() -> list:
 
 
 def test_recursive_closures_skip_states():
-    # A memoized closure that calls itself is a reference cycle, so it must
-    # clear its memo by hand.  Where every state is needed, a loop fills the
-    # table in dependency order instead (_nested, nested_sets_by_size and
+    # A memoized closure that calls itself is a reference cycle, so its call
+    # breaks the cycle when done (`del rec`), or the memo waits for the
+    # cycle collector (test_invariants::test_routes_leave_no_cyclic_garbage).
+    # Where every state is needed, a loop fills the table in dependency
+    # order instead (_nested, nested_sets_by_size and
     # takeuchi_antipode by covered or member mask, enumerate_tree_shapes by
     # node count, _descents and linear_extensions by placed set).  Each
     # recursion left has a reason:
     assert _recursive_closures() == [
         # Route 3, the recursion over contracted adjacency tuples; it walks
         # no submasks, as it builds the independent sets of each contracted
-        # graph.  On a memoized walk that keeps every continuation it raised
-        # the peak RSS of the `routes` benchmark from 23.2 to 37.5 MiB
-        # (+62 %), since the benchmark worker keeps every result.
+        # graph, and contracts once per remaining set (a per-call table).
+        # It visits every ordered coloring: a memoized walk that kept every
+        # continuation raised the peak RSS of the `routes` benchmark from
+        # 23.2 to 37.5 MiB (+62 %), since the benchmark worker keeps every
+        # result.
         ("invariants", "F_graph_colorings.rec"),
         # A hit in the shared memo of induced subgraphs skips a whole
         # subtree: a warm `classes` job computes about 8 of 128 masks.
