@@ -261,25 +261,34 @@ def F_graph_colorings(g: Graph) -> QSymElement:
     """Enumerator of ordered colorings: each color class is discrete after
     contracting all smaller color classes.
 
-    Each step takes the next class among the independent sets of the
-    contracted graph on the remaining vertices, built one vertex at a time
-    (no other block is tested), contracts it and goes on; the class that
-    colors every remaining vertex is counted in place.  The contracted
-    graph is fixed by the remaining set alone (uncolored u ~ w iff some
-    u-w path in g has only colored inner vertices), so one per-call table
-    holds it per remaining set and each is contracted once."""
+    Each step builds the independent sets of the contracted graph on the
+    remaining vertices, one vertex at a time (no other block is tested).
+    If they are only the singletons, that graph is complete on r vertices,
+    and so is every contraction of it: its colorings are the r! orders of
+    its vertices as singleton classes, all at one code, counted at once.
+    Otherwise the step takes each class in turn, contracts it and goes on;
+    the class that colors every remaining vertex is counted in place.  The
+    contracted graph is fixed by the remaining set alone (uncolored u ~ w
+    iff some u-w path in g has only colored inner vertices), so one
+    per-call table holds it per remaining set and each is contracted
+    once."""
     check_limit("colorings", g.n)
     n = g.n
     count = [0] * (1 << max(n - 1, 0))  # ordered colorings by composition code
     contracted = {}  # remaining set -> its contracted adjacency tuple
+    top = len(count) - 1  # every cut
 
     def rec(adj: tuple, remaining: int, code: int):
-        code |= 1 << n - remaining.bit_count() >> 1  # bit s - 1 for s colored, none at s = 0
+        r = remaining.bit_count()
+        code |= 1 << n - r >> 1  # bit s - 1 for s colored, none at s = 0
         blocks = [0]
         for v in bits(remaining):
             blocks += [s | 1 << v for s in blocks if not adj[v] & s]
+        if len(blocks) == r + 1:  # complete: r! singleton orders
+            count[code | top & ~((1 << n - r) - 1)] += factorial(r)
+            return
         for blk in blocks:
-            if blk == remaining:  # the last class; on no vertices, the empty coloring
+            if blk == remaining:  # the last class
                 count[code] += 1
             elif blk:
                 rest = remaining ^ blk

@@ -525,10 +525,53 @@ def test_colorings_match_the_submask_recursion_on_random_graphs(n, count):
         )
 
 
+def complete_bipartite(a, b):
+    return graph_from_edges(a + b, [(u, a + w) for u in range(a) for w in range(b)])
+
+
+def wheel(n):
+    """A hub, vertex 0, joined to every vertex of the cycle 1, ..., n - 1."""
+    rim = [(i, i % (n - 1) + 1) for i in range(1, n)]
+    return graph_from_edges(n, [(0, i) for i in range(1, n)] + rim)
+
+
+def test_colorings_match_the_submask_recursion_where_the_rest_turns_complete():
+    # coloring one side of K_{a,b} leaves the other side complete, and the
+    # hub of a wheel joins its rim into one clique: the closed form for a
+    # complete contracted graph fires mid-walk, at a code set so far
+    for a in range(1, 7):
+        for b in range(1, 8 - a):
+            assert_matches_submask_colorings(complete_bipartite(a, b))
+    for n in range(4, 8):
+        assert_matches_submask_colorings(wheel(n))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [family("complete", 8), complete_bipartite(4, 4), wheel(8)],
+    ids=["K8", "K4,4", "wheel8"],
+)
+def test_colorings_match_the_recurrence_where_the_rest_turns_complete(g):
+    assert F_graph_colorings(g) == F_graph_recurrence(g)
+
+
+def test_colorings_count_a_complete_graph_without_contracting(monkeypatch):
+    # a complete graph is counted at the root, r! orders of singletons;
+    # equal values cannot tell whether the closed form fired, this can
+    def refuse(*args):
+        raise AssertionError("contracted a complete graph")
+
+    monkeypatch.setattr(invariants, "_contracted", refuse)
+    for n in range(1, 9):
+        got = F_graph_colorings(family("complete", n))
+        assert got == element("M", {(1,) * n: factorial(n)}), n
+
+
 @pytest.mark.parametrize("n, want", [(0, one("M")), (1, monomial((1,)))])
 def test_routes_agree_on_no_vertex_and_one(n, want):
-    # route 3 counts the class that colors every remaining vertex in place,
-    # so on no vertices the empty class must still count the one coloring
+    # route 3 counts a complete contracted graph at once, and the graphs on
+    # no vertex and on one are complete: the closed form must still count
+    # the one coloring of each, the empty one included
     g = graph_from_edges(n, [])
     got = {name: route(g) for name, route in invariants.ROUTES.items()}
     assert got == dict.fromkeys(invariants.ROUTES, want)

@@ -166,11 +166,12 @@ def test_recursive_closures_skip_states():
     assert _recursive_closures() == [
         # Route 3, the recursion over contracted adjacency tuples; it walks
         # no submasks, as it builds the independent sets of each contracted
-        # graph, and contracts once per remaining set (a per-call table).
-        # It visits every ordered coloring: a memoized walk that kept every
-        # continuation raised the peak RSS of the `routes` benchmark from
-        # 23.2 to 37.5 MiB (+62 %), since the benchmark worker keeps every
-        # result.
+        # graph, contracts once per remaining set (a per-call table) and
+        # counts a complete contracted graph on r vertices at once, as the
+        # r! orders of its singletons.  It steps through every other
+        # ordered coloring: a memoized walk that kept every continuation
+        # raised the peak RSS of the `routes` benchmark from 23.2 to
+        # 37.5 MiB (+62 %), since the benchmark worker keeps every result.
         ("invariants", "F_graph_colorings.rec"),
         # A hit in the shared memo of induced subgraphs skips a whole
         # subtree: a warm `classes` job computes about 8 of 128 masks.
