@@ -95,7 +95,9 @@ LIMITS = {
         11, "splitting-chain route", "blocks meet each component at most once, 3^n if discrete"
     ),
     "tree enumerators": Limit(15, "tree enumerators", "2^(n - 1) terms per enumerator"),
-    "colorings": Limit(8, "ordered-coloring route", "one walk step per ordered coloring"),
+    "colorings": Limit(
+        11, "ordered-coloring route", "independent blocks per remaining set, 3^n only if edgeless"
+    ),
     "chromatic": Limit(11, "chromatic enumeration", "3^n block tests"),
     "recurrence": Limit(14, "recurrence route", "2^n vertex masks in the memo"),
     "family": Limit(13, "family recurrences", "2^(n - 1) terms per enumerator"),

@@ -6,7 +6,10 @@ The four routes to the same quasisymmetric function:
                          each last block meeting each component at most once
                          (BuildingSet.lowest; _flag_counts counts them),
   * F_btree_route     -- sums tree enumerators over the B-trees at vertices,
-  * F_graph_colorings -- counts ordered colorings of the graph,
+  * F_graph_colorings -- counts ordered colorings of the graph, packed, read
+                         from the last class back, each class independent
+                         in the graph contracted on the set still uncolored
+                         (_flag_counts counts them),
   * F_graph_recurrence -- vertex-deletion recurrence with a shift.
 
 ROUTES names the four, each as a function of a graph.
@@ -189,7 +192,10 @@ def _flag_counts(n: int, ends) -> int:
     of free (inside every rest).  Counts fill in increasing order of U,
     each the sum of those sets' counts shifted by their sizes: a block
     appended to w vertices is _shift(value, w), whatever its size.  The
-    empty block (rest U, f 0) reads U's own slot, still 0."""
+    empty block (rest U, f 0) reads U's own slot, still 0.  Route 1's U
+    is a covered set; route 3 walks a coloring from its last class, so its
+    U is a remaining set, the blocks come in reverse, and so do the step
+    sizes of the count."""
     shifted = [1] + [0] * ((1 << n) - 1)  # shifted[U]: U's count, shifted by |U|
     value = 1
     for U in range(1, 1 << n):
@@ -261,45 +267,31 @@ def F_graph_colorings(g: Graph) -> QSymElement:
     """Enumerator of ordered colorings: each color class is discrete after
     contracting all smaller color classes.
 
-    Each step builds the independent sets of the contracted graph on the
-    remaining vertices, one vertex at a time (no other block is tested).
-    If they are only the singletons, that graph is complete on r vertices,
-    and so is every contraction of it: its colorings are the r! orders of
-    its vertices as singleton classes, all at one code, counted at once.
-    Otherwise the step takes each class in turn, contracts it and goes on;
-    the class that colors every remaining vertex is counted in place.  The
-    contracted graph is fixed by the remaining set alone (uncolored u ~ w
-    iff some u-w path in g has only colored inner vertices), so one
-    per-call table holds it per remaining set and each is contracted
-    once."""
+    Counted on _flag_counts, the coloring read from its last class back:
+    U, the union of a class and every later one, is the set still
+    uncolored when that class is chosen, and the class is any independent
+    set of the graph contracted on U, which depends on U alone (uncolored
+    u ~ w iff some u-w path in g has only colored inner vertices).  One
+    table holds it per remaining set, filled from the full set down by
+    contracting one vertex; ends(U) builds its independent sets one vertex
+    at a time.  The count holds the reversed compositions, re-packed at
+    code_table's keys."""
     check_limit("colorings", g.n)
     n = g.n
-    count = [0] * (1 << max(n - 1, 0))  # ordered colorings by composition code
-    contracted = {}  # remaining set -> its contracted adjacency tuple
-    top = len(count) - 1  # every cut
+    adj = [g.adj] * (1 << n)  # adj[U]: the graph contracted on U
+    for U in range((1 << n) - 2, -1, -1):
+        low = ~U & U + 1  # U's lowest missing vertex
+        adj[U] = _contracted(adj[U | low], low, U)
 
-    def rec(adj: tuple, remaining: int, code: int):
-        r = remaining.bit_count()
-        code |= 1 << n - r >> 1  # bit s - 1 for s colored, none at s = 0
-        blocks = [0]
-        for v in bits(remaining):
-            blocks += [s | 1 << v for s in blocks if not adj[v] & s]
-        if len(blocks) == r + 1:  # complete: r! singleton orders
-            count[code | top & ~((1 << n - r) - 1)] += factorial(r)
-            return
-        for blk in blocks:
-            if blk == remaining:  # the last class
-                count[code] += 1
-            elif blk:
-                rest = remaining ^ blk
-                new_adj = contracted.get(rest)
-                if new_adj is None:
-                    new_adj = contracted[rest] = _contracted(adj, blk, rest)
-                rec(new_adj, rest, code)
+    def ends(U: int) -> tuple:
+        a, blocks = adj[U], [0]
+        for v in bits(U):
+            blocks += [s | 1 << v for s in blocks if not a[v] & s]
+        return [U ^ s for s in blocks], 0
 
-    rec(g.adj, (1 << n) - 1, 0)
-    del rec  # rec's closure is a cycle; the table goes with the call
-    return QSymElement("M", *_terms(sum([c << 64 * code for code, c in enumerate(count)]), n))
+    code_of = code_table(n)[1]
+    terms = zip(*_terms(_flag_counts(n, ends), n))
+    return QSymElement("M", *_terms(sum([c << 64 * code_of[k[::-1]] for k, c in terms]), n))
 
 
 def _contracted(adj: tuple, blk: int, rest: int) -> tuple:

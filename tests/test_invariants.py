@@ -496,9 +496,47 @@ def submask_colorings(g):
     return QSymElement("M", *invariants._terms(packed, n))
 
 
+def walk_colorings(g):
+    """Route 3 as it stood before it ran on _flag_counts: a recursion with
+    one step per ordered coloring, each step building the independent sets
+    of its contracted graph one vertex at a time, a per-walk table of the
+    contracted graph of each remaining set, and a complete contracted
+    graph on r vertices counted at once, as the r! orders of its vertices
+    as singleton classes."""
+    n = g.n
+    count = [0] * (1 << max(n - 1, 0))  # ordered colorings by composition code
+    contracted = {}  # remaining set -> its contracted adjacency tuple
+    top = len(count) - 1  # every cut
+
+    def rec(adj: tuple, remaining: int, code: int):
+        r = remaining.bit_count()
+        code |= 1 << n - r >> 1  # bit s - 1 for s colored, none at s = 0
+        blocks = [0]
+        for v in bits(remaining):
+            blocks += [s | 1 << v for s in blocks if not adj[v] & s]
+        if len(blocks) == r + 1:  # complete: r! singleton orders
+            count[code | top & ~((1 << n - r) - 1)] += factorial(r)
+            return
+        for blk in blocks:
+            if blk == remaining:  # the last class
+                count[code] += 1
+            elif blk:
+                rest = remaining ^ blk
+                new_adj = contracted.get(rest)
+                if new_adj is None:
+                    new_adj = contracted[rest] = invariants._contracted(adj, blk, rest)
+                rec(new_adj, rest, code)
+
+    rec(g.adj, (1 << n) - 1, 0)
+    packed = sum([c << 64 * code for code, c in enumerate(count)])
+    return QSymElement("M", *invariants._terms(packed, n))
+
+
 def assert_matches_submask_colorings(g):
-    want, got = submask_colorings(g), F_graph_colorings(g)
-    assert got == want and repr(got) == repr(want), g.adj
+    # both oracles: the submask walk, and the recursion the route replaced
+    got = F_graph_colorings(g)
+    for want in (submask_colorings(g), walk_colorings(g)):
+        assert got == want and repr(got) == repr(want), g.adj
 
 
 def test_colorings_match_the_submask_recursion_on_every_class_through_n6():
@@ -537,8 +575,8 @@ def wheel(n):
 
 def test_colorings_match_the_submask_recursion_where_the_rest_turns_complete():
     # coloring one side of K_{a,b} leaves the other side complete, and the
-    # hub of a wheel joins its rim into one clique: the closed form for a
-    # complete contracted graph fires mid-walk, at a code set so far
+    # hub of a wheel joins its rim into one clique: complete contracted
+    # graphs met mid-coloring, where walk_colorings counts in closed form
     for a in range(1, 7):
         for b in range(1, 8 - a):
             assert_matches_submask_colorings(complete_bipartite(a, b))
@@ -555,23 +593,18 @@ def test_colorings_match_the_recurrence_where_the_rest_turns_complete(g):
     assert F_graph_colorings(g) == F_graph_recurrence(g)
 
 
-def test_colorings_count_a_complete_graph_without_contracting(monkeypatch):
-    # a complete graph is counted at the root, r! orders of singletons;
-    # equal values cannot tell whether the closed form fired, this can
-    def refuse(*args):
-        raise AssertionError("contracted a complete graph")
-
-    monkeypatch.setattr(invariants, "_contracted", refuse)
-    for n in range(1, 9):
+def test_colorings_of_a_complete_graph_are_the_orders_of_its_vertices():
+    # every class of a complete graph is one vertex: n! M[1^n], to the row
+    for n in range(1, LIMITS["colorings"].limit + 1):
         got = F_graph_colorings(family("complete", n))
         assert got == element("M", {(1,) * n: factorial(n)}), n
 
 
 @pytest.mark.parametrize("n, want", [(0, one("M")), (1, monomial((1,)))])
 def test_routes_agree_on_no_vertex_and_one(n, want):
-    # route 3 counts a complete contracted graph at once, and the graphs on
-    # no vertex and on one are complete: the closed form must still count
-    # the one coloring of each, the empty one included
+    # route 3 re-packs its count at the reversed compositions, and on no
+    # vertex and on one that count has a single slot: each route must still
+    # count the one coloring of each graph, the empty one included
     g = graph_from_edges(n, [])
     got = {name: route(g) for name, route in invariants.ROUTES.items()}
     assert got == dict.fromkeys(invariants.ROUTES, want)

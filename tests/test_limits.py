@@ -150,7 +150,7 @@ CAPACITY_ARGV = [
     ("invariant", "--graph", f"cycle:{LIMITS['recurrence'].limit + 1}"),
     ("invariant", "--graph", f"cycle:{LIMITS['splitting'].limit + 1}", "--route", "splitting"),
     ("invariant", "--graph", "cycle:9", "--route", "trees"),
-    ("invariant", "--graph", "cycle:9", "--route", "colorings"),
+    ("invariant", "--graph", f"cycle:{LIMITS['colorings'].limit + 1}", "--route", "colorings"),
     ("invariant", "--graph", "cycle:9", "--route", "all"),
     ("invariant", "--graph", "complete:17", "--route", "splitting"),
     ("invariant", "--graph", '{"n":33,"edges":[]}'),

@@ -109,18 +109,23 @@ def test_one_flag_walk():
         # 0.31 s over the 853 connected 7-vertex classes, against 0.13 s by
         # its own walk (chromatic_symmetric reads the counts of this one).
         ("invariants", "_block_counts"),
-        # The counting walk of route 1, zeta and the ordered colorings:
-        # one packed integer per covered set (a 64-bit slot per composition
-        # code), not a list of key sequences.  Each route hands it the last
-        # blocks of each covered set, and it walks the submasks of their
-        # free part: route 1's blocks meet each component of B|U
+        # The counting walk of route 1, zeta, route 3 and the ordered
+        # colorings: one packed integer per covered set (a 64-bit slot per
+        # composition code), not a list of key sequences.  Each route hands
+        # it the last blocks of each covered set, and it walks the submasks
+        # of their free part: route 1's blocks meet each component of B|U
         # (BuildingSet.lowest) at most once, so it tests no block and
         # reaches 3^n terms only on the discrete set (star:11 4.3 -> 0.02 s,
         # and discrete:11 0.126 -> 0.088 s, against a member scan tested on
-        # every block).  No route lists anything: splitting chains are
-        # listed by the tests' oracles alone, and the fundamental route
-        # counts descent sets on a table of placed sets (_descents), of
-        # which linear_extensions, called by no route, is the oracle.
+        # every block).  Route 3 reads a coloring from its last class, so
+        # its covered set is the remaining set, whose independent sets in
+        # the contracted graph are the last blocks (edgeless:8 0.68-0.89 ->
+        # 0.004 s against its recursion over ordered colorings, which the
+        # tests keep as walk_colorings).  No route lists anything:
+        # splitting chains are listed by the tests' oracles alone, and the
+        # fundamental route counts descent sets on a table of placed sets
+        # (_descents), of which linear_extensions, called by no route, is
+        # the oracle.
         ("invariants", "_flag_counts"),
         # Not a walk over set partitions: _nested's root-block decomposition
         # (whose blocks come in as a parameter), counting sizes instead of
@@ -164,15 +169,6 @@ def test_recursive_closures_skip_states():
     # node count, _descents and linear_extensions by placed set).  Each
     # recursion left has a reason:
     assert _recursive_closures() == [
-        # Route 3, the recursion over contracted adjacency tuples; it walks
-        # no submasks, as it builds the independent sets of each contracted
-        # graph, contracts once per remaining set (a per-call table) and
-        # counts a complete contracted graph on r vertices at once, as the
-        # r! orders of its singletons.  It steps through every other
-        # ordered coloring: a memoized walk that kept every continuation
-        # raised the peak RSS of the `routes` benchmark from 23.2 to
-        # 37.5 MiB (+62 %), since the benchmark worker keeps every result.
-        ("invariants", "F_graph_colorings.rec"),
         # A hit in the shared memo of induced subgraphs skips a whole
         # subtree: a warm `classes` job computes about 8 of 128 masks.
         ("invariants", "_block_counts.rest"),
