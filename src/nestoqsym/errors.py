@@ -74,7 +74,7 @@ class Limit(NamedTuple):
 LIMITS = {
     # graphs
     "ground": Limit(32, "ground set", "vertex sets are bit masks"),
-    "independence": Limit(16, "independence enumeration", "2^n vertex subsets"),
+    "independence": Limit(16, "independence enumeration", "independent sets, 2^n only if edgeless"),
     "canonical": Limit(10, "canonical form", "matchings cost ~16x more per two vertices"),
     "enumeration": Limit(8, "class enumeration", "274,668 classes at n = 9"),
     "graph6": Limit(62, "graph6 writer", "the size is one character"),
@@ -98,7 +98,7 @@ LIMITS = {
     "colorings": Limit(
         11, "ordered-coloring route", "independent blocks per remaining set, 3^n only if edgeless"
     ),
-    "chromatic": Limit(11, "chromatic enumeration", "3^n block tests"),
+    "chromatic": Limit(11, "chromatic enumeration", "independent blocks, 3^n only if edgeless"),
     "recurrence": Limit(14, "recurrence route", "2^n vertex masks in the memo"),
     "family": Limit(13, "family recurrences", "2^(n - 1) terms per enumerator"),
     "kernel": Limit(9, "kernel computation", "tree shapes times 2^(n - 1) compositions"),

@@ -111,20 +111,36 @@ def induced(g: Graph, I) -> Graph:
 def contract(g: Graph, I) -> Graph:
     """Contraction of I: survivors joined iff an edge or a path through I.
 
-    A survivor's neighbours are its own plus those of every component of g
-    restricted to I that it touches, relabeled; not iterated single-vertex
-    contraction.
+    The vertices of I are contracted one at a time (`_contract_vertex`),
+    each joining its neighbours still kept, then the survivors relabeled.
     """
     imask = _check_subset(g, I)
-    keep = (1 << g.n) - 1 & ~imask
-    adj = list(g.adj)
-    for c in _components_within(g, imask):
-        around = 0
-        for u in bits(c):
-            around |= g.adj[u]
-        for v in bits(around & keep):
-            adj[v] |= around ^ 1 << v
+    adj, keep = g.adj, (1 << g.n) - 1
+    for x in bits(imask):
+        keep ^= 1 << x
+        adj = _contract_vertex(adj, x, keep)
     return Graph(keep.bit_count(), tuple(compress(adj[v], keep) for v in bits(keep)))
+
+
+def _contract_vertex(adj: tuple, x: int, keep: int) -> tuple:
+    """adj with vertex x contracted, in the same labels: u and w of keep are
+    joined if adjacent or both adjacent to x.  A vertex outside keep, x
+    among them, keeps no neighbours."""
+    out, bit, around = [0] * len(adj), 1 << x, adj[x]
+    for u in bits(keep):
+        a = adj[u]
+        out[u] = (a | around if a & bit else a) & keep & ~(1 << u)
+    return tuple(out)
+
+
+def _independent_sets(adj: tuple, mask: int) -> list:
+    """The independent subsets of mask in adj, the empty set first, built
+    one vertex at a time: each vertex of mask joins every set so far that
+    holds none of its neighbours."""
+    sets = [0]
+    for v in bits(mask):
+        sets += [s | 1 << v for s in sets if not adj[v] & s]
+    return sets
 
 
 def _components_within(g: Graph, mask: int) -> list:
@@ -201,9 +217,8 @@ def independence_fvector(g: Graph) -> tuple:
     """(f_-1, f_0, ...): independent sets counted by cardinality, f_-1 = 1."""
     check_limit("independence", g.n)
     counts = [0] * (g.n + 1)
-    for mask in range(1 << g.n):
-        if all(g.adj[v] & mask == 0 for v in bits(mask)):
-            counts[mask.bit_count()] += 1
+    for s in _independent_sets(g.adj, (1 << g.n) - 1):
+        counts[s.bit_count()] += 1
     while len(counts) > 1 and counts[-1] == 0:
         counts.pop()
     return tuple(counts)

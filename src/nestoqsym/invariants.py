@@ -75,6 +75,8 @@ from .graphs import (
     FAMILIES,
     Graph,
     _components_within,
+    _contract_vertex,
+    _independent_sets,
     _lowest_component,
     _pairs_within,
     connectivity,
@@ -273,39 +275,20 @@ def F_graph_colorings(g: Graph) -> QSymElement:
     set of the graph contracted on U, which depends on U alone (uncolored
     u ~ w iff some u-w path in g has only colored inner vertices).  One
     table holds it per remaining set, filled from the full set down by
-    contracting one vertex; ends(U) builds its independent sets one vertex
-    at a time.  The count holds the reversed compositions, re-packed at
-    code_table's keys."""
+    contracting U's lowest missing vertex (graphs._contract_vertex); ends(U)
+    lists its independent sets (graphs._independent_sets).  The count holds
+    the reversed compositions, re-packed at code_table's keys."""
     check_limit("colorings", g.n)
     n = g.n
     adj = [g.adj] * (1 << n)  # adj[U]: the graph contracted on U
     for U in range((1 << n) - 2, -1, -1):
         low = ~U & U + 1  # U's lowest missing vertex
-        adj[U] = _contracted(adj[U | low], low, U)
-
-    def ends(U: int) -> tuple:
-        a, blocks = adj[U], [0]
-        for v in bits(U):
-            blocks += [s | 1 << v for s in blocks if not a[v] & s]
-        return [U ^ s for s in blocks], 0
+        adj[U] = _contract_vertex(adj[U | low], low.bit_length() - 1, U)
+    ends = lambda U: ([U ^ s for s in _independent_sets(adj[U], U)], 0)
 
     code_of = code_table(n)[1]
     terms = zip(*_terms(_flag_counts(n, ends), n))
     return QSymElement("M", *_terms(sum([c << 64 * code_of[k[::-1]] for k, c in terms]), n))
-
-
-def _contracted(adj: tuple, blk: int, rest: int) -> tuple:
-    """Route 3's graph on rest = remaining - blk, blk an independent class
-    of adj: u ~ w if adjacent in adj or both adjacent to one vertex of
-    blk.  A colored vertex keeps no neighbours, so the tuple depends on
-    rest alone."""
-    out = [0] * len(adj)
-    for u in bits(rest):
-        nbrs = adj[u]
-        for w in bits(adj[u] & blk):
-            nbrs |= adj[w]
-        out[u] = nbrs & rest & ~(1 << u)
-    return tuple(out)
 
 
 # F and X of induced subgraphs, shared by every call (see _recurrence and
@@ -472,8 +455,10 @@ def chromatic_symmetric(g: Graph) -> SymElement:
     independent sets, counted by their block sizes: each block takes the
     lowest vertex not yet covered, memoized on the uncovered mask, per call
     and in _SUBGRAPHS, there keyed on (n, mask, code of the subgraph it
-    induces).  A block is independent iff the code it induces is 0.  The block
-    sizes are kept as one integer, sum_k m_k (n + 1)^(k - 1) with m_k the
+    induces).  The blocks of that vertex v are v joined to each independent
+    subset of the uncovered vertices outside v's neighbourhood
+    (graphs._independent_sets), so no block is tested.  The block sizes
+    are kept as one integer, sum_k m_k (n + 1)^(k - 1) with m_k the
     number of blocks of size k, so adding a block adds a constant.  Ordering
     the blocks into the color slots of mu gives prod_k m_k! colorings per
     partition; _partitions(n) pairs each key with its mu and that factor, in
@@ -503,7 +488,7 @@ def _block_counts(g: Graph) -> dict:
     """{block-size key: partitions of the vertices into independent sets
     with those block sizes}, keyed as in chromatic_symmetric."""
     check_limit("chromatic", g.n)
-    n = g.n
+    n, adj = g.n, g.adj
     full = (1 << n) - 1
     code, pairs = edge_code(g), _pairs_within(n)
     step = [(n + 1) ** (k - 1) for k in range(n + 1)]  # one block of size k
@@ -517,13 +502,12 @@ def _block_counts(g: Graph) -> dict:
             if hit is None:
                 hit = {}
                 low = left & -left
-                for sub in submasks(left ^ low):
-                    blk = sub | low
-                    if not code & pairs[blk]:  # independent
-                        inc = step[blk.bit_count()]
-                        for sizes, c in rest(left ^ blk).items():
-                            sizes += inc
-                            hit[sizes] = hit.get(sizes, 0) + c
+                for s in _independent_sets(adj, left & ~(low | adj[low.bit_length() - 1])):
+                    blk = s | low
+                    inc = step[blk.bit_count()]
+                    for sizes, c in rest(left ^ blk).items():
+                        sizes += inc
+                        hit[sizes] = hit.get(sizes, 0) + c
                 if left != full:
                     _remember(key, hit)
             memo[left] = hit
@@ -536,15 +520,9 @@ def _block_counts(g: Graph) -> dict:
 
 def ordered_colorings_by_type(g: Graph) -> dict:
     """Proper-coloring ordered set partitions counted by size sequence:
-    any independent set may end U.  U's independent subsets are those
-    without its top vertex t and t joined to those missing t's neighbours."""
+    any independent subset of U may end U (graphs._independent_sets)."""
     check_limit("chromatic", g.n)
-    indep = [[0]]  # indep[U]: the independent subsets of U
-    for U in range(1, 1 << g.n):
-        t = U.bit_length() - 1
-        below = U ^ 1 << t
-        indep.append(indep[below] + [s | 1 << t for s in indep[below & ~g.adj[t]]])
-    ends = lambda U: ([U ^ s for s in indep[U]], 0)
+    ends = lambda U: ([U ^ s for s in _independent_sets(g.adj, U)], 0)
     return dict(zip(*_terms(_flag_counts(g.n, ends), g.n)))
 
 

@@ -17,6 +17,7 @@ from nestoqsym.graphs import (
     Graph,
     _components_within,
     _graph_from_code,
+    _independent_sets,
     _lowest_component,
     _min_code,
     _pairs_within,
@@ -214,6 +215,21 @@ def test_q_connectivity_on_masks_matches_induced_subgraphs():
         for g in enumerate_graphs(n):
             for q in range(1, n + 1):
                 assert is_q_connected(g, q) == oracle_is_q_connected(g, q), (g, q)
+
+
+def test_independent_sets_match_a_submask_scan_on_every_class_to_n6():
+    # every mask of every class: the builder lists each independent subset
+    # of the mask once, the empty set first
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            for mask in range(1 << n):
+                want = [
+                    s
+                    for s in range(mask + 1)
+                    if s & ~mask == 0 and all(not g.adj[v] & s for v in bits(s))
+                ]
+                got = _independent_sets(g.adj, mask)
+                assert got[0] == 0 and sorted(got) == want, (g.adj, mask)
 
 
 def test_independence_fvector_examples():

@@ -34,6 +34,7 @@ from nestoqsym.buildset import (
 from nestoqsym.errors import LIMITS, CapacityError, InputError
 from nestoqsym.graphs import (
     FAMILY_KINDS,
+    _contract_vertex,
     contract,
     edge_code,
     enumerate_graphs,
@@ -502,8 +503,10 @@ def walk_colorings(g):
     of its contracted graph one vertex at a time, a per-walk table of the
     contracted graph of each remaining set, and a complete contracted
     graph on r vertices counted at once, as the r! orders of its vertices
-    as singleton classes."""
+    as singleton classes.  Each contracted graph is read off g by the path
+    rule (contracted_by_paths), not contracted from its parent."""
     n = g.n
+    full = (1 << n) - 1
     count = [0] * (1 << max(n - 1, 0))  # ordered colorings by composition code
     contracted = {}  # remaining set -> its contracted adjacency tuple
     top = len(count) - 1  # every cut
@@ -524,10 +527,10 @@ def walk_colorings(g):
                 rest = remaining ^ blk
                 new_adj = contracted.get(rest)
                 if new_adj is None:
-                    new_adj = contracted[rest] = invariants._contracted(adj, blk, rest)
+                    new_adj = contracted[rest] = contracted_by_paths(g, full ^ rest)
                 rec(new_adj, rest, code)
 
-    rec(g.adj, (1 << n) - 1, 0)
+    rec(g.adj, full, 0)
     packed = sum([c << 64 * code for code, c in enumerate(count)])
     return QSymElement("M", *invariants._terms(packed, n))
 
@@ -627,24 +630,17 @@ def contracted_by_paths(g, colored):
 
 
 def assert_contractions_follow_the_paths(g):
-    # every remaining set the walk reaches, and every independent class that
-    # leaves some vertex uncolored: the contraction of the parent graph is
-    # the path graph of the child set, whatever the parent and the class
+    # every remaining set and every vertex of it, the one route 3's table
+    # contracts (the lowest colored next) among them: contracting the vertex
+    # in the path graph of the set gives the path graph of the set without it
     full = (1 << g.n) - 1
     assert contracted_by_paths(g, 0) == g.adj
-    seen, todo = {full}, [full]
-    while todo:
-        remaining = todo.pop()
+    for remaining in range(1, full + 1):
         adj = contracted_by_paths(g, full ^ remaining)
-        for blk in nonempty_submasks(remaining):
-            if blk == remaining or any(adj[v] & blk for v in bits(blk)):
-                continue
-            rest = remaining ^ blk
+        for x in bits(remaining):
+            rest = remaining ^ 1 << x
             want = contracted_by_paths(g, full ^ rest)
-            assert invariants._contracted(adj, blk, rest) == want, (g.adj, remaining, blk)
-            if rest not in seen:
-                seen.add(rest)
-                todo.append(rest)
+            assert _contract_vertex(adj, x, rest) == want, (g.adj, remaining, x)
 
 
 def test_contracted_graphs_follow_the_paths_on_every_class_through_n6():
