@@ -164,16 +164,22 @@ def _components_within(g: Graph, mask: int) -> list:
     return comps
 
 
+def _neighbourhoods(adj: tuple) -> list:
+    """nbr[S]: the neighbours of the vertex set S, for all 2^n sets, filled
+    as nbr[S] = nbr[S - v] | adj[v] for the top vertex v of S."""
+    nbr = [0]
+    for a in adj:
+        nbr += [s | a for s in nbr]
+    return nbr
+
+
 def _lowest_component(g: Graph):
     """lowest(mask): the component of g on mask holding the lowest vertex.
 
-    A table over all 2^n vertex sets holds the neighbourhood of each,
-    nbr[S] = nbr[S - v] | adj[v] for the top vertex v of S, so a component
-    grows by one breadth-first layer per lookup: comp |= nbr[comp] & mask.
+    On the table of neighbourhoods (_neighbourhoods) a component grows by
+    one breadth-first layer per lookup: comp |= nbr[comp] & mask.
     """
-    nbr = [0]
-    for a in g.adj:
-        nbr += [s | a for s in nbr]
+    nbr = _neighbourhoods(g.adj)
 
     def lowest(mask: int) -> int:
         comp = mask & -mask

@@ -9,10 +9,14 @@ The four routes to the same quasisymmetric function:
   * F_graph_colorings -- counts ordered colorings of the graph, packed, read
                          from the last class back, each class independent
                          in the graph contracted on the set still uncolored
-                         (_flag_counts counts them),
+                         (_remaining_blocks; _flag_counts counts them),
   * F_graph_recurrence -- vertex-deletion recurrence with a shift.
 
 ROUTES names the four, each as a function of a graph.
+
+Routes 1 and 3 and the ordered colorings differ only in the sets each
+hands _flag_counts per set; route 3 filters each remaining set's blocks
+from its parent's, and contracts no graph.
 
 All four routes, the family recurrences and F_of_hopf hold F as one int, a
 64-bit slot per composition code (qsym.code_table, see `_terms`): the shift
@@ -75,9 +79,9 @@ from .graphs import (
     FAMILIES,
     Graph,
     _components_within,
-    _contract_vertex,
     _independent_sets,
     _lowest_component,
+    _neighbourhoods,
     _pairs_within,
     connectivity,
     edge_code,
@@ -118,10 +122,11 @@ def _splitting_ends(b: BuildingSet):
     component of B|U, and the components are members, so U's last block
     meets each component in at most one vertex: one or none of each
     component of two or more vertices (the rests are U minus each such
-    choice) and any subset of the one-vertex components (free)."""
+    choice) and any subset of the one-vertex components (free).  ends(U)
+    lists each rest minus each submask of free."""
     low = b.lowest
 
-    def ends(U: int) -> tuple:
+    def ends(U: int) -> list:
         rests, free, left = [U], 0, U
         while left:
             c = low[left]
@@ -130,7 +135,7 @@ def _splitting_ends(b: BuildingSet):
                 rests = [r ^ v for r in rests for v in (0, *singletons(c))]
             else:
                 free |= c
-        return rests, free
+        return [r ^ f for f in submasks(free) for r in rests] if free else rests
 
     return ends
 
@@ -189,20 +194,18 @@ def _shift(value: int, w: int) -> int:
 
 def _flag_counts(n: int, ends) -> int:
     """The ordered set partitions of [n] that a route admits, counted by
-    step sizes and packed as in _terms.  ends(U) gives the sets covered
-    before U's last block as rest - f, over its rests and the submasks f
-    of free (inside every rest).  Counts fill in increasing order of U,
-    each the sum of those sets' counts shifted by their sizes: a block
-    appended to w vertices is _shift(value, w), whatever its size.  The
-    empty block (rest U, f 0) reads U's own slot, still 0.  Route 1's U
-    is a covered set; route 3 walks a coloring from its last class, so its
-    U is a remaining set, the blocks come in reverse, and so do the step
-    sizes of the count."""
+    step sizes and packed as in _terms.  ends(U) lists the sets covered
+    before U's last block.  Counts fill in increasing order of U, each the
+    sum of those sets' counts shifted by their sizes: a block appended to
+    w vertices is _shift(value, w), whatever its size.  The empty block
+    (U itself) reads U's own slot, still 0.  Route 1's U is a covered set;
+    route 3 walks a coloring from its last class, so its U is a remaining
+    set, the blocks come in reverse, and so do the step sizes of the
+    count."""
     shifted = [1] + [0] * ((1 << n) - 1)  # shifted[U]: U's count, shifted by |U|
-    value = 1
+    read, value = shifted.__getitem__, 1
     for U in range(1, 1 << n):
-        rests, free = ends(U)
-        value = sum([shifted[r ^ f] for r in rests for f in submasks(free)])
+        value = sum(map(read, ends(U)))
         shifted[U] = _shift(value, U.bit_count())
     return value
 
@@ -272,23 +275,39 @@ def F_graph_colorings(g: Graph) -> QSymElement:
     Counted on _flag_counts, the coloring read from its last class back:
     U, the union of a class and every later one, is the set still
     uncolored when that class is chosen, and the class is any independent
-    set of the graph contracted on U, which depends on U alone (uncolored
-    u ~ w iff some u-w path in g has only colored inner vertices).  One
-    table holds it per remaining set, filled from the full set down by
-    contracting U's lowest missing vertex (graphs._contract_vertex); ends(U)
-    lists its independent sets (graphs._independent_sets).  The count holds
-    the reversed compositions, re-packed at code_table's keys."""
+    set of the graph contracted on U (_remaining_blocks); ends(U) is U
+    minus each.  The count holds the reversed compositions, re-packed at
+    code_table's keys."""
     check_limit("colorings", g.n)
     n = g.n
-    adj = [g.adj] * (1 << n)  # adj[U]: the graph contracted on U
-    for U in range((1 << n) - 2, -1, -1):
-        low = ~U & U + 1  # U's lowest missing vertex
-        adj[U] = _contract_vertex(adj[U | low], low.bit_length() - 1, U)
-    ends = lambda U: ([U ^ s for s in _independent_sets(adj[U], U)], 0)
+    blocks = _remaining_blocks(g)
+    ends = lambda U: [U ^ s for s in blocks[U]]
 
     code_of = code_table(n)[1]
     terms = zip(*_terms(_flag_counts(n, ends), n))
     return QSymElement("M", *_terms(sum([c << 64 * code_of[k[::-1]] for k, c in terms]), n))
+
+
+def _remaining_blocks(g: Graph) -> list:
+    """blocks[U]: the independent sets of g contracted on U, for every
+    remaining set U.  That graph depends on U alone (uncolored u ~ w iff
+    some u-w path in g has only colored inner vertices), and one list
+    filters its parent's, from the full set down: contracting U's lowest
+    missing vertex low in the graph on U | low only joins the vertices of
+    U around it, those next to low's component in g outside U.  So a
+    block of U is a block of U | low that misses low and meets them at
+    most once."""
+    full = (1 << g.n) - 1
+    nbr = _neighbourhoods(g.adj)
+    blocks = [None] * full + [_independent_sets(g.adj, full)]
+    for U in range(full - 1, -1, -1):
+        low = ~U & U + 1  # U's lowest missing vertex
+        comp, out = low, full ^ U
+        while (grown := comp | nbr[comp] & out) != comp:
+            comp = grown
+        around = nbr[comp] & U
+        blocks[U] = [s for s in blocks[U | low] if not s & low and not (t := s & around) & t - 1]
+    return blocks
 
 
 # F and X of induced subgraphs, shared by every call (see _recurrence and
@@ -522,7 +541,7 @@ def ordered_colorings_by_type(g: Graph) -> dict:
     """Proper-coloring ordered set partitions counted by size sequence:
     any independent subset of U may end U (graphs._independent_sets)."""
     check_limit("chromatic", g.n)
-    ends = lambda U: ([U ^ s for s in _independent_sets(g.adj, U)], 0)
+    ends = lambda U: [U ^ s for s in _independent_sets(g.adj, U)]
     return dict(zip(*_terms(_flag_counts(g.n, ends), g.n)))
 
 

@@ -35,6 +35,7 @@ from nestoqsym.errors import LIMITS, CapacityError, InputError
 from nestoqsym.graphs import (
     FAMILY_KINDS,
     _contract_vertex,
+    _independent_sets,
     contract,
     edge_code,
     enumerate_graphs,
@@ -630,9 +631,8 @@ def contracted_by_paths(g, colored):
 
 
 def assert_contractions_follow_the_paths(g):
-    # every remaining set and every vertex of it, the one route 3's table
-    # contracts (the lowest colored next) among them: contracting the vertex
-    # in the path graph of the set gives the path graph of the set without it
+    # every remaining set and every vertex of it: contracting the vertex in
+    # the path graph of the set gives the path graph of the set without it
     full = (1 << g.n) - 1
     assert contracted_by_paths(g, 0) == g.adj
     for remaining in range(1, full + 1):
@@ -652,6 +652,37 @@ def test_contracted_graphs_follow_the_paths_on_every_class_through_n6():
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
 def test_contracted_graphs_follow_the_paths_on_families_at_n7(kind):
     assert_contractions_follow_the_paths(family(kind, 7))
+
+
+def assert_blocks_follow_the_paths(g):
+    # route 3 filters each remaining set's blocks from its parent's; each
+    # list must still be the independent sets of the path graph of its set
+    full = (1 << g.n) - 1
+    blocks = invariants._remaining_blocks(g)
+    assert len(blocks) == full + 1
+    for remaining, got in enumerate(blocks):
+        want = _independent_sets(contracted_by_paths(g, full ^ remaining), remaining)
+        assert sorted(got) == sorted(want), (g.adj, remaining)
+
+
+def test_remaining_blocks_follow_the_paths_on_every_class_through_n6():
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            assert_blocks_follow_the_paths(g)
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_remaining_blocks_follow_the_paths_on_families_at_n7(kind):
+    assert_blocks_follow_the_paths(family(kind, 7))
+
+
+def test_remaining_blocks_follow_the_paths_on_random_graphs_at_n8():
+    # G(8, p) with p spread evenly over 0.1-0.9, from sparse to dense
+    rng = random.Random(46)
+    pairs = [(u, v) for u in range(8) for v in range(u + 1, 8)]
+    for i in range(20):
+        p = 0.1 + 0.8 * i / 19
+        assert_blocks_follow_the_paths(graph_from_edges(8, [e for e in pairs if rng.random() < p]))
 
 
 @pytest.mark.parametrize(

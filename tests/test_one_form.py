@@ -105,24 +105,25 @@ def test_one_flag_walk():
         # per-call factor ids, which a packed count cannot hold, and each
         # factor is read from the remainders listed once per mask.
         ("buildset", "takeuchi_antipode"),
-        # The counting walk of route 1, zeta, route 3 and the ordered
-        # colorings: one packed integer per covered set (a 64-bit slot per
-        # composition code), not a list of key sequences.  Each route hands
-        # it the last blocks of each covered set, and it walks the submasks
-        # of their free part: route 1's blocks meet each component of B|U
-        # (BuildingSet.lowest) at most once, so it tests no block and
-        # reaches 3^n terms only on the discrete set (star:11 4.3 -> 0.02 s,
-        # and discrete:11 0.126 -> 0.088 s, against a member scan tested on
-        # every block).  Route 3 reads a coloring from its last class, so
-        # its covered set is the remaining set, whose independent sets in
-        # the contracted graph are the last blocks (edgeless:8 0.68-0.89 ->
-        # 0.004 s against its recursion over ordered colorings, which the
-        # tests keep as walk_colorings).  No route lists anything:
-        # splitting chains are listed by the tests' oracles alone, and the
-        # fundamental route counts descent sets on a table of placed sets
-        # (_descents), of which linear_extensions, called by no route, is
-        # the oracle.
-        ("invariants", "_flag_counts"),
+        # The last blocks of route 1 (F_splitting and zeta): they meet each
+        # component of B|U (BuildingSet.lowest) at most once and take any
+        # subset of its one-vertex components, so route 1 tests no block
+        # and reaches 3^n terms only on the discrete set (star:11 4.3 ->
+        # 0.02 s, and discrete:11 0.126 -> 0.088 s, against a member scan
+        # tested on every block).  It hands the counting walk,
+        # _flag_counts, one list of covered sets per U, as route 3 and the
+        # ordered colorings do: one packed integer per covered set (a
+        # 64-bit slot per composition code), not a list of key sequences.
+        # Route 3 reads a coloring from its last class, so its covered set
+        # is the remaining set, whose independent sets in the contracted
+        # graph are the last blocks, each list filtered from its parent's
+        # (edgeless:8 0.68-0.89 -> 0.004 s against its recursion over
+        # ordered colorings, which the tests keep as walk_colorings).  No
+        # route lists anything: splitting chains are listed by the tests'
+        # oracles alone, and the fundamental route counts descent sets on a
+        # table of placed sets (_descents), of which linear_extensions,
+        # called by no route, is the oracle.
+        ("invariants", "_splitting_ends"),
         # Not a walk over set partitions: _nested's root-block decomposition
         # (whose blocks come in as a parameter), counting sizes instead of
         # listing nested sets.  Listing them put `fvector --graph complete:8`
@@ -250,21 +251,20 @@ def test_one_independent_set_builder_and_one_contraction_step():
     # graphs._independent_sets lists the independent subsets of a mask one
     # vertex at a time, and graphs._contract_vertex contracts one vertex in
     # the same labels.  These are their only users: a function that leaves
-    # this list has grown its own copy, and a new user is added here.  X
+    # this list has grown its own copy, and a new user is added here.
+    # Route 3 lists the independent sets of g once (_remaining_blocks) and
+    # filters every other list from its parent's, contracting nothing.  X
     # keeps its own unordered walk (_block_counts), stepping from the lowest
     # uncovered vertex to its independent blocks: over the 853 connected 7-vertex classes it takes
     # 0.012-0.023 s, against 0.57-1.06 s for the ordered count on the flag
     # walk (ordered_colorings_by_type), 8 runs each.
     assert _callers("_independent_sets") == [
         ("graphs", "independence_fvector"),
-        ("invariants", "F_graph_colorings"),
         ("invariants", "_block_counts"),
+        ("invariants", "_remaining_blocks"),
         ("invariants", "ordered_colorings_by_type"),
     ]
-    assert _callers("_contract_vertex") == [
-        ("graphs", "contract"),
-        ("invariants", "F_graph_colorings"),
-    ]
+    assert _callers("_contract_vertex") == [("graphs", "contract")]
 
 
 # ---------------------------------------------------------------------------
